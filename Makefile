@@ -2,7 +2,7 @@ GO ?= go
 GOFMT ?= gofmt
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt test race check bench experiments faults lossy serve mesh churn chaos fuzz simcheck cover profile
+.PHONY: all build vet fmt test race check bench experiments faults lossy serve mesh churn chaos scenarios fuzz simcheck cover profile
 
 all: check
 
@@ -46,8 +46,8 @@ faults:
 	$(GO) run ./cmd/shrimpsim -scenario faults
 
 # lossy runs the lossy-wire sweep (E13): seeded drop/corrupt/dup/
-# reorder against the NIC's reliable delivery protocol, twice, with the
-# outputs compared bit-exactly.
+# reorder against the NIC's reliable delivery protocol, plus a rerun and
+# a 4-worker run whose rendered tables must match bit-exactly.
 lossy:
 	$(GO) run ./cmd/shrimpsim -scenario lossy
 
@@ -77,6 +77,33 @@ churn:
 # proof as serve.
 chaos:
 	$(GO) run ./cmd/shrimpsim -scenario chaos
+
+# SCENARIO_ARGS is the table of seeded shrimpsim runs that the
+# scenarios target proves reproducible, one quoted argument line each.
+SCENARIO_ARGS = \
+	"-scenario faults" \
+	"-scenario lossy" \
+	"-scenario serve" \
+	"-scenario churn" \
+	"-scenario chaos" \
+	"-scenario incast -nodes 64 -topology mesh" \
+	"-scenario incast -nodes 16 -topology torus -workers 4" \
+	"-scenario fuzz -seed 1 -count 25"
+
+# scenarios builds shrimpsim once and runs every SCENARIO_ARGS line
+# twice, diffing the two outputs: same-process reproducibility is each
+# scenario's own proof (a rerun plus another worker count), and the diff
+# adds cross-process reproducibility. Nothing is left behind.
+scenarios:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/shrimpsim" ./cmd/shrimpsim; \
+	for args in $(SCENARIO_ARGS); do \
+		echo "== shrimpsim $$args"; \
+		"$$tmp/shrimpsim" $$args > "$$tmp/run1.txt"; \
+		"$$tmp/shrimpsim" $$args > "$$tmp/run2.txt"; \
+		diff "$$tmp/run1.txt" "$$tmp/run2.txt"; \
+		cat "$$tmp/run1.txt"; \
+	done
 
 # fuzz gives each native fuzz target a short budget (override with
 # FUZZTIME=5m for a longer soak). Each target must be fuzzed alone:

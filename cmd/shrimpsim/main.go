@@ -39,6 +39,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
 	"runtime"
@@ -63,58 +64,93 @@ import (
 )
 
 // scenarioIndex is the -list readout: every scenario in presentation
-// order with the one-liner a new user needs to pick one.
-var scenarioIndex = []struct{ name, desc string }{
-	{"send", "two-instruction UDMA send on one node"},
-	{"cluster", "N-node deliberate-update ring exchange"},
-	{"share", "untrusting processes share one device (I1 protection)"},
-	{"paging", "UDMA under memory pressure (I2/I4 guards)"},
-	{"autoupdate", "plain stores propagate to a remote page, no initiation"},
-	{"faults", "injected device faults vs per-transfer recovery"},
-	{"lossy", "lossy wire vs the reliable delivery sublayer"},
-	{"contention", "queued senders: latency distributions under load"},
-	{"incast", "routed-fabric incast: goodput flattens at per-link capacity"},
-	{"serve", "open-loop load at a fixed offered rate, SLO readout"},
-	{"churn", "short-lived flows vs a bounded NIPT cache"},
-	{"chaos", "seeded node crash–restart schedule vs availability SLOs"},
-	{"fuzz", "randomized runs under the simcheck invariant auditor"},
+// order with the one-liner a new user needs to pick one, plus the seed a
+// seeded scenario runs with when -seed is not given.
+var scenarioIndex = []struct {
+	name, desc string
+	seed       uint64
+}{
+	{"send", "two-instruction UDMA send on one node", 0},
+	{"cluster", "N-node deliberate-update ring exchange", 0},
+	{"share", "untrusting processes share one device (I1 protection)", 0},
+	{"paging", "UDMA under memory pressure (I2/I4 guards)", 0},
+	{"autoupdate", "plain stores propagate to a remote page, no initiation", 0},
+	{"faults", "injected device faults vs per-transfer recovery", experiments.FaultSeed},
+	{"lossy", "lossy wire vs the reliable delivery sublayer", experiments.LossySeed},
+	{"contention", "queued senders: latency distributions under load", 0},
+	{"incast", "routed-fabric incast: goodput flattens at per-link capacity", 0},
+	{"serve", "open-loop load at a fixed offered rate, SLO readout", experiments.ServeSeed},
+	{"churn", "short-lived flows vs a bounded NIPT cache", experiments.ChurnSeed},
+	{"chaos", "seeded node crash–restart schedule vs availability SLOs", experiments.ChaosSeed},
+	{"fuzz", "randomized runs under the simcheck invariant auditor", 1},
+}
+
+// options is the parsed command line.
+type options struct {
+	scenario, topology          string
+	list, withTrace, metrics    bool
+	nodes, size, senders, count int
+	capacity, workers           int
+	seed                        uint64
+	rate                        float64
+	metricsOut, traceOut        string
+	cpuprofile, memprofile      string
+}
+
+// parseArgs defines the flags on fs and parses args. Without -seed, the
+// scenario's own default seed from scenarioIndex applies; an explicit
+// -seed always reaches the scenario as given.
+func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	fs.StringVar(&o.scenario, "scenario", "send", "send | cluster | share | paging | autoupdate | faults | lossy | contention | incast | serve | churn | chaos | fuzz")
+	fs.BoolVar(&o.list, "list", false, "list the scenarios with one-line descriptions and exit")
+	fs.IntVar(&o.nodes, "nodes", 4, "cluster scenario: node count")
+	fs.IntVar(&o.size, "size", 4096, "message size in bytes")
+	fs.IntVar(&o.senders, "senders", 4, "share/contention scenarios: processes")
+	fs.Uint64Var(&o.seed, "seed", 0, "seeded scenarios: RNG seed (fuzz: first seed; default: the scenario's own)")
+	fs.IntVar(&o.count, "count", 1, "fuzz scenario: number of consecutive seeds to run")
+	fs.Float64Var(&o.rate, "rate", 300, "serve/churn scenarios: offered load in messages per million cycles")
+	fs.StringVar(&o.topology, "topology", "mesh", "incast scenario: routed fabric kind (mesh | torus)")
+	fs.IntVar(&o.capacity, "capacity", 8, "churn scenario: NIPT cache capacity in entries (0 = unbounded)")
+	fs.BoolVar(&o.withTrace, "trace", false, "send scenario: dump the hardware event trace")
+	fs.BoolVar(&o.metrics, "metrics", false, "print a telemetry snapshot after the scenario")
+	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the telemetry snapshot as JSON to this file")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace_event JSON file (Perfetto) to this file")
+	fs.IntVar(&o.workers, "workers", 1, "host goroutines: cluster node windows, fuzz seeds and experiment sweeps (results identical at any value)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the scenario to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write an allocation profile to this file at exit")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	seedSet := false
+	fs.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
+	if !seedSet {
+		for _, sc := range scenarioIndex {
+			if sc.name == o.scenario {
+				o.seed = sc.seed
+			}
+		}
+	}
+	if o.workers < 1 {
+		o.workers = 1
+	}
+	return o, nil
 }
 
 func main() {
-	var (
-		scenario   = flag.String("scenario", "send", "send | cluster | share | paging | autoupdate | faults | lossy | contention | incast | serve | churn | chaos | fuzz")
-		list       = flag.Bool("list", false, "list the scenarios with one-line descriptions and exit")
-		nodes      = flag.Int("nodes", 4, "cluster scenario: node count")
-		size       = flag.Int("size", 4096, "message size in bytes")
-		senders    = flag.Int("senders", 4, "share/contention scenarios: processes")
-		seed       = flag.Uint64("seed", experiments.FaultSeed, "faults/fuzz scenarios: RNG seed (fuzz: first seed)")
-		count      = flag.Int("count", 1, "fuzz scenario: number of consecutive seeds to run")
-		rate       = flag.Float64("rate", 300, "serve/churn scenarios: offered load in messages per million cycles")
-		topology   = flag.String("topology", "mesh", "incast scenario: routed fabric kind (mesh | torus)")
-		capacity   = flag.Int("capacity", 8, "churn scenario: NIPT cache capacity in entries (0 = unbounded)")
-		withTrace  = flag.Bool("trace", false, "send scenario: dump the hardware event trace")
-		metrics    = flag.Bool("metrics", false, "print a telemetry snapshot after the scenario")
-		metricsOut = flag.String("metrics-out", "", "write the telemetry snapshot as JSON to this file")
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace_event JSON file (Perfetto) to this file")
-		workers    = flag.Int("workers", 1, "host goroutines: cluster node windows, fuzz seeds and experiment sweeps (results identical at any value)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the scenario to this file")
-		memprofile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	)
-	flag.Parse()
-	if *list {
+	// flag.CommandLine exits on a bad flag, so parseArgs cannot fail here.
+	a, _ := parseArgs(flag.CommandLine, os.Args[1:])
+	if a.list {
 		fmt.Println("scenarios:")
 		for _, sc := range scenarioIndex {
 			fmt.Printf("  %-12s %s\n", sc.name, sc.desc)
 		}
 		return
 	}
-	if *workers < 1 {
-		*workers = 1
-	}
-	experiments.SetSweepWorkers(*workers)
+	experiments.SetSweepWorkers(a.workers)
 
-	if *cpuprofile != "" {
-		f, perr := os.Create(*cpuprofile)
+	if a.cpuprofile != "" {
+		f, perr := os.Create(a.cpuprofile)
 		if perr == nil {
 			perr = pprof.StartCPUProfile(f)
 		}
@@ -127,9 +163,9 @@ func main() {
 			f.Close()
 		}()
 	}
-	if *memprofile != "" {
+	if a.memprofile != "" {
 		defer func() {
-			f, perr := os.Create(*memprofile)
+			f, perr := os.Create(a.memprofile)
 			if perr != nil {
 				fmt.Fprintf(os.Stderr, "shrimpsim: memprofile: %v\n", perr)
 				return
@@ -142,38 +178,40 @@ func main() {
 		}()
 	}
 
-	o := newObs(*metrics, *metricsOut, *traceOut)
+	o := newObs(a.metrics, a.metricsOut, a.traceOut)
 
 	var err error
-	switch *scenario {
+	switch a.scenario {
 	case "send":
-		err = scenarioSend(*size, *withTrace, o)
+		err = scenarioSend(a.size, a.withTrace, o)
 	case "cluster":
-		err = scenarioCluster(*nodes, *size, *workers, o)
+		err = scenarioCluster(a.nodes, a.size, a.workers, o)
 	case "share":
-		err = scenarioShare(*senders, *size, o)
+		err = scenarioShare(a.senders, a.size, o)
 	case "paging":
-		err = scenarioPaging(*size, o)
+		err = scenarioPaging(a.size, o)
 	case "autoupdate":
 		err = scenarioAutoUpdate(o)
 	case "faults":
-		err = scenarioFaults(*seed)
+		fmt.Printf("# fault injection (seed %#x): rejections and completion failures vs bounded retry\n", a.seed)
+		err = scenarioSweep("fault-recovery", experiments.RunFaultInjectionSeeded, a.seed, a.workers)
 	case "lossy":
-		err = scenarioLossy(*seed)
+		fmt.Printf("# lossy wire (seed %#x): drop/corrupt/dup/reorder vs seq/ACK/retransmit/CRC\n", a.seed)
+		err = scenarioSweep("lossy-wire", experiments.RunLossyWireSeeded, a.seed, a.workers)
 	case "contention":
-		err = scenarioContention(*senders, *size, o)
+		err = scenarioContention(a.senders, a.size, o)
 	case "incast":
-		err = scenarioIncast(*nodes, *topology, *workers, o)
+		err = scenarioIncast(a.nodes, a.topology, a.workers, o)
 	case "serve":
-		err = scenarioServe(*seed, *nodes, *rate, o)
+		err = scenarioServe(a.seed, a.nodes, a.rate, a.workers, o)
 	case "churn":
-		err = scenarioChurn(*seed, *nodes, *rate, *capacity, o)
+		err = scenarioChurn(a.seed, a.nodes, a.rate, a.capacity, a.workers, o)
 	case "chaos":
-		err = scenarioChaos(*seed, *nodes, *rate, o)
+		err = scenarioChaos(a.seed, a.nodes, a.rate, a.workers, o)
 	case "fuzz":
-		err = scenarioFuzz(*seed, *count, *workers)
+		err = scenarioFuzz(a.seed, a.count, a.workers)
 	default:
-		err = fmt.Errorf("unknown scenario %q", *scenario)
+		err = fmt.Errorf("unknown scenario %q", a.scenario)
 	}
 	if err == nil {
 		err = o.finish(os.Stdout)
@@ -182,6 +220,39 @@ func main() {
 		fmt.Fprintf(os.Stderr, "shrimpsim: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// prove is the reproducibility proof every seeded scenario ends with.
+// run executes the scenario at a worker count and returns its
+// fingerprint; the reference run is repeated at the same worker count
+// and once more at another one, and all three fingerprints must match —
+// the simulation is a pure function of its inputs, not of host
+// scheduling. Long fingerprints (rendered tables) print as their digest.
+func prove(run func(workers int) (fingerprint string, err error), workers int) error {
+	other := 4
+	if workers == other {
+		other = 1
+	}
+	ref, err := run(workers)
+	if err != nil {
+		return err
+	}
+	for _, w := range []int{workers, other} {
+		fp, err := run(w)
+		if err != nil {
+			return err
+		}
+		if fp != ref {
+			return fmt.Errorf("workers %d and %d runs diverge:\n--- reference\n%s\n--- rerun\n%s", workers, w, ref, fp)
+		}
+	}
+	if len(ref) > 16 {
+		h := fnv.New64a()
+		h.Write([]byte(ref))
+		ref = fmt.Sprintf("%016x", h.Sum64())
+	}
+	fmt.Printf("\nfingerprint %s reproduced exactly: a rerun and a %d-worker run\n", ref, other)
+	return nil
 }
 
 // obs bundles the observation flags: one telemetry registry shared by
@@ -357,9 +428,6 @@ func scenarioCluster(nodes, size, workers int, o *obs) error {
 			return fmt.Errorf("node %d: %w", i, err)
 		}
 	}
-	// Drain through the cluster so deferred backplane mailboxes keep
-	// flushing; per-node RunUntilIdle would strand undelivered mail.
-	c.DrainHardware()
 	for i := 0; i < nodes; i++ {
 		s := c.NICs[i].Stats()
 		fmt.Printf("node %d: sent %d B in %d packet(s), received %d B, clock %.0f µs\n",
@@ -465,109 +533,48 @@ func scenarioAutoUpdate(o *obs) error {
 	return nil
 }
 
-func scenarioFaults(seed uint64) error {
-	fmt.Printf("# fault injection (seed %#x): rejections and completion failures vs bounded retry\n", seed)
-	run := func() (*experiments.Result, string, error) {
-		res, err := experiments.RunFaultInjectionSeeded(seed)
+// scenarioSweep runs a seeded experiment sweep — e12's fault injection
+// or e13's lossy wire — under prove, with the rendered tables as the
+// fingerprint: the whole sweep, fault pattern included, must be a pure
+// function of the seed. The first run's tables, checks and notes print.
+func scenarioSweep(name string, sweep func(seed uint64) (*experiments.Result, error), seed uint64, workers int) error {
+	var res *experiments.Result
+	err := prove(func(w int) (string, error) {
+		experiments.SetSweepWorkers(w)
+		r, err := sweep(seed)
 		if err != nil {
-			return nil, "", err
+			return "", err
 		}
 		var sb strings.Builder
-		for _, t := range res.Tables {
+		for _, t := range r.Tables {
 			t.Render(&sb)
 		}
-		return res, sb.String(), nil
-	}
-	res, out1, err := run()
+		if res == nil {
+			res = r
+			fmt.Print(sb.String())
+			fmt.Println()
+			for _, c := range r.Checks {
+				mark := "PASS"
+				if !c.Pass {
+					mark = "FAIL"
+				}
+				fmt.Printf("  [%s] %s", mark, c.Name)
+				if c.Detail != "" {
+					fmt.Printf(" — %s", c.Detail)
+				}
+				fmt.Println()
+			}
+			for _, note := range r.Notes {
+				fmt.Printf("  note: %s\n", note)
+			}
+		}
+		return sb.String(), nil
+	}, workers)
 	if err != nil {
 		return err
 	}
-	fmt.Print(out1)
-	fmt.Println()
-	for _, c := range res.Checks {
-		mark := "PASS"
-		if !c.Pass {
-			mark = "FAIL"
-		}
-		fmt.Printf("  [%s] %s", mark, c.Name)
-		if c.Detail != "" {
-			fmt.Printf(" — %s", c.Detail)
-		}
-		fmt.Println()
-	}
-	for _, note := range res.Notes {
-		fmt.Printf("  note: %s\n", note)
-	}
-
-	// The whole sweep — fault pattern included — must be a pure function
-	// of the seed: rerun it and compare the rendered tables bit-exactly.
-	_, out2, err := run()
-	if err != nil {
-		return err
-	}
-	if out1 != out2 {
-		return fmt.Errorf("same seed produced different runs:\n--- first\n%s--- second\n%s", out1, out2)
-	}
-	fmt.Println("\nsecond run with the same seed reproduced every row exactly")
 	if !res.Passed() {
-		return fmt.Errorf("fault-recovery checks failed")
-	}
-	return nil
-}
-
-// scenarioLossy runs the lossy-wire sweep (E13): a two-node cluster
-// whose backplane drops, corrupts, duplicates and reorders packets at
-// seeded rates while the NIC's reliability sublayer (seq/ACK/CRC/
-// retransmit/credits) recovers underneath. Like the faults scenario it
-// runs the sweep twice and insists the rendered tables match
-// bit-exactly — loss included, the run is a pure function of the seed.
-func scenarioLossy(seed uint64) error {
-	if seed == experiments.FaultSeed {
-		seed = experiments.LossySeed // remap the faults-scenario default
-	}
-	fmt.Printf("# lossy wire (seed %#x): drop/corrupt/dup/reorder vs seq/ACK/retransmit/CRC\n", seed)
-	run := func() (*experiments.Result, string, error) {
-		res, err := experiments.RunLossyWireSeeded(seed)
-		if err != nil {
-			return nil, "", err
-		}
-		var sb strings.Builder
-		for _, t := range res.Tables {
-			t.Render(&sb)
-		}
-		return res, sb.String(), nil
-	}
-	res, out1, err := run()
-	if err != nil {
-		return err
-	}
-	fmt.Print(out1)
-	fmt.Println()
-	for _, c := range res.Checks {
-		mark := "PASS"
-		if !c.Pass {
-			mark = "FAIL"
-		}
-		fmt.Printf("  [%s] %s", mark, c.Name)
-		if c.Detail != "" {
-			fmt.Printf(" — %s", c.Detail)
-		}
-		fmt.Println()
-	}
-	for _, note := range res.Notes {
-		fmt.Printf("  note: %s\n", note)
-	}
-
-	_, out2, err := run()
-	if err != nil {
-		return err
-	}
-	if out1 != out2 {
-		return fmt.Errorf("same seed produced different runs:\n--- first\n%s--- second\n%s", out1, out2)
-	}
-	fmt.Println("\nsecond run with the same seed reproduced every row exactly")
-	if !res.Passed() {
-		return fmt.Errorf("lossy-wire checks failed")
+		return fmt.Errorf("%s checks failed", name)
 	}
 	return nil
 }
@@ -578,9 +585,8 @@ func scenarioLossy(seed uint64) error {
 // rate — the fabric is the bottleneck and goodput flattens at the
 // capacity of the victim router's inbound links — and once with ample
 // links, where the receiver's bus is the bottleneck instead. The
-// limited run then repeats, same arguments at a different worker
-// count, and both fingerprints must reproduce bit-exactly: contention
-// is resolved in merge order at barriers, not host arrival order.
+// limited run is the one prove repeats: contention is resolved in merge
+// order at barriers, not host arrival order.
 func scenarioIncast(nodes int, topology string, workers int, o *obs) error {
 	kind, err := interconnect.ParseKind(topology)
 	if err != nil {
@@ -594,240 +600,158 @@ func scenarioIncast(nodes int, topology string, workers int, o *obs) error {
 	fmt.Printf("# incast on a routed %d-node %s: %d senders × %d × 4096 B into node 0\n",
 		nodes, kind, nodes-1, messages)
 
-	limited, err := experiments.RunIncast(nodes, kind, experiments.ScaleLimitedBPC, messages, workers, o.registry())
-	if err != nil {
-		return err
-	}
-	ample, err := experiments.RunIncast(nodes, kind, 0, messages, workers, nil)
-	if err != nil {
-		return err
-	}
-	row := func(name string, r *experiments.IncastRun, bpc float64) {
-		cap := "host rate"
-		if bpc > 0 {
-			cap = fmt.Sprintf("%.2f B/cyc", bpc)
+	shown := false
+	return prove(func(w int) (string, error) {
+		var reg *telemetry.Registry
+		if !shown {
+			reg = o.registry()
 		}
-		fmt.Printf("%-8s links at %-10s goodput %.3f B/cyc, hot link %3.0f%% busy, queue wait %.2f Mcyc, peak queue %d, %d links used\n",
-			name, cap, r.GoodputBPC, 100*r.HotFrac, float64(r.WaitCycles)/1e6, r.PeakQueue, r.LinksUsed)
-	}
-	row("limited", limited, experiments.ScaleLimitedBPC)
-	row("ample", ample, 0)
-	if limited.GoodputBPC < ample.GoodputBPC {
-		fmt.Println("the throttled fabric is the bottleneck: extra offered load becomes link queueing, not goodput")
-	}
-
-	// Same arguments, different worker count: the routed fabric must be
-	// a pure function of the workload, not of host scheduling.
-	otherWorkers := 4
-	if workers == otherWorkers {
-		otherWorkers = 1
-	}
-	again, err := experiments.RunIncast(nodes, kind, experiments.ScaleLimitedBPC, messages, workers, nil)
-	if err != nil {
-		return err
-	}
-	if limited.Fingerprint != again.Fingerprint {
-		return fmt.Errorf("same arguments produced different runs: %s vs %s",
-			limited.Fingerprint, again.Fingerprint)
-	}
-	wide, err := experiments.RunIncast(nodes, kind, experiments.ScaleLimitedBPC, messages, otherWorkers, nil)
-	if err != nil {
-		return err
-	}
-	if limited.Fingerprint != wide.Fingerprint {
-		return fmt.Errorf("workers %d and %d diverge: %s vs %s",
-			workers, otherWorkers, limited.Fingerprint, wide.Fingerprint)
-	}
-	fmt.Printf("\nfingerprint %s reproduced exactly: rerun and a %d-worker run\n",
-		limited.Fingerprint, otherWorkers)
-	return nil
+		limited, err := experiments.RunIncast(nodes, kind, experiments.ScaleLimitedBPC, messages, w, reg)
+		if err != nil {
+			return "", err
+		}
+		if shown {
+			return limited.Fingerprint, nil
+		}
+		shown = true
+		ample, err := experiments.RunIncast(nodes, kind, 0, messages, w, nil)
+		if err != nil {
+			return "", err
+		}
+		row := func(name string, r *experiments.IncastRun, bpc float64) {
+			cap := "host rate"
+			if bpc > 0 {
+				cap = fmt.Sprintf("%.2f B/cyc", bpc)
+			}
+			fmt.Printf("%-8s links at %-10s goodput %.3f B/cyc, hot link %3.0f%% busy, queue wait %.2f Mcyc, peak queue %d, %d links used\n",
+				name, cap, r.GoodputBPC, 100*r.HotFrac, float64(r.WaitCycles)/1e6, r.PeakQueue, r.LinksUsed)
+		}
+		row("limited", limited, experiments.ScaleLimitedBPC)
+		row("ample", ample, 0)
+		if limited.GoodputBPC < ample.GoodputBPC {
+			fmt.Println("the throttled fabric is the bottleneck: extra offered load becomes link queueing, not goodput")
+		}
+		return limited.Fingerprint, nil
+	}, workers)
 }
 
-// scenarioServe runs one open-loop serving trial: internal/loadgen
-// offers a seeded Poisson schedule of PIO, UDMA and multi-page traffic
-// at a fixed rate across per-destination FIFO flows, and the SLO
-// readout (achieved rate, goodput, per-class sojourn percentiles)
-// prints at the end. The trial then reruns with the same seed — once
-// serially, once on four cluster workers — and all three fingerprints
-// must match: the serving subsystem is a pure function of its seed at
-// any worker count.
-func scenarioServe(seed uint64, nodes int, rate float64, o *obs) error {
-	if seed == experiments.FaultSeed {
-		seed = experiments.ServeSeed // remap the faults-scenario default
-	}
-	if nodes < 2 {
-		nodes = 2
+// scenarioTrial runs one open-loop loadgen trial under prove. The first
+// run (the one the observation flags see) prints the title, the
+// per-class SLO table and the scenario's readout extras; an extras error
+// fails the scenario. Every run contributes the trial fingerprint.
+func scenarioTrial(tc loadgen.TrialConfig, workers int, o *obs,
+	title func(*loadgen.Result) string, extras func(*loadgen.Result) error) error {
+	if tc.Nodes < 2 {
+		tc.Nodes = 2
 	}
 	costs := machine.SHRIMP1996()
 	o.setCosts(costs)
-	run := func(workers int, reg *telemetry.Registry) (*loadgen.Result, error) {
-		return loadgen.RunTrial(loadgen.TrialConfig{
-			Config:  loadgen.Config{Nodes: nodes, Seed: seed, Rate: rate},
-			Workers: workers,
-			Metrics: reg,
-		})
-	}
-	res, err := run(1, o.registry())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("# open-loop serving (seed %#x): %d nodes, %d messages across %d flows\n",
-		seed, nodes, res.Messages, res.Cfg.Flows)
-	res.WriteTable(os.Stdout, costs)
-	fmt.Printf("order violations %d, retries %d, credit stalls %d, retransmits %d\n",
-		res.OrderViolations, res.Retries, res.CreditStalls, res.Retransmits)
-	if res.AchievedRate < 0.9*res.OfferedRate {
-		fmt.Println("the offered rate is past the saturation knee: queues grew and sojourn tails absorbed the backlog")
-	} else {
-		fmt.Println("the system kept up with the offered rate (below the saturation knee)")
-	}
-
-	again, err := run(1, nil)
-	if err != nil {
-		return err
-	}
-	if res.Fingerprint() != again.Fingerprint() {
-		return fmt.Errorf("same seed produced different trials: %016x vs %016x",
-			res.Fingerprint(), again.Fingerprint())
-	}
-	wide, err := run(4, nil)
-	if err != nil {
-		return err
-	}
-	if res.Fingerprint() != wide.Fingerprint() {
-		return fmt.Errorf("workers 1 and 4 diverge: %016x vs %016x",
-			res.Fingerprint(), wide.Fingerprint())
-	}
-	fmt.Printf("\nfingerprint %016x reproduced exactly: serial rerun and a 4-worker run\n", res.Fingerprint())
-	return nil
+	shown := false
+	return prove(func(w int) (string, error) {
+		tc := tc
+		tc.Workers = w
+		if !shown {
+			tc.Metrics = o.registry()
+		}
+		res, err := loadgen.RunTrial(tc)
+		if err != nil {
+			return "", err
+		}
+		if !shown {
+			shown = true
+			fmt.Print(title(res))
+			res.WriteTable(os.Stdout, costs)
+			if err := extras(res); err != nil {
+				return "", err
+			}
+		}
+		return fmt.Sprintf("%016x", res.Fingerprint()), nil
+	}, workers)
 }
 
-// scenarioChurn runs the connection-churn workload: a live population
-// of short-lived flows (each dying after a few messages, a fresh flow
+// scenarioServe is the open-loop serving trial: internal/loadgen offers
+// a seeded Poisson schedule of PIO, UDMA and multi-page traffic at a
+// fixed rate across per-destination FIFO flows, and the SLO readout
+// (achieved rate, goodput, per-class sojourn percentiles) prints.
+func scenarioServe(seed uint64, nodes int, rate float64, workers int, o *obs) error {
+	tc := loadgen.TrialConfig{Config: loadgen.Config{Nodes: nodes, Seed: seed, Rate: rate}}
+	return scenarioTrial(tc, workers, o, func(res *loadgen.Result) string {
+		return fmt.Sprintf("# open-loop serving (seed %#x): %d nodes, %d messages across %d flows\n",
+			seed, res.Cfg.Nodes, res.Messages, res.Cfg.Flows)
+	}, func(res *loadgen.Result) error {
+		printOrderLine(res)
+		if res.AchievedRate < 0.9*res.OfferedRate {
+			fmt.Println("the offered rate is past the saturation knee: queues grew and sojourn tails absorbed the backlog")
+		} else {
+			fmt.Println("the system kept up with the offered rate (below the saturation knee)")
+		}
+		return nil
+	})
+}
+
+// scenarioChurn is the connection-churn trial: a live population of
+// short-lived flows (each dying after a few messages, a fresh flow
 // taking its slot), one NIPT entry per flow, against a bounded on-board
 // NIPT cache over the host-memory backing table, with idle reliability
 // state reclaimed at lockstep barriers. The readout shows what the
-// cache costs — misses, evictions, refill cycles, sojourn tails — and
-// proves the trial bit-exact across a rerun and a 4-worker run.
-func scenarioChurn(seed uint64, nodes int, rate float64, capacity int, o *obs) error {
-	if seed == experiments.FaultSeed {
-		seed = experiments.ChurnSeed // remap the faults-scenario default
-	}
-	if nodes < 2 {
-		nodes = 2
-	}
-	costs := machine.SHRIMP1996()
-	o.setCosts(costs)
-	run := func(workers int, reg *telemetry.Registry) (*loadgen.Result, error) {
-		return loadgen.RunTrial(loadgen.TrialConfig{
-			Config:           loadgen.Config{Nodes: nodes, Seed: seed, Rate: rate, Churn: true},
-			Workers:          workers,
-			NIPTCapacity:     capacity,
-			NIPTRefillJitter: 64,
-			IdleReclaimAge:   150_000,
-			Metrics:          reg,
-		})
-	}
-	res, err := run(1, o.registry())
-	if err != nil {
-		return err
+// cache costs — misses, evictions, refill cycles, sojourn tails.
+func scenarioChurn(seed uint64, nodes int, rate float64, capacity, workers int, o *obs) error {
+	tc := loadgen.TrialConfig{
+		Config:           loadgen.Config{Nodes: nodes, Seed: seed, Rate: rate, Churn: true},
+		NIPTCapacity:     capacity,
+		NIPTRefillJitter: 64,
+		IdleReclaimAge:   150_000,
 	}
 	capLabel := fmt.Sprint(capacity)
 	if capacity == 0 {
 		capLabel = "unbounded"
 	}
-	fmt.Printf("# connection churn (seed %#x): %d nodes, %d messages, %d live flows, NIPT capacity %s\n",
-		seed, nodes, res.Messages, res.Cfg.ActiveFlows, capLabel)
-	res.WriteTable(os.Stdout, costs)
-	fmt.Printf("order violations %d, retries %d, credit stalls %d, retransmits %d\n",
-		res.OrderViolations, res.Retries, res.CreditStalls, res.Retransmits)
-	if capacity > 0 && res.NIPTMisses == 0 {
-		fmt.Println("the cache held the whole working set: no refills were ever paid")
-	}
-
-	again, err := run(1, nil)
-	if err != nil {
-		return err
-	}
-	if res.Fingerprint() != again.Fingerprint() {
-		return fmt.Errorf("same seed produced different trials: %016x vs %016x",
-			res.Fingerprint(), again.Fingerprint())
-	}
-	wide, err := run(4, nil)
-	if err != nil {
-		return err
-	}
-	if res.Fingerprint() != wide.Fingerprint() {
-		return fmt.Errorf("workers 1 and 4 diverge: %016x vs %016x",
-			res.Fingerprint(), wide.Fingerprint())
-	}
-	fmt.Printf("\nfingerprint %016x reproduced exactly: serial rerun and a 4-worker run\n", res.Fingerprint())
-	return nil
+	return scenarioTrial(tc, workers, o, func(res *loadgen.Result) string {
+		return fmt.Sprintf("# connection churn (seed %#x): %d nodes, %d messages, %d live flows, NIPT capacity %s\n",
+			seed, res.Cfg.Nodes, res.Messages, res.Cfg.ActiveFlows, capLabel)
+	}, func(res *loadgen.Result) error {
+		printOrderLine(res)
+		if capacity > 0 && res.NIPTMisses == 0 {
+			fmt.Println("the cache held the whole working set: no refills were ever paid")
+		}
+		return nil
+	})
 }
 
-// scenarioChaos runs the open-loop serving trial under a seeded node
-// crash–restart schedule (cluster.CrashPlan): whole nodes power off at
-// lockstep barriers, peers fail fast to a typed DeliveryError, and the
-// rebooted node's serving complement respawns from the host-memory
-// progress state. The availability readout — crashes, downtime, dip
-// depth, time-to-recover — prints with the per-class SLO table, then
-// the trial reruns serially and on four workers and all fingerprints
-// must match: chaos included, the trial is a pure function of its seed.
-func scenarioChaos(seed uint64, nodes int, rate float64, o *obs) error {
-	if seed == experiments.FaultSeed {
-		seed = experiments.ChaosSeed // remap the faults-scenario default
+// scenarioChaos is the serving trial under a seeded node crash–restart
+// schedule (cluster.CrashPlan): whole nodes power off at lockstep
+// barriers, peers fail fast to a typed DeliveryError, and the rebooted
+// node's serving complement respawns from the host-memory progress
+// state. The availability readout — crashes, downtime, dip depth,
+// time-to-recover — prints with the per-class SLO table.
+func scenarioChaos(seed uint64, nodes int, rate float64, workers int, o *obs) error {
+	tc := loadgen.TrialConfig{
+		Config:        loadgen.Config{Nodes: nodes, Seed: seed, Rate: rate},
+		RetxTimeout:   6_000,
+		RelMaxRetries: 3,
+		Crash: cluster.CrashPlan{Seed: seed, MTBF: 400_000,
+			MTTR: 150_000, FirstAt: 150_000, MaxCrashes: 2},
 	}
-	if nodes < 2 {
-		nodes = 2
-	}
-	costs := machine.SHRIMP1996()
-	o.setCosts(costs)
-	run := func(workers int, reg *telemetry.Registry) (*loadgen.Result, error) {
-		return loadgen.RunTrial(loadgen.TrialConfig{
-			Config:        loadgen.Config{Nodes: nodes, Seed: seed, Rate: rate},
-			Workers:       workers,
-			RetxTimeout:   6_000,
-			RelMaxRetries: 3,
-			Crash: cluster.CrashPlan{Seed: seed, MTBF: 400_000,
-				MTTR: 150_000, FirstAt: 150_000, MaxCrashes: 2},
-			Metrics: reg,
-		})
-	}
-	res, err := run(1, o.registry())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("# crash–restart chaos (seed %#x): %d nodes, %d messages under a seeded crash schedule\n",
-		seed, nodes, res.Messages)
-	res.WriteTable(os.Stdout, costs)
-	if res.Crashes == 0 {
-		return fmt.Errorf("the crash schedule never fired inside the trial's span; offer more load (-rate, default messages) or rerun with another -seed")
-	}
-	if res.Delivered+res.Failed != res.Messages {
-		return fmt.Errorf("accounting across crashes: %d delivered + %d failed != %d offered",
-			res.Delivered, res.Failed, res.Messages)
-	}
-	fmt.Printf("crash ledgers: %d B abandoned on crashed senders, %d B crash-dropped on the wire/boards\n",
-		res.CrashAbandonedBytes, res.CrashDroppedBytes)
+	return scenarioTrial(tc, workers, o, func(res *loadgen.Result) string {
+		return fmt.Sprintf("# crash–restart chaos (seed %#x): %d nodes, %d messages under a seeded crash schedule\n",
+			seed, res.Cfg.Nodes, res.Messages)
+	}, func(res *loadgen.Result) error {
+		if res.Crashes == 0 {
+			return fmt.Errorf("the crash schedule never fired inside the trial's span; offer more load (-rate, default messages) or rerun with another -seed")
+		}
+		if res.Delivered+res.Failed != res.Messages {
+			return fmt.Errorf("accounting across crashes: %d delivered + %d failed != %d offered",
+				res.Delivered, res.Failed, res.Messages)
+		}
+		fmt.Printf("crash ledgers: %d B abandoned on crashed senders, %d B crash-dropped on the wire/boards\n",
+			res.CrashAbandonedBytes, res.CrashDroppedBytes)
+		return nil
+	})
+}
 
-	again, err := run(1, nil)
-	if err != nil {
-		return err
-	}
-	if res.Fingerprint() != again.Fingerprint() {
-		return fmt.Errorf("same seed produced different trials: %016x vs %016x",
-			res.Fingerprint(), again.Fingerprint())
-	}
-	wide, err := run(4, nil)
-	if err != nil {
-		return err
-	}
-	if res.Fingerprint() != wide.Fingerprint() {
-		return fmt.Errorf("workers 1 and 4 diverge: %016x vs %016x",
-			res.Fingerprint(), wide.Fingerprint())
-	}
-	fmt.Printf("\nfingerprint %016x reproduced exactly: serial rerun and a 4-worker run\n", res.Fingerprint())
-	return nil
+func printOrderLine(res *loadgen.Result) {
+	fmt.Printf("order violations %d, retries %d, credit stalls %d, retransmits %d\n",
+		res.OrderViolations, res.Retries, res.CreditStalls, res.Retransmits)
 }
 
 // scenarioFuzz runs seeded randomized scenarios under simcheck's
@@ -835,9 +759,6 @@ func scenarioChaos(seed uint64, nodes int, rate float64, o *obs) error {
 // simulation checker. A failure prints the violation list, the event
 // trail and the one-command go-test repro.
 func scenarioFuzz(seed uint64, count, workers int) error {
-	if seed == experiments.FaultSeed {
-		seed = 1 // the faults-scenario default is not a useful fuzz start
-	}
 	if count < 1 {
 		count = 1
 	}

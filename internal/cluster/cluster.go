@@ -239,11 +239,38 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// Run drives all nodes until every process on every node has exited or
-// each node's clock has passed limit. Per-node deadlocks are expected
-// while a node waits for a packet another node has not sent yet; the
-// run ends with kernel.ErrDeadlock only when no node has anything left
-// that could ever run (NextRunnable finds nothing).
+// ErrLimit is returned by Run when the run limit is reached while some
+// node still has work: the simulation stopped, it did not finish.
+var ErrLimit = errors.New("cluster: run limit reached")
+
+// Hooks plug a driver into Run's lockstep loop at the barrier, when no
+// worker is running and node state is consistent. Either func may be
+// nil. Build the value once per run: Run calls the funcs every round and
+// allocates nothing itself.
+type Hooks struct {
+	// BeforeStep runs once the round's horizon is fixed, just before
+	// Step: the place for cross-node control actions (window
+	// publication, process kills). round is the 0-based Rounds() index
+	// of the Step about to run.
+	BeforeStep func(round uint64)
+	// AfterStep runs right after Step with its result and owns the step
+	// error: Run does not end on stepErr by itself when AfterStep is set.
+	// A non-nil err ends the run with err; stop ends it with nil and
+	// without draining.
+	AfterStep func(round uint64, progress bool, stepErr error) (stop bool, err error)
+}
+
+// Run drives all nodes until every process on every node has exited,
+// then drains the hardware and returns nil. If the clocks reach limit
+// first, Run flushes the parked mail and returns ErrLimit. Per-node
+// deadlocks are expected while a node waits for a packet another node
+// has not sent yet; the run ends with kernel.ErrDeadlock only when no
+// node has anything left that could ever run (NextRunnable finds
+// nothing).
+func (c *Cluster) Run(limit sim.Cycles) error { return c.RunHooks(limit, Hooks{}) }
+
+// RunHooks is Run with a driver's barrier hooks; it is the one loop that
+// calls Step.
 //
 // Each round re-bases the horizon on the furthest-behind clock —
 // max(horizon, MinNow()) + window — instead of marching by fixed
@@ -254,7 +281,7 @@ func New(cfg Config) *Cluster {
 // (earliest pending event, or an overshot clock), so sparse timelines —
 // a retransmit timer 100k cycles out, a sleeping benchmark loop — cost
 // one barrier instead of dozens of no-op flush/run/join cycles.
-func (c *Cluster) Run(limit sim.Cycles) error {
+func (c *Cluster) RunHooks(limit sim.Cycles, h Hooks) error {
 	c.stepCap = limit
 	defer func() { c.stepCap = sim.Forever }()
 	var horizon sim.Cycles
@@ -267,8 +294,16 @@ func (c *Cluster) Run(limit sim.Cycles) error {
 		if horizon < base || horizon > limit {
 			horizon = limit
 		}
+		round := c.rounds
+		if h.BeforeStep != nil {
+			h.BeforeStep(round)
+		}
 		progress, err := c.Step(horizon)
-		if err != nil {
+		if h.AfterStep != nil {
+			if stop, err := h.AfterStep(round, progress, err); stop || err != nil {
+				return err
+			}
+		} else if err != nil {
 			return err
 		}
 		if c.AllIdle() {
@@ -282,7 +317,7 @@ func (c *Cluster) Run(limit sim.Cycles) error {
 			// NIC/backplane state after a limit-bounded run see every
 			// in-flight packet accounted for.
 			c.Backplane.Flush()
-			return nil
+			return ErrLimit
 		}
 		if !progress {
 			next := c.NextRunnable(horizon)
@@ -365,12 +400,11 @@ func (c *Cluster) Rounds() uint64 { return c.rounds }
 // only its own clock, kernel, RAM and the backplane's per-sender
 // outbox shard, so worker scheduling cannot perturb the simulation.
 //
-// Step reports whether any node's clock moved — callers, like Run, end
-// the simulation when a whole round makes no progress and no events
-// are pending. Extracted from Run so external drivers (the simcheck
-// runner) can interleave work — invariant audits, process kills —
-// between windows, when no process is mid-instruction, no worker is
-// running, and node state is consistent.
+// Step reports whether any node's clock moved — Run ends the simulation
+// when a whole round makes no progress and no events are pending.
+// Drivers that interleave work between windows (invariant audits,
+// process kills, control publication) do it through Run's Hooks rather
+// than by calling Step themselves.
 func (c *Cluster) Step(horizon sim.Cycles) (progress bool, err error) {
 	c.rounds++
 	c.Backplane.Flush()
@@ -556,17 +590,11 @@ func (c *Cluster) AllIdle() bool {
 		return false
 	}
 	for _, n := range c.Nodes {
-		if !kernelIdle(n) {
+		if !n.Kernel.AllExited() {
 			return false
 		}
 	}
 	return true
-}
-
-func kernelIdle(n *machine.Node) bool {
-	// A node is idle for termination purposes when no process can ever
-	// run again: the kernel reports all-exited via a zero-length Run.
-	return n.Kernel.AllExited()
 }
 
 // PublishRollup folds per-node hardware counters into cluster-level

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"errors"
 	"testing"
 
 	"shrimp/internal/addr"
@@ -58,8 +59,8 @@ func TestRunFlushesMailAtLimit(t *testing.T) {
 		}
 	})
 
-	if err := c.Run(3_000_000); err != nil {
-		t.Fatalf("run: %v", err)
+	if err := c.Run(3_000_000); !errors.Is(err, cluster.ErrLimit) {
+		t.Fatalf("run: %v, want ErrLimit", err)
 	}
 	pkts, _, _, _ := c.Backplane.Stats()
 	if pkts == 0 {
@@ -143,6 +144,38 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	step() // warm up pool and scratch
 	if n := testing.AllocsPerRun(100, step); n != 0 {
 		t.Fatalf("Step allocates %.1f times per barrier round, want 0", n)
+	}
+}
+
+// TestRunHooksAllocs guards the hooked loop: on an idle cluster every Run
+// is exactly one barrier round, and with both hooks set that round must
+// still allocate nothing — the hooks are plain func fields built once
+// per run, not per round.
+func TestRunHooksAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("exact alloc counts are meaningless under -race")
+	}
+	c := cluster.New(cluster.Config{Nodes: 4, Workers: 4, NIC: nic.Config{NIPTPages: 4}})
+	defer c.Shutdown()
+	var before, after int
+	hooks := cluster.Hooks{
+		BeforeStep: func(uint64) { before++ },
+		AfterStep: func(_ uint64, _ bool, err error) (bool, error) {
+			after++
+			return false, err
+		},
+	}
+	run := func() {
+		if err := c.RunHooks(sim.Forever, hooks); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	}
+	run() // warm up pool and scratch
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Fatalf("hooked Run allocates %.1f times per barrier round, want 0", n)
+	}
+	if rounds := c.Rounds(); before != int(rounds) || after != int(rounds) {
+		t.Fatalf("hooks ran %d/%d times over %d rounds, want once each per round", before, after, rounds)
 	}
 }
 

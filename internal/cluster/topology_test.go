@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"errors"
 	"testing"
 
 	"shrimp/internal/addr"
@@ -105,8 +106,8 @@ func TestLimitBoundedRunFlushesMail(t *testing.T) {
 
 	// Low enough that the spinners are still going, high enough that the
 	// send has been issued (first windows cover setup + the send).
-	if err := c.Run(400_000); err != nil {
-		t.Fatalf("cluster run: %v", err)
+	if err := c.Run(400_000); !errors.Is(err, cluster.ErrLimit) {
+		t.Fatalf("cluster run: %v, want ErrLimit", err)
 	}
 	if sendErr != nil || recvErr != nil {
 		t.Fatalf("procs: send=%v recv=%v", sendErr, recvErr)

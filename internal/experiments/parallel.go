@@ -52,12 +52,10 @@ var e14LargeLossy = speedupCase{name: "mesh32-lossy", nodes: 32, messages: 48, s
 // 1, 2, 4 and 8; for each run the experiment records host wall-clock
 // time, barrier-round counts and a fingerprint of the simulated
 // outcome. The determinism checks are absolute (fingerprints must be
-// byte-identical at every worker count, clean and lossy). The speedup
-// checks are host-aware: parallel workers cannot beat the physics of
-// the machine, so the floors apply only when the host has the cores to
-// meet them (min(workers, NumCPU) sets the attainable ceiling; on a
-// single-core host every floor passes vacuously and the run is purely
-// a determinism check).
+// byte-identical at every worker count, clean and lossy). The speedups
+// are host wall-clock, so they are recorded as metrics only: the
+// host-aware floor lives in CI's bench gate, which judges them against
+// the cores the bench run actually had.
 func RunParallelSpeedup() (*Result, error) {
 	res := &Result{
 		ID:    "e14",
@@ -74,7 +72,7 @@ func RunParallelSpeedup() (*Result, error) {
 		fmt.Sprintf("Conservative parallel execution, %d-node ring (%d × %d KB per node)",
 			e14Small.nodes, e14Small.messages, e14Small.size/1024),
 		"workers", "wall ms", "speedup", "rounds", "sim fingerprint")
-	if err := runSpeedupCurve(res, e14Small, workers, smallTbl, "ring8_"); err != nil {
+	if err := runSpeedupCurve(res, e14Small, workers, smallTbl, "ring8_", nil); err != nil {
 		return nil, err
 	}
 	res.Tables = append(res.Tables, smallTbl)
@@ -86,31 +84,11 @@ func RunParallelSpeedup() (*Result, error) {
 		"workers", "wall ms", "speedup", "rounds", "sim fingerprint")
 	series := &stats.Series{Name: "simulation speedup vs workers (32-node mesh)",
 		XLabel: "workers", YLabel: "speedup vs serial"}
-	speedups, err := runSpeedupCurveSeries(res, e14Large, workers, largeTbl, "", series)
-	if err != nil {
+	if err := runSpeedupCurve(res, e14Large, workers, largeTbl, "", series); err != nil {
 		return nil, err
 	}
 	res.Tables = append(res.Tables, largeTbl)
 	res.Series = append(res.Series, series)
-
-	// Host-aware speedup floors: a workers=w run can use at most
-	// min(w, NumCPU) cores, so only demand the floor the host can pay.
-	for _, fl := range []struct {
-		workers int
-		floor   float64
-	}{{4, 2.0}, {8, 3.0}} {
-		usable := min(fl.workers, cpus)
-		attainable := speedupFloor(usable)
-		want := min(fl.floor, attainable)
-		if want <= 1.0 {
-			res.check(fmt.Sprintf("speedup at %d workers (host has %d cpus: floor waived)", fl.workers, cpus),
-				true, "single-core host cannot speed up; determinism checks still bind")
-			continue
-		}
-		got := speedups[fl.workers]
-		res.check(fmt.Sprintf("speedup at %d workers >= %.1fx (host has %d cpus)", fl.workers, want, cpus),
-			got >= want, "measured %.2fx on the %d-node mesh", got, e14Large.nodes)
-	}
 
 	// Lossy large config: fingerprint equality only — the reliability
 	// layer's retransmit clockwork must be byte-identical at every
@@ -119,52 +97,30 @@ func RunParallelSpeedup() (*Result, error) {
 		fmt.Sprintf("Same mesh under a lossy wire (reliable delivery, %d × %d KB per node)",
 			e14LargeLossy.messages, e14LargeLossy.size/1024),
 		"workers", "wall ms", "speedup", "rounds", "sim fingerprint")
-	if err := runSpeedupCurve(res, e14LargeLossy, workers, lossyTbl, "lossy_"); err != nil {
+	if err := runSpeedupCurve(res, e14LargeLossy, workers, lossyTbl, "lossy_", nil); err != nil {
 		return nil, err
 	}
 	res.Tables = append(res.Tables, lossyTbl)
 
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("host has %d CPU core(s); speedup floors are asserted only up to min(workers, cores)", cpus),
+		fmt.Sprintf("host has %d CPU core(s); the speedups are recorded as metrics only (CI's bench gate holds the floor)", cpus),
 		"speedup is host wall-clock, so it varies with machine load; the fingerprint equality is the invariant",
 		"each worker runs whole node windows between barriers (deferred-mailbox delivery), so the parallelism never perturbs simulated time",
 		"per-link lookahead extends each node's window to min over senders of (sender clock + link flight floor), so distant mesh corners do not serialize on the slowest node")
 	return res, nil
 }
 
-// speedupFloor maps a usable-core count to the speedup it should buy on
-// this embarrassingly-window-parallel workload (conservative: barriers
-// and the serial flush cost real time).
-func speedupFloor(usableCores int) float64 {
-	switch {
-	case usableCores >= 8:
-		return 3.0
-	case usableCores >= 4:
-		return 2.0
-	case usableCores >= 2:
-		return 1.3
-	default:
-		return 1.0 // serial host: no speedup attainable
-	}
-}
-
 // runSpeedupCurve runs one case across the worker counts, filling the
-// table, emitting metrics under the prefix, and asserting fingerprint
-// equality across worker counts.
-func runSpeedupCurve(res *Result, sc speedupCase, workers []int, tbl *stats.Table, prefix string) error {
-	_, err := runSpeedupCurveSeries(res, sc, workers, tbl, prefix, nil)
-	return err
-}
-
-func runSpeedupCurveSeries(res *Result, sc speedupCase, workers []int, tbl *stats.Table, prefix string, series *stats.Series) (map[int]float64, error) {
+// table (and the series, when non-nil), emitting metrics under the
+// prefix, and asserting fingerprint equality across worker counts.
+func runSpeedupCurve(res *Result, sc speedupCase, workers []int, tbl *stats.Table, prefix string, series *stats.Series) error {
 	var baseMS float64
 	var baseFP string
 	identical := true
-	speedups := make(map[int]float64, len(workers))
 	for _, w := range workers {
 		fp, wall, rounds, err := parallelSpeedupRun(sc, w)
 		if err != nil {
-			return nil, fmt.Errorf("%s workers=%d: %w", sc.name, w, err)
+			return fmt.Errorf("%s workers=%d: %w", sc.name, w, err)
 		}
 		ms := float64(wall.Microseconds()) / 1000
 		if w == workers[0] {
@@ -177,7 +133,6 @@ func runSpeedupCurveSeries(res *Result, sc speedupCase, workers []int, tbl *stat
 		if ms > 0 {
 			speedup = baseMS / ms
 		}
-		speedups[w] = speedup
 		if series != nil {
 			series.Add(float64(w), speedup)
 		}
@@ -191,7 +146,7 @@ func runSpeedupCurveSeries(res *Result, sc speedupCase, workers []int, tbl *stat
 	}
 	res.check(fmt.Sprintf("%s: simulation is bit-identical at every worker count", sc.name), identical,
 		"fingerprints at workers 1/2/4/8 must match; base %s", baseFP[:16])
-	return speedups, nil
+	return nil
 }
 
 // parallelSpeedupRun executes one case at the given worker count and

@@ -1,9 +1,11 @@
 package loadgen
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
+	"shrimp/internal/cluster"
 	"shrimp/internal/interconnect"
 	"shrimp/internal/telemetry"
 )
@@ -132,6 +134,21 @@ func TestTrialBitExactAcrossRunsAndWorkers(t *testing.T) {
 	if base.Fingerprint() != wide.Fingerprint() {
 		t.Fatalf("workers 1 vs 4 diverge: %016x vs %016x",
 			base.Fingerprint(), wide.Fingerprint())
+	}
+}
+
+// TestTrialLimitIsErrLimit pins what reaching the run limit means for a
+// trial: an error that wraps cluster.ErrLimit, the same typed outcome
+// every driver of the lockstep loop sees, and no half-drained result.
+func TestTrialLimitIsErrLimit(t *testing.T) {
+	tc := testConfig(150)
+	tc.Limit = 10_000
+	res, err := RunTrial(tc)
+	if !errors.Is(err, cluster.ErrLimit) {
+		t.Fatalf("RunTrial at a %d-cycle limit: err = %v, want one wrapping cluster.ErrLimit", tc.Limit, err)
+	}
+	if res != nil {
+		t.Fatal("a trial cut off at its limit returned a result")
 	}
 }
 

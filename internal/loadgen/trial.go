@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"errors"
 	"fmt"
 
 	"shrimp/internal/cluster"
@@ -92,9 +93,10 @@ func (tc TrialConfig) withDefaults() TrialConfig {
 }
 
 // RunTrial builds a cluster for the regime, binds a freshly built plan
-// to it, and drives the lockstep loop to completion — PublishControl at
-// every barrier, mirroring cluster.Run's re-based horizons and
-// skip-ahead. It returns the aggregated SLO readout.
+// to it, and runs the cluster to completion with the driver's barrier
+// hooks: PublishControl before every Step, the driver's error check
+// after it. It returns the aggregated SLO readout; a trial that reaches
+// Limit fails with an error wrapping cluster.ErrLimit.
 func RunTrial(tc TrialConfig) (*Result, error) {
 	tc = tc.withDefaults()
 	plan := BuildPlan(tc.Config)
@@ -138,40 +140,22 @@ func RunTrial(tc TrialConfig) (*Result, error) {
 	defer cl.Shutdown()
 	dr := NewDriver(plan, cl, DriverOptions{Retry: tc.Retry, Metrics: tc.Metrics})
 
-	var horizon sim.Cycles
-	for {
-		dr.PublishControl()
-		base := cl.MinNow()
-		if horizon > base {
-			base = horizon
-		}
-		horizon = base + tc.Window
-		if horizon < base || horizon > tc.Limit {
-			horizon = tc.Limit
-		}
-		progress, err := cl.Step(horizon)
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: %w", err)
-		}
-		if err := dr.Err(); err != nil {
-			return nil, err
-		}
-		if cl.AllIdle() {
-			cl.DrainHardware()
-			break
-		}
-		if horizon >= tc.Limit {
-			return nil, fmt.Errorf("loadgen: trial still running at the %d-cycle limit (offered rate too high to ever drain?)", tc.Limit)
-		}
-		if !progress {
-			next := cl.NextRunnable(horizon)
-			if next == sim.Forever {
-				return nil, fmt.Errorf("loadgen: cluster deadlocked mid-trial")
+	err := cl.RunHooks(tc.Limit, cluster.Hooks{
+		BeforeStep: func(uint64) { dr.PublishControl() },
+		AfterStep: func(_ uint64, _ bool, stepErr error) (bool, error) {
+			if stepErr != nil {
+				return false, fmt.Errorf("loadgen: %w", stepErr)
 			}
-			if next > horizon {
-				horizon = next - tc.Window // re-based past next at loop top
-			}
-		}
+			return false, dr.Err()
+		},
+	})
+	switch {
+	case errors.Is(err, cluster.ErrLimit):
+		return nil, fmt.Errorf("loadgen: trial still running at the %d-cycle limit (offered rate too high to ever drain?): %w", tc.Limit, err)
+	case errors.Is(err, kernel.ErrDeadlock):
+		return nil, fmt.Errorf("loadgen: cluster deadlocked mid-trial: %w", err)
+	case err != nil:
+		return nil, err
 	}
 	if tc.Metrics != nil {
 		cl.PublishRollup()

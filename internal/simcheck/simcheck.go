@@ -16,10 +16,12 @@
 package simcheck
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"strings"
 
+	"shrimp/internal/cluster"
 	"shrimp/internal/kernel"
 	"shrimp/internal/sim"
 	"shrimp/internal/sweep"
@@ -121,62 +123,27 @@ func Run(seed uint64, opts Options) *Report {
 	s := buildScenario(seed, opts)
 	defer s.cl.Shutdown()
 
-	var horizon sim.Cycles
-	step := 0
-	for ; ; step++ {
-		// Re-base on the furthest-behind clock, mirroring cluster.Run:
-		// an overshooting processor is caught up in one round instead of
-		// ceil(overshoot/window) no-op windows (which used to eat into
-		// the MaxSteps liveness budget doing nothing).
-		base := s.cl.MinNow()
-		if horizon > base {
-			base = horizon
-		}
-		horizon = base + s.cfg.Window
-		s.step = step
-		s.runKills(step)
-		s.publishControl()
-		s.inStep = true
-		progress, err := s.cl.Step(horizon)
-		s.inStep = false
-		s.collect()
-		if err != nil {
-			s.fail(0, "runtime", err.Error())
-		}
-		s.audit(step)
-		if s.serve != nil {
-			if err := s.serve.Err(); err != nil {
-				s.fail(0, "serve-error", err.Error())
-				break
-			}
-		}
-		if s.capped() {
-			break
-		}
-		if s.cl.AllIdle() {
-			s.cl.DrainHardware()
-			s.drained = true
-			s.audit(step)
-			break
-		}
-		s.maybeStopReceivers()
-		if step >= s.cfg.MaxSteps {
-			s.fail(0, "liveness", fmt.Sprintf("no completion after %d windows", step))
-			break
-		}
-		if !progress {
-			// Nothing ran and nothing is parked mid-flight: a round that
-			// makes no progress is a deadlock exactly when no node has a
-			// future event or overshot clock to wake to.
-			next := s.cl.NextRunnable(horizon)
-			if next == sim.Forever {
-				s.fail(0, "liveness", "cluster deadlock: no progress and no pending events")
-				break
-			}
-			if next > horizon {
-				horizon = next - s.cfg.Window // re-based past next at loop top
-			}
-		}
+	// The scenario is a set of barrier hooks on cluster.Run's loop, whose
+	// re-based horizons and skip-ahead keep no-op windows from eating
+	// into the MaxSteps budget. A nil return means drained unless
+	// afterStep stopped the run first.
+	var stopped bool
+	err := s.cl.RunHooks(sim.Forever, cluster.Hooks{
+		BeforeStep: s.beforeStep,
+		AfterStep: func(_ uint64, _ bool, stepErr error) (bool, error) {
+			stopped = s.afterStep(stepErr)
+			return stopped, nil
+		},
+	})
+	switch {
+	case errors.Is(err, kernel.ErrDeadlock):
+		// Nothing ran and nothing is parked mid-flight: a round that
+		// makes no progress is a deadlock exactly when no node has a
+		// future event or overshot clock to wake to.
+		s.fail(0, "liveness", "cluster deadlock: no progress and no pending events")
+	case err == nil && !stopped:
+		s.drained = true
+		s.audit(s.step)
 	}
 	s.finalVerify()
 
@@ -187,13 +154,53 @@ func Run(seed uint64, opts Options) *Report {
 	return &Report{
 		Seed:           seed,
 		Cfg:            s.cfg,
-		Steps:          step + 1,
+		Steps:          int(s.cl.Rounds()),
 		Violations:     s.violations,
 		Trail:          s.trail,
 		TrailNode:      s.trailNode,
 		Fingerprint:    s.fingerprint(),
 		TraceSummaries: summaries,
 	}
+}
+
+// beforeStep is the scenario's pre-window barrier work: due kills, then
+// cross-node control publication, then mid-window violation buffering.
+func (s *scenario) beforeStep(round uint64) {
+	s.step = int(round)
+	s.runKills(s.step)
+	s.publishControl()
+	s.inStep = true
+}
+
+// afterStep is the post-window barrier work: merge the window's
+// violations (a Step error is one more finding, not the end of the run),
+// audit, and apply the stop rules. It reports whether the run must stop
+// before the cluster drains.
+func (s *scenario) afterStep(stepErr error) (stop bool) {
+	s.inStep = false
+	s.collect()
+	if stepErr != nil {
+		s.fail(0, "runtime", stepErr.Error())
+	}
+	s.audit(s.step)
+	if s.serve != nil {
+		if err := s.serve.Err(); err != nil {
+			s.fail(0, "serve-error", err.Error())
+			return true
+		}
+	}
+	if s.capped() {
+		return true
+	}
+	if s.cl.AllIdle() {
+		return false // Run drains next
+	}
+	s.maybeStopReceivers()
+	if s.step >= s.cfg.MaxSteps {
+		s.fail(0, "liveness", fmt.Sprintf("no completion after %d windows", s.step))
+		return true
+	}
+	return false
 }
 
 // Sweep runs count seeded scenarios (seeds first..first+count-1), up to

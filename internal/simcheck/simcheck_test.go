@@ -95,6 +95,19 @@ func TestSimCheckDeterminism(t *testing.T) {
 	}
 }
 
+// TestSimCheckLivenessBound pins the MaxSteps stop rule: seed 1 needs 14
+// windows, so a budget of 2 must end the run after window index 2 with a
+// liveness violation, and Report.Steps must count exactly those rounds.
+func TestSimCheckLivenessBound(t *testing.T) {
+	rep := Run(1, Options{Override: func(cfg *ScenarioConfig) { cfg.MaxSteps = 2 }})
+	if len(rep.Violations) != 1 || rep.Violations[0].Invariant != "liveness" {
+		t.Fatalf("want exactly one liveness violation, got:\n%s", rep)
+	}
+	if v := rep.Violations[0]; v.Step != 2 || rep.Steps != 3 {
+		t.Fatalf("violation at step %d after %d rounds, want step 2 after 3", v.Step, rep.Steps)
+	}
+}
+
 // TestSimCheckWorkerEquivalence is the acceptance criterion for the
 // parallel execution core: for every seed, a scenario run with eight
 // cluster workers must be indistinguishable from the serial run —
