@@ -78,9 +78,16 @@ churn:
 chaos:
 	$(GO) run ./cmd/shrimpsim -scenario chaos
 
-# SCENARIO_ARGS is the table of seeded shrimpsim runs that the
-# scenarios target proves reproducible, one quoted argument line each.
+# SCENARIO_ARGS is the table of shrimpsim runs that the scenarios target
+# proves reproducible, one quoted argument line each: the unseeded
+# scenarios at their default flags, then the seeded ones.
 SCENARIO_ARGS = \
+	"-scenario send -trace" \
+	"-scenario cluster" \
+	"-scenario share" \
+	"-scenario paging" \
+	"-scenario autoupdate" \
+	"-scenario contention" \
 	"-scenario faults" \
 	"-scenario lossy" \
 	"-scenario serve" \
@@ -92,8 +99,9 @@ SCENARIO_ARGS = \
 
 # scenarios builds shrimpsim once and runs every SCENARIO_ARGS line
 # twice, diffing the two outputs: same-process reproducibility is each
-# scenario's own proof (a rerun plus another worker count), and the diff
-# adds cross-process reproducibility. Nothing is left behind.
+# seeded scenario's own proof (a rerun plus another worker count), and
+# the diff adds cross-process reproducibility for every line. Nothing is
+# left behind.
 scenarios:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/shrimpsim" ./cmd/shrimpsim; \

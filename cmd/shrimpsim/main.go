@@ -37,6 +37,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -179,45 +180,49 @@ func main() {
 
 	o := newObs(a.metrics, a.withTrace, a.metricsOut, a.traceOut)
 
-	var err error
-	switch a.scenario {
-	case "send":
-		err = scenarioSend(a.size, a.withTrace, o)
-	case "cluster":
-		err = scenarioCluster(a.nodes, a.size, a.workers, o)
-	case "share":
-		err = scenarioShare(a.senders, a.size, o)
-	case "paging":
-		err = scenarioPaging(a.size, o)
-	case "autoupdate":
-		err = scenarioAutoUpdate(o)
-	case "faults":
-		fmt.Printf("# fault injection (seed %#x): rejections and completion failures vs bounded retry\n", a.seed)
-		err = scenarioSweep("fault-recovery", experiments.RunFaultInjectionSeeded, a.seed, a.workers)
-	case "lossy":
-		fmt.Printf("# lossy wire (seed %#x): drop/corrupt/dup/reorder vs seq/ACK/retransmit/CRC\n", a.seed)
-		err = scenarioSweep("lossy-wire", experiments.RunLossyWireSeeded, a.seed, a.workers)
-	case "contention":
-		err = scenarioContention(a.senders, a.size, o)
-	case "incast":
-		err = scenarioIncast(a.nodes, a.topology, a.workers, o)
-	case "serve":
-		err = scenarioServe(a.seed, a.nodes, a.rate, a.workers, o)
-	case "churn":
-		err = scenarioChurn(a.seed, a.nodes, a.rate, a.capacity, a.workers, o)
-	case "chaos":
-		err = scenarioChaos(a.seed, a.nodes, a.rate, a.workers, o)
-	case "fuzz":
-		err = scenarioFuzz(a.seed, a.count, a.workers)
-	default:
-		err = fmt.Errorf("unknown scenario %q", a.scenario)
-	}
+	err := runScenario(a, o)
 	if err == nil {
 		err = o.finish(os.Stdout)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "shrimpsim: %v\n", err)
 		os.Exit(1)
+	}
+}
+
+// runScenario runs the scenario the options name, observed by o.
+func runScenario(a options, o *obs) error {
+	switch a.scenario {
+	case "send":
+		return scenarioSend(a.size, a.withTrace, o)
+	case "cluster":
+		return scenarioCluster(a.nodes, a.size, a.workers, o)
+	case "share":
+		return scenarioShare(a.senders, a.size, o)
+	case "paging":
+		return scenarioPaging(a.size, o)
+	case "autoupdate":
+		return scenarioAutoUpdate(o)
+	case "faults":
+		fmt.Printf("# fault injection (seed %#x): rejections and completion failures vs bounded retry\n", a.seed)
+		return scenarioSweep("fault-recovery", experiments.RunFaultInjectionSeeded, a.seed, a.workers)
+	case "lossy":
+		fmt.Printf("# lossy wire (seed %#x): drop/corrupt/dup/reorder vs seq/ACK/retransmit/CRC\n", a.seed)
+		return scenarioSweep("lossy-wire", experiments.RunLossyWireSeeded, a.seed, a.workers)
+	case "contention":
+		return scenarioContention(a.senders, a.size, o)
+	case "incast":
+		return scenarioIncast(a.nodes, a.topology, a.workers, o)
+	case "serve":
+		return scenarioServe(a.seed, a.nodes, a.rate, a.workers, o)
+	case "churn":
+		return scenarioChurn(a.seed, a.nodes, a.rate, a.capacity, a.workers, o)
+	case "chaos":
+		return scenarioChaos(a.seed, a.nodes, a.rate, a.workers, o)
+	case "fuzz":
+		return scenarioFuzz(a.seed, a.count, a.workers)
+	default:
+		return fmt.Errorf("unknown scenario %q", a.scenario)
 	}
 }
 
@@ -339,16 +344,7 @@ func scenarioSend(size int, withTrace bool, o *obs) error {
 	var done sim.Cycles
 	var sendErr error
 	n.Kernel.Spawn("app", func(p *kernel.Proc) {
-		d, err := udmalib.Open(p, buf, true)
-		if err != nil {
-			sendErr = err
-			return
-		}
-		va, _ := p.Alloc(size)
-		p.WriteBuf(va, workload.Payload(size, 1))
-		start := p.Now()
-		sendErr = d.Send(va, 0, size)
-		done = p.Now() - start
+		done, _, sendErr = workload.Sender{Dev: buf, Size: size, Seed: 1, Messages: 1}.Run(p)
 	})
 	if err := n.Kernel.Run(sim.Forever); err != nil {
 		return err
@@ -392,16 +388,9 @@ func scenarioCluster(nodes, size, workers int, o *obs) error {
 		if err := udmalib.MapSendWindow(c.NICs[i], 0, dst, pfns); err != nil {
 			return err
 		}
-		i := i
+		s := workload.Sender{Dev: c.NICs[i], Size: size, Seed: byte(i + 1), Messages: 1}
 		c.Nodes[i].Kernel.Spawn(fmt.Sprintf("peer%d", i), func(p *kernel.Proc) {
-			d, err := udmalib.Open(p, c.NICs[i], true)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			va, _ := p.Alloc(size)
-			p.WriteBuf(va, workload.Payload(size, byte(i+1)))
-			errs[i] = d.Send(va, 0, size)
+			_, _, errs[i] = s.Run(p)
 		})
 	}
 	if err := c.Run(1_000_000_000); err != nil {
@@ -424,6 +413,24 @@ func scenarioCluster(nodes, size, workers int, o *obs) error {
 
 func scenarioShare(senders, size int, o *obs) error {
 	fmt.Printf("# %d untrusting processes share one UDMA device (%d B messages)\n", senders, size)
+	n, buf, retries, err := shareDevice(senders, size, 16, o)
+	if err != nil {
+		return err
+	}
+	ks := n.Kernel.Stats()
+	fmt.Printf("context switches: %d, I1 Invals: %d (one per switch)\n", ks.ContextSwitches, ks.Invals)
+	for i, r := range retries {
+		intact := bytes.Equal(buf.Bytes(i*addr.PageSize, size), workload.Payload(size, byte(i+1)))
+		fmt.Printf("process %d: %d retries, data intact: %v\n", i, r, intact)
+	}
+	return nil
+}
+
+// shareDevice runs senders time-sliced processes "p<i>" on one node,
+// each sending messages × size bytes to its own page of one buffer
+// device, and returns the node, the device and each process's initiation
+// retries. It drives both share (I1 protection) and contention.
+func shareDevice(senders, size, messages int, o *obs) (*machine.Node, *device.Buffer, []uint64, error) {
 	n := machine.New(0, machine.Config{
 		Kernel:  kernel.Config{Quantum: 2000},
 		Metrics: o.registry(),
@@ -436,46 +443,23 @@ func scenarioShare(senders, size int, o *obs) error {
 	errs := make([]error, senders)
 	retries := make([]uint64, senders)
 	for i := 0; i < senders; i++ {
-		i := i
+		s := workload.Sender{Dev: buf, Size: size, Seed: byte(i + 1), Messages: messages,
+			Offsets: []uint32{uint32(i) << addr.PageShift}}
 		n.Kernel.Spawn(fmt.Sprintf("p%d", i), func(p *kernel.Proc) {
-			d, err := udmalib.Open(p, buf, true)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			va, _ := p.Alloc(size)
-			p.WriteBuf(va, workload.Payload(size, byte(i+1)))
-			for m := 0; m < 16; m++ {
-				if err := d.Send(va, uint32(i)<<addr.PageShift, size); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-			retries[i] = d.Stats().Retries
+			var st udmalib.Stats
+			_, st, errs[i] = s.Run(p)
+			retries[i] = st.Retries
 		})
 	}
 	if err := n.Kernel.Run(sim.Forever); err != nil {
-		return err
+		return nil, nil, nil, err
 	}
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("process %d: %w", i, err)
+			return nil, nil, nil, fmt.Errorf("process %d: %w", i, err)
 		}
 	}
-	ks := n.Kernel.Stats()
-	fmt.Printf("context switches: %d, I1 Invals: %d (one per switch)\n", ks.ContextSwitches, ks.Invals)
-	for i := 0; i < senders; i++ {
-		want := workload.Payload(size, byte(i+1))
-		got := buf.Bytes(i*addr.PageSize, size)
-		ok := true
-		for j := range want {
-			if got[j] != want[j] {
-				ok = false
-			}
-		}
-		fmt.Printf("process %d: %d retries, data intact: %v\n", i, retries[i], ok)
-	}
-	return nil
+	return n, buf, retries, nil
 }
 
 func scenarioAutoUpdate(o *obs) error {
@@ -491,14 +475,20 @@ func scenarioAutoUpdate(o *obs) error {
 			sendErr = err
 			return
 		}
-		src, _ := p.Alloc(addr.PageSize)
-		if err := p.MapAutoUpdate(c.NICs[0], src, 1, 0); err != nil {
+		src, err := p.Alloc(addr.PageSize)
+		if err == nil {
+			err = p.MapAutoUpdate(c.NICs[0], src, 1, 0)
+		}
+		if err != nil {
 			sendErr = err
 			return
 		}
 		start := p.Now()
 		for i := uint32(0); i < 16; i++ {
-			p.Store(src+addr.VAddr(i*4), 0x1000+i)
+			if err := p.Store(src+addr.VAddr(i*4), 0x1000+i); err != nil {
+				sendErr = err
+				return
+			}
 		}
 		c.NICs[0].FlushAutoUpdate()
 		fmt.Printf("16 plain stores published in %.1f µs of CPU time\n", p.Micros(p.Now()-start))
@@ -511,7 +501,10 @@ func scenarioAutoUpdate(o *obs) error {
 	}
 	st := c.NICs[0].Stats()
 	fmt.Printf("snooped words: %d, combined packets: %d\n", st.AutoWords, st.AutoPackets)
-	w, _ := c.Nodes[1].RAM.ReadWord(addr.FrameAddr(40))
+	w, err := c.Nodes[1].RAM.ReadWord(addr.FrameAddr(40))
+	if err != nil {
+		return err
+	}
 	fmt.Printf("remote word 0 = %#x (want 0x1000)\n", w)
 	c.PublishRollup()
 	return nil
@@ -772,16 +765,7 @@ func scenarioPaging(size int, o *obs) error {
 
 	var sendErr error
 	n.Kernel.Spawn("sender", func(p *kernel.Proc) {
-		d, err := udmalib.Open(p, buf, true)
-		if err != nil {
-			sendErr = err
-			return
-		}
-		va, _ := p.Alloc(size)
-		p.WriteBuf(va, workload.Payload(size, 5))
-		for m := 0; m < 32 && sendErr == nil; m++ {
-			sendErr = d.Send(va, 0, size)
-		}
+		_, _, sendErr = workload.Sender{Dev: buf, Size: size, Seed: 5, Messages: 32}.Run(p)
 	})
 	n.Kernel.Spawn("pager", workload.Pager(60, 40_000_000))
 	if err := n.Kernel.Run(sim.Forever); err != nil {
@@ -805,43 +789,9 @@ func scenarioContention(senders, size int, o *obs) error {
 	const messages = 64
 	fmt.Printf("# %d time-sliced senders push %d × %d B messages through one UDMA controller\n",
 		senders, messages, size)
-	n := machine.New(0, machine.Config{
-		Kernel:  kernel.Config{Quantum: 2000},
-		Metrics: o.registry(),
-	})
-	o.setCosts(n.Costs)
-	buf := device.NewBuffer("buf", uint32(senders+1), 4, 0)
-	n.AttachDevice(buf, 0)
-	defer n.Kernel.Shutdown()
-
-	errs := make([]error, senders)
-	retries := make([]uint64, senders)
-	for i := 0; i < senders; i++ {
-		i := i
-		n.Kernel.Spawn(fmt.Sprintf("p%d", i), func(p *kernel.Proc) {
-			d, err := udmalib.Open(p, buf, true)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			va, _ := p.Alloc(size)
-			p.WriteBuf(va, workload.Payload(size, byte(i+1)))
-			for m := 0; m < messages; m++ {
-				if err := d.Send(va, uint32(i)<<addr.PageShift, size); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-			retries[i] = d.Stats().Retries
-		})
-	}
-	if err := n.Kernel.Run(sim.Forever); err != nil {
+	n, _, retries, err := shareDevice(senders, size, messages, o)
+	if err != nil {
 		return err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("process %d: %w", i, err)
-		}
 	}
 	var totalRetries uint64
 	for _, r := range retries {

@@ -36,3 +36,15 @@ func TestExplicitSeedReachesScenario(t *testing.T) {
 		}
 	}
 }
+
+// TestUnseededScenarios runs each scenario that has no seed and no
+// reproducibility proof once at its default flags; each must finish
+// without error.
+func TestUnseededScenarios(t *testing.T) {
+	for _, name := range []string{"send", "cluster", "share", "paging", "autoupdate", "contention"} {
+		a := parse(t, "-scenario", name)
+		if err := runScenario(a, newObs(a.metrics, a.withTrace, a.metricsOut, a.traceOut)); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}

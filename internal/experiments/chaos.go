@@ -188,21 +188,11 @@ func RunChaosSeeded(seed uint64) (*Result, error) {
 
 	// Determinism: the heaviest schedule re-run bit-exactly, serially and
 	// on four workers.
-	heavy := trials[4]
-	again, err := chaosTrial(seed, chaosPoints[4], 1)
-	if err != nil {
+	if err := res.checkReproduces("chaos trial", trials[4], func(workers int) (*loadgen.Result, error) {
+		return chaosTrial(seed, chaosPoints[4], workers)
+	}); err != nil {
 		return nil, err
 	}
-	wide, err := chaosTrial(seed, chaosPoints[4], 4)
-	if err != nil {
-		return nil, err
-	}
-	res.check("same seed reproduces the chaos trial exactly",
-		heavy.Fingerprint() == again.Fingerprint(),
-		"%016x vs %016x", heavy.Fingerprint(), again.Fingerprint())
-	res.check("workers 1 and 4 produce identical chaos trials",
-		heavy.Fingerprint() == wide.Fingerprint(),
-		"%016x vs %016x", heavy.Fingerprint(), wide.Fingerprint())
 
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("seed %#x; crashes drawn exp(MTBF=%d) from %d, applied at lockstep barriers", seed, chaosMTBF, chaosFirstAt),

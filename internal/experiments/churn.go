@@ -174,20 +174,11 @@ func RunChurnSeeded(seed uint64) (*Result, error) {
 
 	// Determinism: the tiny-capacity trial re-run bit-exactly, serially
 	// and on four workers.
-	again, err := churnTrial(seed, capacities[0], 1)
-	if err != nil {
+	if err := res.checkReproduces("churn trial", tiny, func(workers int) (*loadgen.Result, error) {
+		return churnTrial(seed, capacities[0], workers)
+	}); err != nil {
 		return nil, err
 	}
-	wide, err := churnTrial(seed, capacities[0], 4)
-	if err != nil {
-		return nil, err
-	}
-	res.check("same seed reproduces the churn trial exactly",
-		tiny.Fingerprint() == again.Fingerprint(),
-		"%016x vs %016x", tiny.Fingerprint(), again.Fingerprint())
-	res.check("workers 1 and 4 produce identical churn trials",
-		tiny.Fingerprint() == wide.Fingerprint(),
-		"%016x vs %016x", tiny.Fingerprint(), wide.Fingerprint())
 
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("seed %#x; %d live flows, mean %d msgs per flow, %d total flows over the schedule",

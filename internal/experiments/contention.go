@@ -128,29 +128,12 @@ func contentionRun(senders, messages, size int) (contentionRow, error) {
 	errs := make([]error, senders)
 	var totalRetries uint64
 	for i := 0; i < senders; i++ {
-		i := i
+		s := workload.Sender{Dev: buf, Size: size, Seed: byte(i + 1), Messages: messages,
+			Offsets: []uint32{uint32(i) << addr.PageShift}}
 		n.Kernel.Spawn(fmt.Sprintf("sender%d", i), func(p *kernel.Proc) {
-			d, err := udmalib.Open(p, buf, true)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			va, err := p.Alloc(4096)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if err := p.WriteBuf(va, workload.Payload(size, byte(i+1))); err != nil {
-				errs[i] = err
-				return
-			}
-			for m := 0; m < messages; m++ {
-				if err := d.Send(va, uint32(i)<<addr.PageShift, size); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-			totalRetries += d.Stats().Retries
+			var st udmalib.Stats
+			_, st, errs[i] = s.Run(p)
+			totalRetries += st.Retries
 		})
 	}
 	if err := n.Kernel.Run(sim.Forever); err != nil {

@@ -1,19 +1,23 @@
 // Package experiments contains one driver per table/figure reproduced
-// from the paper (the E1–E10 index in DESIGN.md). Each driver builds
-// the machines it needs, runs the workload, and returns a Result whose
-// tables and series are what cmd/udmabench prints and whose Checks
+// from the paper and per extension (E1–E18; see DESIGN.md). Each driver
+// builds the machines it needs, runs the workload, and returns a Result
+// whose tables and series are what cmd/udmabench prints and whose Checks
 // assert the paper's qualitative shape (who wins, where the knees are).
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
+	"shrimp/internal/cluster"
 	"shrimp/internal/kernel"
+	"shrimp/internal/loadgen"
 	"shrimp/internal/machine"
 	"shrimp/internal/sim"
 	"shrimp/internal/stats"
 	"shrimp/internal/sweep"
+	"shrimp/internal/workload"
 )
 
 // Check is one shape assertion against the paper.
@@ -48,6 +52,27 @@ func (r *Result) metric(name string, v float64) {
 		r.Metrics = make(map[string]float64)
 	}
 	r.Metrics[name] = v
+}
+
+// checkReproduces reruns the trial that produced base at workers 1 and
+// at workers 4 and checks that both reproduce its fingerprint exactly;
+// noun names the trial in the checks ("trial", "churn trial", …).
+func (r *Result) checkReproduces(noun string, base *loadgen.Result, rerun func(workers int) (*loadgen.Result, error)) error {
+	again, err := rerun(1)
+	if err != nil {
+		return err
+	}
+	wide, err := rerun(4)
+	if err != nil {
+		return err
+	}
+	r.check("same seed reproduces the "+noun+" exactly",
+		base.Fingerprint() == again.Fingerprint(),
+		"%016x vs %016x", base.Fingerprint(), again.Fingerprint())
+	r.check("workers 1 and 4 produce identical "+noun+"s",
+		base.Fingerprint() == wide.Fingerprint(),
+		"%016x vs %016x", base.Fingerprint(), wide.Fingerprint())
+	return nil
 }
 
 // Passed reports whether every check passed.
@@ -87,8 +112,9 @@ var registry = map[string]struct {
 	"e18": {"Extension: routed fabric at scale — 64-node mesh/torus link contention", RunScaleOut},
 }
 
-// sweepWorkers is how many host goroutines the rate/seed sweeps inside
-// experiments (e12's fault-rate curve, e13's loss-rate curve) may use.
+// sweepWorkers is how many host goroutines the sweeps inside experiments
+// may use: e12's fault-rate and e13's loss-rate curves, e15's
+// regime × rate grid, e16's capacity sweep and e17's crash schedules.
 // Default 1 keeps the historical serial behavior; cmd/udmabench's
 // -workers flag raises it. Results are identical at any value — each
 // trial builds its own simulator and the sweep returns results in input
@@ -167,6 +193,40 @@ func runOn(n *machine.Node, name string, fn func(p *kernel.Proc) error) error {
 		return fmt.Errorf("experiments: kernel run: %w", err)
 	}
 	return procErr
+}
+
+// errStopSender is what a Sender's Done returns to end that sender early
+// on purpose; runSenders does not count it as a failure.
+var errStopSender = errors.New("experiments: sender stopped")
+
+// runSenders spawns senders[i] (nil: node i only receives) as process
+// "sender<i>" on node i, then calls after(i) when after is set, runs the
+// cluster for up to limit cycles and returns the first sender error in
+// node order.
+func runSenders(c *cluster.Cluster, limit sim.Cycles, senders []*workload.Sender, after func(node int)) error {
+	errs := make([]error, len(senders))
+	for i, s := range senders {
+		if s == nil {
+			continue
+		}
+		c.Nodes[i].Kernel.Spawn(fmt.Sprintf("sender%d", i), func(p *kernel.Proc) {
+			if _, _, err := s.Run(p); !errors.Is(err, errStopSender) {
+				errs[i] = err
+			}
+		})
+		if after != nil {
+			after(i)
+		}
+	}
+	if err := c.Run(limit); err != nil {
+		return err
+	}
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("sender %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // mbps converts (bytes, cycles) into MB/s under the given cost model.

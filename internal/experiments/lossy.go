@@ -105,40 +105,25 @@ func runLossTrial(rate float64, seed uint64) (*lossTrial, error) {
 	}
 	var lats []sim.Cycles
 	var procErr error
-	c.Nodes[0].Kernel.Spawn("sender", func(p *kernel.Proc) {
-		d, err := udmalib.Open(p, c.NICs[0], true)
-		if err != nil {
-			procErr = err
-			return
-		}
-		va, err := p.Alloc(lossyMsgBytes)
-		if err != nil {
-			procErr = err
-			return
-		}
-		if err := p.WriteBuf(va, workload.Payload(lossyMsgBytes, 5)); err != nil {
-			procErr = err
-			return
-		}
+	s := workload.Sender{Dev: c.NICs[0], Size: lossyMsgBytes, Seed: 5, Messages: lossyMsgCount,
 		// Generous attempt budget: at 20% loss the credit window stalls
 		// often and each stall surfaces as a retryable queue-full.
-		pol := udmalib.RetryPolicy{MaxAttempts: 12, Backoff: 512}
-		start := p.Now()
-		for m := 0; m < lossyMsgCount; m++ {
-			s0 := p.Now()
-			err := d.SendRetry(va, 0, lossyMsgBytes, pol)
+		Retry: &udmalib.RetryPolicy{MaxAttempts: 12, Backoff: 512},
+		Done: func(lat sim.Cycles, err error) error {
 			switch {
 			case err == nil:
 				t.Delivered++
-				lats = append(lats, p.Now()-s0)
+				lats = append(lats, lat)
 			case errors.As(err, new(*udmalib.RetryExhaustedError)):
 				t.Failed++
 			default:
-				procErr = err
-				return
+				return err
 			}
-		}
-		t.Elapsed = p.Now() - start
+			return nil
+		},
+	}
+	c.Nodes[0].Kernel.Spawn("sender", func(p *kernel.Proc) {
+		t.Elapsed, _, procErr = s.Run(p)
 	})
 	if err := c.Run(5_000_000_000); err != nil {
 		return nil, err

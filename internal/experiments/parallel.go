@@ -169,55 +169,35 @@ func parallelSpeedupRun(sc speedupCase, workers int) (string, time.Duration, uin
 	c := cluster.New(cfg)
 	defer c.Shutdown()
 
-	errs := make([]error, sc.nodes)
-	for i := 0; i < sc.nodes; i++ {
+	senders := make([]*workload.Sender, sc.nodes)
+	for i := range senders {
 		// Destination stride near half the mesh width forces multi-hop
 		// routes (distance buys per-link lookahead; adjacency would not
 		// exercise it).
-		i, dst := i, (i+sc.nodes/2-1)%sc.nodes
-		if err := udmalib.MapSendWindow(c.NICs[i], 0, dst, []uint32{48}); err != nil {
+		if err := udmalib.MapSendWindow(c.NICs[i], 0, (i+sc.nodes/2-1)%sc.nodes, []uint32{48}); err != nil {
 			return "", 0, 0, err
 		}
-		c.Nodes[i].Kernel.Spawn(fmt.Sprintf("sender%d", i), func(p *kernel.Proc) {
-			d, err := udmalib.Open(p, c.NICs[i], true)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			va, err := p.Alloc(sc.size)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if err := p.WriteBuf(va, workload.Payload(sc.size, byte(i+1))); err != nil {
-				errs[i] = err
-				return
-			}
-			for m := 0; m < sc.messages; m++ {
-				if sc.lossy {
-					// Loss is expected; exhausted retries are a
-					// deterministic outcome, not a rig failure.
-					if err := d.SendRetry(va, 0, sc.size, udmalib.RetryPolicy{MaxAttempts: 20, Backoff: 512}); err != nil {
-						return
-					}
-				} else if err := d.Send(va, 0, sc.size); err != nil {
-					errs[i] = err
-					return
+		s := &workload.Sender{Dev: c.NICs[i], Size: sc.size, Seed: byte(i + 1), Messages: sc.messages}
+		if sc.lossy {
+			// Loss is expected; exhausted retries are a deterministic
+			// outcome, not a rig failure.
+			s.Retry = &udmalib.RetryPolicy{MaxAttempts: 20, Backoff: 512}
+			s.Done = func(_ sim.Cycles, err error) error {
+				if err != nil {
+					return errStopSender
 				}
+				return nil
 			}
-		})
-		c.Nodes[i].Kernel.Spawn(fmt.Sprintf("burner%d", i), workload.Burner(900, 400_000))
+		}
+		senders[i] = s
 	}
 	start := time.Now()
-	if err := c.Run(5_000_000_000); err != nil {
+	if err := runSenders(c, 5_000_000_000, senders, func(i int) {
+		c.Nodes[i].Kernel.Spawn(fmt.Sprintf("burner%d", i), workload.Burner(900, 400_000))
+	}); err != nil {
 		return "", 0, 0, err
 	}
 	wall := time.Since(start)
-	for i, err := range errs {
-		if err != nil {
-			return "", 0, 0, fmt.Errorf("sender %d: %w", i, err)
-		}
-	}
 
 	h := fnv.New64a()
 	for i := 0; i < sc.nodes; i++ {

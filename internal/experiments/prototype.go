@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"shrimp/internal/cluster"
-	"shrimp/internal/kernel"
 	"shrimp/internal/machine"
 	"shrimp/internal/nic"
 	"shrimp/internal/stats"
@@ -71,44 +70,17 @@ func prototypeRun(pairs [][2]int) (float64, error) {
 	defer c.Shutdown()
 	costs := c.Nodes[0].Costs
 
-	senders := len(pairs)
-	errs := make([]error, senders)
-	for i, pair := range pairs {
-		i, s, dst := i, pair[0], pair[1]
+	senders := make([]*workload.Sender, nodes)
+	for _, pair := range pairs {
+		s, dst := pair[0], pair[1]
 		// Receive frames: raw frames 48.. on the destination.
 		if err := udmalib.MapSendWindow(c.NICs[s], 0, dst, []uint32{48}); err != nil {
 			return 0, err
 		}
-		c.Nodes[s].Kernel.Spawn(fmt.Sprintf("sender%d", s), func(p *kernel.Proc) {
-			d, err := udmalib.Open(p, c.NICs[s], true)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			va, err := p.Alloc(size)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if err := p.WriteBuf(va, workload.Payload(size, byte(s+1))); err != nil {
-				errs[i] = err
-				return
-			}
-			for m := 0; m < messages; m++ {
-				if err := d.Send(va, 0, size); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-		})
+		senders[s] = &workload.Sender{Dev: c.NICs[s], Size: size, Seed: byte(s + 1), Messages: messages}
 	}
-	if err := c.Run(5_000_000_000); err != nil {
+	if err := runSenders(c, 5_000_000_000, senders, nil); err != nil {
 		return 0, err
-	}
-	for s, err := range errs {
-		if err != nil {
-			return 0, fmt.Errorf("sender %d: %w", s, err)
-		}
 	}
 	var slowest float64
 	for _, pair := range pairs {
@@ -116,6 +88,6 @@ func prototypeRun(pairs [][2]int) (float64, error) {
 			slowest = t
 		}
 	}
-	total := float64(senders * messages * size)
+	total := float64(len(pairs) * messages * size)
 	return total / slowest / 1e6, nil
 }

@@ -325,51 +325,25 @@ func runScaleCase(sc scaleCase) (*scaleRun, error) {
 		return nil, fmt.Errorf("unknown workload %q", sc.workload)
 	}
 
-	errs := make([]error, nodes)
+	senders := make([]*workload.Sender, nodes)
 	var wantBytes uint64
-	for i := 0; i < nodes; i++ {
-		if len(sends[i]) == 0 {
+	for i, targets := range sends {
+		if len(targets) == 0 {
 			continue
 		}
-		for _, tg := range sends[i] {
+		offsets := make([]uint32, len(targets))
+		for k, tg := range targets {
 			if err := udmalib.MapSendWindow(c.NICs[i], uint32(tg.entry), tg.dst, []uint32{48}); err != nil {
 				return nil, err
 			}
+			offsets[k] = uint32(tg.entry) * 4096
 		}
-		wantBytes += uint64(len(sends[i]) * sc.messages * scaleMsgSize)
-		i, targets := i, sends[i]
-		c.Nodes[i].Kernel.Spawn(fmt.Sprintf("sender%d", i), func(p *kernel.Proc) {
-			d, err := udmalib.Open(p, c.NICs[i], true)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			va, err := p.Alloc(scaleMsgSize)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if err := p.WriteBuf(va, workload.Payload(scaleMsgSize, byte(i+1))); err != nil {
-				errs[i] = err
-				return
-			}
-			for m := 0; m < sc.messages; m++ {
-				for _, tg := range targets {
-					if err := d.Send(va, uint32(tg.entry)*4096, scaleMsgSize); err != nil {
-						errs[i] = err
-						return
-					}
-				}
-			}
-		})
+		wantBytes += uint64(len(targets) * sc.messages * scaleMsgSize)
+		senders[i] = &workload.Sender{Dev: c.NICs[i], Size: scaleMsgSize, Seed: byte(i + 1),
+			Messages: sc.messages, Offsets: offsets}
 	}
-	if err := c.Run(5_000_000_000); err != nil {
+	if err := runSenders(c, 5_000_000_000, senders, nil); err != nil {
 		return nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("sender %d: %w", i, err)
-		}
 	}
 
 	if sc.metrics != nil {

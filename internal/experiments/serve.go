@@ -199,21 +199,11 @@ func RunServeSeeded(seed uint64) (*Result, error) {
 
 	// Determinism: the top clean trial re-run bit-exactly, serially and
 	// on four workers.
-	base := byRegime["clean"][len(serveRates)-1]
-	again, err := serveTrial(seed, regimes[0], serveRates[len(serveRates)-1], 1)
-	if err != nil {
+	if err := res.checkReproduces("trial", byRegime["clean"][len(serveRates)-1], func(workers int) (*loadgen.Result, error) {
+		return serveTrial(seed, regimes[0], serveRates[len(serveRates)-1], workers)
+	}); err != nil {
 		return nil, err
 	}
-	wide, err := serveTrial(seed, regimes[0], serveRates[len(serveRates)-1], 4)
-	if err != nil {
-		return nil, err
-	}
-	res.check("same seed reproduces the trial exactly",
-		base.Fingerprint() == again.Fingerprint(),
-		"%016x vs %016x", base.Fingerprint(), again.Fingerprint())
-	res.check("workers 1 and 4 produce identical trials",
-		base.Fingerprint() == wide.Fingerprint(),
-		"%016x vs %016x", base.Fingerprint(), wide.Fingerprint())
 
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("seed %#x; arrival process: seeded exponential inter-arrivals, precomputed on simulated time", seed),

@@ -43,38 +43,22 @@ type ScenarioConfig struct {
 	FaultRejectRate float64
 	FaultFailRate   float64
 
-	// Lossy perturbs the backplane (interconnect.FaultPlan) and arms the
-	// NIC reliability sublayer to survive it; byte conservation is then
-	// asserted end-to-end across retransmission.
-	Lossy       bool
-	DropRate    float64
-	DupRate     float64
-	CorruptRate float64
-	DelayRate   float64
-	FlapPeriod  sim.Cycles
-	FlapDown    sim.Cycles
+	// Fault perturbs the backplane when enabled, and then arms the NIC
+	// reliability sublayer to survive it; byte conservation is asserted
+	// end-to-end across retransmission.
+	Fault interconnect.FaultPlan
 
 	Kills    int // processes killed mid-run (never receivers)
 	MaxSteps int // liveness bound, in lockstep windows
 
-	// Serve replaces the random per-process op programs with the
-	// internal/loadgen open-loop driver: seeded Poisson arrivals across
-	// per-destination FIFO flows, served over PIO and UDMA while the
-	// auditor checks every invariant between windows. These fields are
-	// set only via Options.Override — never drawn from the seed — so
-	// every existing seed's scenario shape is untouched.
-	Serve            bool
-	ServeRate        float64 // offered messages per million cycles
-	ServeMessages    int
-	ServeFlows       int
-	ServeWindowPages int
-
-	// ServeChurn switches the serve driver to the connection-churn flow
-	// model: short-lived flows, one NIPT entry each, births and deaths
-	// on simulated time. Override-only, like the other Serve fields.
-	ServeChurn       bool
-	ServeActiveFlows int
-	ServeMsgsPerFlow int
+	// Serve, when set, replaces the random per-process op programs with
+	// the internal/loadgen open-loop driver: seeded Poisson arrivals
+	// across per-destination FIFO flows (or, with Churn, short-lived
+	// flows of one NIPT entry each), served over PIO and UDMA while the
+	// auditor checks every invariant between windows. It is set only via
+	// Options.Override — never drawn from the seed — so every existing
+	// seed's scenario shape is untouched.
+	Serve *loadgen.Config
 
 	// NIPTCapacity bounds the board's NIPT cache over the host-memory
 	// backing table (0 = unbounded); IdleReclaimAge ages idle
@@ -84,23 +68,19 @@ type ScenarioConfig struct {
 	NIPTCapacity   int
 	IdleReclaimAge sim.Cycles
 
-	// CrashMTBF > 0 arms the cluster's node crash–restart chaos plan
-	// (cluster.CrashPlan): whole nodes lose power at seeded instants and
-	// reboot after CrashMTTR, wiping all volatile board state and
-	// killing every kernel process. Seed-drawn last, after the
-	// reclamation draw, so every earlier field keeps its per-seed value.
-	CrashMTBF sim.Cycles
-	CrashMTTR sim.Cycles
-	CrashMax  int
+	// Crash, when enabled, is the cluster's node crash–restart chaos
+	// plan: whole nodes lose power at seeded instants and reboot after
+	// MTTR, wiping all volatile board state and killing every kernel
+	// process. Seed-drawn last, after the reclamation draw, so every
+	// earlier field keeps its per-seed value.
+	Crash cluster.CrashPlan
 
-	// Routed-fabric draws (newest of all, after the crash block, same
-	// append-only rule): Torus closes the router grid's rows and
-	// columns into rings, and LinkBytesPerCyc throttles every fabric
-	// link below the host-interface rate so barrier-time contention
-	// resolution gets exercised (0 = links at the host-interface rate,
-	// the historical fabric).
-	Torus           bool
-	LinkBytesPerCyc float64
+	// Topology is the routed fabric (newest draws of all, after the
+	// crash block, same append-only rule): a torus closes the router
+	// grid's rows and columns into rings, and a LinkBytesPerCyc below
+	// the host-interface rate makes barrier-time contention resolution
+	// bite. Nodes stays zero; the cluster fills it in.
+	Topology interconnect.Topology
 }
 
 // randomConfig draws a scenario shape from the master RNG. Ranges are
@@ -140,14 +120,15 @@ func randomConfig(rng *sim.RNG) ScenarioConfig {
 	// Lossy-wire draws come last so adding them kept every earlier
 	// field's per-seed value stable.
 	if rng.Intn(3) == 0 {
-		cfg.Lossy = true
-		cfg.DropRate = 0.02 + 0.08*rng.Float64()
-		cfg.DupRate = 0.02
-		cfg.CorruptRate = 0.02
-		cfg.DelayRate = 0.05
+		cfg.Fault = interconnect.FaultPlan{
+			DropRate:    0.02 + 0.08*rng.Float64(),
+			DupRate:     0.02,
+			CorruptRate: 0.02,
+			DelayRate:   0.05,
+		}
 		if rng.Bool() {
-			cfg.FlapPeriod = sim.Cycles(20_000 + rng.Intn(40_000))
-			cfg.FlapDown = sim.Cycles(2_000 + rng.Intn(4_000))
+			cfg.Fault.FlapPeriod = sim.Cycles(20_000 + rng.Intn(40_000))
+			cfg.Fault.FlapDown = sim.Cycles(2_000 + rng.Intn(4_000))
 		}
 	}
 	// Bounded-NIPT and reclamation draws also come last (same rule as
@@ -155,71 +136,27 @@ func randomConfig(rng *sim.RNG) ScenarioConfig {
 	if rng.Intn(3) == 0 {
 		cfg.NIPTCapacity = 1 + rng.Intn(31)
 	}
-	if cfg.Lossy && rng.Intn(2) == 0 {
+	if cfg.Fault.Enabled() && rng.Intn(2) == 0 {
 		cfg.IdleReclaimAge = sim.Cycles(20_000 + rng.Intn(60_000))
 	}
 	// Crash-plan draws are the newest, so they come last of all (same
 	// append-only rule): a quarter of seeds get whole-node power loss.
 	if rng.Intn(4) == 0 {
-		cfg.CrashMTBF = sim.Cycles(150_000 + rng.Intn(250_000))
-		cfg.CrashMTTR = sim.Cycles(30_000 + rng.Intn(90_000))
-		cfg.CrashMax = 1 + rng.Intn(2)
+		cfg.Crash.MTBF = sim.Cycles(150_000 + rng.Intn(250_000))
+		cfg.Crash.MTTR = sim.Cycles(30_000 + rng.Intn(90_000))
+		cfg.Crash.MaxCrashes = 1 + rng.Intn(2)
 	}
 	// Routed-fabric draws come after the crash block (append-only rule
 	// again): a third of seeds wrap the mesh into a torus, and a third
 	// throttle the fabric links below the host-interface rate so link
 	// contention actually bites.
-	cfg.Torus = rng.Intn(3) == 0
 	if rng.Intn(3) == 0 {
-		cfg.LinkBytesPerCyc = 0.3 + 0.6*rng.Float64()
+		cfg.Topology.Kind = interconnect.KindTorus
+	}
+	if rng.Intn(3) == 0 {
+		cfg.Topology.LinkBytesPerCyc = 0.3 + 0.6*rng.Float64()
 	}
 	return cfg
-}
-
-// topology translates the scenario's fabric draws into the cluster's
-// topology declaration.
-func (cfg ScenarioConfig) topology() interconnect.Topology {
-	topo := interconnect.Mesh(cfg.Nodes)
-	if cfg.Torus {
-		topo = interconnect.Torus(cfg.Nodes)
-	}
-	topo.LinkBytesPerCyc = cfg.LinkBytesPerCyc
-	return topo
-}
-
-// faultPlan translates the scenario's lossy knobs into the backplane's
-// fault plan. The wire gets its own seed stream, decorrelated from the
-// scenario-shape and per-process streams.
-func (cfg ScenarioConfig) faultPlan(seed uint64) interconnect.FaultPlan {
-	if !cfg.Lossy {
-		return interconnect.FaultPlan{}
-	}
-	return interconnect.FaultPlan{
-		Seed:        seed ^ 0xFA17_ED_B1_7,
-		DropRate:    cfg.DropRate,
-		DupRate:     cfg.DupRate,
-		CorruptRate: cfg.CorruptRate,
-		DelayRate:   cfg.DelayRate,
-		FlapPeriod:  cfg.FlapPeriod,
-		FlapDown:    cfg.FlapDown,
-	}
-}
-
-// crashPlan translates the scenario's chaos knobs into the cluster's
-// node crash–restart schedule. Like the wire's fault plan, the schedule
-// draws from its own decorrelated seed stream — and that stream is
-// private to the plan, so arming it never perturbs the simulation.
-func (cfg ScenarioConfig) crashPlan(seed uint64) cluster.CrashPlan {
-	if cfg.CrashMTBF == 0 {
-		return cluster.CrashPlan{}
-	}
-	return cluster.CrashPlan{
-		Seed:       seed ^ 0xC4A5_4ED0DE,
-		MTBF:       cfg.CrashMTBF,
-		MTTR:       cfg.CrashMTTR,
-		FirstAt:    30_000,
-		MaxCrashes: cfg.CrashMax,
-	}
 }
 
 // deriveConfig reports the scenario shape a seed produces, without
@@ -360,7 +297,7 @@ func (s *scenario) capped() bool {
 // and are ignored; without them, any op error other than a queue-full
 // refusal (a documented transient on the queued machine) is a finding.
 func (s *scenario) opError(node int, what string, err error) {
-	if err == nil || s.cfg.FaultInject || s.cfg.Lossy || queueFull(err) {
+	if err == nil || s.cfg.FaultInject || s.cfg.Fault.Enabled() || queueFull(err) {
 		return
 	}
 	s.fail(node, "op-error", what+": "+err.Error())
@@ -380,45 +317,51 @@ func buildScenario(seed uint64, opts Options) *scenario {
 	if opts.Override != nil {
 		opts.Override(&cfg)
 	}
+	// The wire and the crash schedule draw from their own seed streams,
+	// decorrelated from the scenario-shape and per-process streams; the
+	// crash stream is private to the plan, so arming it never perturbs
+	// the simulation.
+	if cfg.Fault.Enabled() {
+		cfg.Fault.Seed = seed ^ 0xFA17_ED_B1_7
+	}
+	if cfg.Crash.Enabled() {
+		cfg.Crash.Seed = seed ^ 0xC4A5_4ED0DE
+		cfg.Crash.FirstAt = 30_000
+	}
 	var plan *loadgen.Plan
-	if cfg.Serve {
-		// Serve-mode floors and defaults (the fields are Override-set,
+	if cfg.Serve != nil {
+		// Serve-mode floors and defaults (the config is Override-set,
 		// never seed-drawn): open-loop traffic needs at least two nodes,
 		// and the NIPT must hold the plan's whole backing table — one
 		// window per destination per sender, or in churn mode one entry
 		// per flow, which is why the plan is built before the cluster.
+		// The override's config is copied, never written.
 		if cfg.Nodes < 2 {
 			cfg.Nodes = 2
 		}
-		if cfg.ServeRate == 0 {
-			cfg.ServeRate = 150
+		sc := *cfg.Serve
+		sc.Nodes = cfg.Nodes
+		sc.Seed = seed ^ 0x10ad_9e4 // decorrelated from shape draws
+		if sc.Rate == 0 {
+			sc.Rate = 150
 		}
-		if cfg.ServeMessages == 0 {
-			cfg.ServeMessages = 120
+		if sc.Messages == 0 {
+			sc.Messages = 120
 		}
-		if cfg.ServeFlows == 0 {
-			cfg.ServeFlows = 256
+		if sc.Flows == 0 {
+			sc.Flows = 256
 		}
-		if cfg.ServeWindowPages == 0 {
-			cfg.ServeWindowPages = 2
+		if sc.WindowPages == 0 {
+			sc.WindowPages = 2
 		}
-		if cfg.ServeChurn && cfg.ServeActiveFlows == 0 {
-			cfg.ServeActiveFlows = 32
+		if sc.Churn && sc.ActiveFlows == 0 {
+			sc.ActiveFlows = 32
 		}
-		if cfg.ServeChurn && cfg.ServeMsgsPerFlow == 0 {
-			cfg.ServeMsgsPerFlow = 2
+		if sc.Churn && sc.MsgsPerFlow == 0 {
+			sc.MsgsPerFlow = 2
 		}
-		plan = loadgen.BuildPlan(loadgen.Config{
-			Nodes:       cfg.Nodes,
-			Seed:        seed ^ 0x10ad_9e4, // decorrelated from shape draws
-			Rate:        cfg.ServeRate,
-			Messages:    cfg.ServeMessages,
-			Flows:       cfg.ServeFlows,
-			WindowPages: cfg.ServeWindowPages,
-			Churn:       cfg.ServeChurn,
-			ActiveFlows: cfg.ServeActiveFlows,
-			MsgsPerFlow: cfg.ServeMsgsPerFlow,
-		})
+		cfg.Serve = &sc
+		plan = loadgen.BuildPlan(sc)
 		if need := plan.NIPTEntries(); cfg.NIPTPages < need {
 			cfg.NIPTPages = need
 		}
@@ -427,7 +370,7 @@ func buildScenario(seed uint64, opts Options) *scenario {
 
 	s.cl = cluster.New(cluster.Config{
 		Nodes:    cfg.Nodes,
-		Topology: cfg.topology(),
+		Topology: cfg.Topology,
 		Machine: machine.Config{
 			RAMFrames: cfg.RAMFrames,
 			UDMA: core.Config{
@@ -443,18 +386,18 @@ func buildScenario(seed uint64, opts Options) *scenario {
 			NIPTRefillJitter: 16,
 			NIPTSeed:         seed,
 			Reliability: nic.ReliabilityConfig{
-				Enabled:        cfg.Lossy,
+				Enabled:        cfg.Fault.Enabled(),
 				IdleReclaimAge: cfg.IdleReclaimAge,
 			},
 		},
-		Crash:           cfg.crashPlan(seed),
+		Crash:           cfg.Crash,
 		Window:          cfg.Window,
 		Workers:         opts.Workers,
 		FaultInject:     cfg.FaultInject,
 		FaultSeed:       seed,
 		FaultRejectRate: cfg.FaultRejectRate,
 		FaultFailRate:   cfg.FaultFailRate,
-		Fault:           cfg.faultPlan(seed),
+		Fault:           cfg.Fault,
 		Metrics:         opts.Metrics,
 	})
 	s.procViol = make([][]Violation, cfg.Nodes)
@@ -484,7 +427,7 @@ func buildScenario(seed uint64, opts Options) *scenario {
 		}
 	}
 
-	if cfg.Serve {
+	if cfg.Serve != nil {
 		// The loadgen driver spawns every process (receivers, pacers,
 		// servers, samplers) and parks its cross-node control for
 		// publishControl, exactly like the randomized scenario's receiver
@@ -645,7 +588,7 @@ func (s *scenario) serveVerify() {
 	if res.OrderViolations != 0 {
 		s.fail(0, "serve-order", fmt.Sprintf("%d per-flow FIFO violations", res.OrderViolations))
 	}
-	if !s.cfg.FaultInject && !s.cfg.Lossy && s.cfg.CrashMTBF == 0 && res.Failed != 0 {
+	if !s.cfg.FaultInject && !s.cfg.Fault.Enabled() && !s.cfg.Crash.Enabled() && res.Failed != 0 {
 		s.fail(0, "serve-accounting", fmt.Sprintf("%d failures on a clean machine", res.Failed))
 	}
 	if res.NIPTHits+res.NIPTMisses != res.NIPTLookups {
@@ -668,7 +611,7 @@ func (s *scenario) serveVerify() {
 // buffer of a dead epoch. Nothing double-counted, nothing silently
 // lost.
 func (s *scenario) auditWire() {
-	if !s.cfg.Lossy || !s.drained {
+	if !s.cfg.Fault.Enabled() || !s.drained {
 		return
 	}
 	_, wireBytes, _, wireRetransBytes := s.cl.Backplane.Stats()

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 
+	"shrimp/internal/cluster"
+	"shrimp/internal/loadgen"
 	"shrimp/internal/telemetry"
 )
 
@@ -43,11 +45,11 @@ func lossyOverride(cfg *ScenarioConfig) {
 	if cfg.Nodes < 2 {
 		cfg.Nodes = 2
 	}
-	cfg.Lossy = true
-	cfg.DropRate = 0.10
-	cfg.CorruptRate = 0.02
-	cfg.DupRate = 0.02
-	cfg.DelayRate = 0.10
+	// Field by field: a seed that drew link flapping keeps it.
+	cfg.Fault.DropRate = 0.10
+	cfg.Fault.CorruptRate = 0.02
+	cfg.Fault.DupRate = 0.02
+	cfg.Fault.DelayRate = 0.10
 }
 
 // TestSimCheckLossySweep is the acceptance sweep for the reliable
@@ -169,7 +171,7 @@ func TestSimCheckLossyWorkerEquivalence(t *testing.T) {
 // seed keeps drawing the machine shape (RAM, quanta, cleaner, faults,
 // lossy wire) the auditor then checks underneath the load.
 func serveOverride(cfg *ScenarioConfig) {
-	cfg.Serve = true
+	cfg.Serve = &loadgen.Config{}
 }
 
 // TestSimCheckServeSweep runs the invariant auditor under open-loop
@@ -188,7 +190,7 @@ func TestSimCheckServeSweep(t *testing.T) {
 		if rep.Failed() {
 			t.Fatalf("\n%s", rep.String())
 		}
-		if !rep.Cfg.Serve || rep.Cfg.Nodes < 2 {
+		if rep.Cfg.Serve == nil || rep.Cfg.Nodes < 2 {
 			t.Fatalf("seed %d: serve override not applied: %+v", rep.Seed, rep.Cfg)
 		}
 	}
@@ -261,12 +263,11 @@ func TestSimCheckServeLossyWorkerEquivalence(t *testing.T) {
 // and idle-state reclamation on lossy seeds where the reliability layer
 // is armed.
 func churnOverride(cfg *ScenarioConfig) {
-	cfg.Serve = true
-	cfg.ServeChurn = true
+	cfg.Serve = &loadgen.Config{Churn: true}
 	if cfg.NIPTCapacity == 0 {
 		cfg.NIPTCapacity = 8
 	}
-	if cfg.Lossy && cfg.IdleReclaimAge == 0 {
+	if cfg.Fault.Enabled() && cfg.IdleReclaimAge == 0 {
 		cfg.IdleReclaimAge = 40_000
 	}
 }
@@ -286,7 +287,7 @@ func TestSimCheckChurnSweep(t *testing.T) {
 		if rep.Failed() {
 			t.Fatalf("\n%s", rep.String())
 		}
-		if !rep.Cfg.ServeChurn || rep.Cfg.NIPTCapacity == 0 {
+		if rep.Cfg.Serve == nil || !rep.Cfg.Serve.Churn || rep.Cfg.NIPTCapacity == 0 {
 			t.Fatalf("seed %d: churn override not applied: %+v", rep.Seed, rep.Cfg)
 		}
 	}
@@ -328,9 +329,7 @@ func chaosOverride(cfg *ScenarioConfig) {
 	if cfg.Nodes < 2 {
 		cfg.Nodes = 2
 	}
-	cfg.CrashMTBF = 120_000
-	cfg.CrashMTTR = 50_000
-	cfg.CrashMax = 2
+	cfg.Crash = cluster.CrashPlan{MTBF: 120_000, MTTR: 50_000, MaxCrashes: 2}
 }
 
 // TestSimCheckChaosSweep is the acceptance sweep for the crash–restart
@@ -437,11 +436,11 @@ func TestSimCheckCoversMechanisms(t *testing.T) {
 		faulty = faulty || cfg.FaultInject
 		cleaner = cleaner || cfg.Cleaner
 		kills = kills || cfg.Kills > 0
-		lossy = lossy || cfg.Lossy
-		flappy = flappy || cfg.FlapPeriod > 0
+		lossy = lossy || cfg.Fault.Enabled()
+		flappy = flappy || cfg.Fault.FlapPeriod > 0
 		capped = capped || cfg.NIPTCapacity > 0
 		reclaim = reclaim || cfg.IdleReclaimAge > 0
-		chaos = chaos || cfg.CrashMTBF > 0
+		chaos = chaos || cfg.Crash.Enabled()
 	}
 	for name, ok := range map[string]bool{
 		"multi-node": multi, "queued": queued, "fault-inject": faulty,

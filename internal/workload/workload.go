@@ -1,14 +1,16 @@
 // Package workload provides the deterministic input generators shared
 // by the experiments, benchmarks and examples: payload patterns,
 // message-size sweeps matching the paper's figures, and canned process
-// bodies (paging pressure, compute burners) used to create background
-// load.
+// bodies: the user-level UDMA sender, and the paging pressure and
+// compute burners used to create background load.
 package workload
 
 import (
 	"shrimp/internal/addr"
+	"shrimp/internal/device"
 	"shrimp/internal/kernel"
 	"shrimp/internal/sim"
+	"shrimp/internal/udmalib"
 )
 
 // Payload returns n deterministic, seed-dependent bytes whose last word
@@ -81,4 +83,57 @@ func Burner(step, duration sim.Cycles) func(p *kernel.Proc) {
 			p.Compute(step)
 		}
 	}
+}
+
+// Sender is the canned user-level send program of the paper: map the
+// device proxy, fill one Size-byte buffer with Payload(Size, Seed), then
+// send it in Messages rounds, once to every device offset in Offsets
+// ({0} when empty) per round, in the order listed.
+type Sender struct {
+	Dev      device.Device
+	Size     int
+	Seed     byte
+	Messages int
+	Offsets  []uint32
+	// Retry, when set, sends with SendRetry under this policy instead
+	// of a plain Send.
+	Retry *udmalib.RetryPolicy
+	// Done, when set, sees every send's latency and error; a non-nil
+	// return stops the sender and becomes Run's error. Without it the
+	// first send error stops the sender.
+	Done func(lat sim.Cycles, err error) error
+}
+
+// Run executes the program as p. It returns the cycles spent sending
+// (from the start of the first send to the end of the last), the device
+// handle's library stats and the error that stopped it, if any.
+func (s Sender) Run(p *kernel.Proc) (elapsed sim.Cycles, st udmalib.Stats, err error) {
+	d, err := udmalib.Open(p, s.Dev, true)
+	if err != nil {
+		return 0, st, err
+	}
+	va, err := p.Alloc(s.Size)
+	if err == nil {
+		err = p.WriteBuf(va, Payload(s.Size, s.Seed))
+	}
+	offsets, done := s.Offsets, s.Done
+	if len(offsets) == 0 {
+		offsets = []uint32{0}
+	}
+	if done == nil {
+		done = func(_ sim.Cycles, err error) error { return err }
+	}
+	start := p.Now()
+	for m := 0; m < s.Messages && err == nil; m++ {
+		for i := 0; i < len(offsets) && err == nil; i++ {
+			t0 := p.Now()
+			if s.Retry != nil {
+				err = d.SendRetry(va, offsets[i], s.Size, *s.Retry)
+			} else {
+				err = d.Send(va, offsets[i], s.Size)
+			}
+			err = done(p.Now()-t0, err)
+		}
+	}
+	return p.Now() - start, d.Stats(), err
 }
