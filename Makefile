@@ -2,7 +2,7 @@ GO ?= go
 GOFMT ?= gofmt
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt test race check bench experiments faults lossy serve mesh churn chaos scenarios fuzz simcheck cover profile
+.PHONY: all build vet fmt test race check golden bench experiments faults lossy serve mesh churn chaos scenarios fuzz simcheck cover profile
 
 all: check
 
@@ -26,6 +26,12 @@ race:
 # check is the CI gate: everything must compile, vet and gofmt clean,
 # and pass the test suite under the race detector.
 check: build vet fmt race
+
+# golden rewrites the committed telemetry snapshots in testdata/golden
+# (small serve, churn, chaos and torus incast runs) from the current
+# code; TestGolden compares against them byte for byte. Review the diff.
+golden:
+	$(GO) test -count=1 -run '^TestGolden$$' . -update
 
 # bench runs every experiment and records the machine-readable headline
 # metrics (bandwidth, latency percentiles, delivery counts) in

@@ -27,31 +27,20 @@ type Bus struct {
 	pioWords   uint64
 	bursts     uint64
 	waitCycles sim.Cycles
+	busyCycles sim.Cycles
 
-	m busMetrics
+	wait *telemetry.Histogram // arbitration waits; nil until SetMetrics
 }
 
-// busMetrics holds the bus's telemetry instruments, resolved once at
-// attach time. All nil (free no-ops) until SetMetrics is called with a
-// live scope.
-type busMetrics struct {
-	bursts     *telemetry.Counter
-	burstBytes *telemetry.Counter
-	pioWords   *telemetry.Counter
-	wait       *telemetry.Histogram
-	occupancy  *telemetry.Counter // cycles the bus was reserved
-}
-
-// SetMetrics attaches telemetry instruments (nil scope disables them).
-// Recording is a pure observation: it never advances the clock.
+// SetMetrics registers the bus's counters and attaches its wait
+// histogram (nil scope disables them). Recording is a pure
+// observation: it never advances the clock.
 func (b *Bus) SetMetrics(s *telemetry.Scope) {
-	b.m = busMetrics{
-		bursts:     s.Counter("bus_bursts"),
-		burstBytes: s.Counter("bus_burst_bytes"),
-		pioWords:   s.Counter("bus_pio_words"),
-		wait:       s.Histogram("bus_wait_cycles"),
-		occupancy:  s.Counter("bus_busy_cycles"),
-	}
+	s.CounterFunc("bus_bursts", func() uint64 { return b.bursts })
+	s.CounterFunc("bus_burst_bytes", func() uint64 { return b.burstBytes })
+	s.CounterFunc("bus_pio_words", func() uint64 { return b.pioWords })
+	s.CounterFunc("bus_busy_cycles", func() uint64 { return uint64(b.busyCycles) })
+	b.wait = s.Histogram("bus_wait_cycles")
 }
 
 // New returns an idle bus on the given clock.
@@ -74,18 +63,16 @@ func (b *Bus) ReserveBurst(earliest sim.Cycles, n int) (start, end sim.Cycles) {
 	start = earliest
 	if b.busyUntil > start {
 		b.waitCycles += b.busyUntil - start
-		b.m.wait.Observe(uint64(b.busyUntil - start))
+		b.wait.Observe(uint64(b.busyUntil - start))
 		start = b.busyUntil
 	} else {
-		b.m.wait.Observe(0)
+		b.wait.Observe(0)
 	}
 	end = start + b.costs.DMAStartup + b.costs.DMACycles(n)
 	b.busyUntil = end
 	b.burstBytes += uint64(n)
 	b.bursts++
-	b.m.bursts.Inc()
-	b.m.burstBytes.Add(uint64(n))
-	b.m.occupancy.Add(uint64(end - start))
+	b.busyCycles += end - start
 	return start, end
 }
 
@@ -105,8 +92,7 @@ func (b *Bus) PIOWord() {
 	b.busyUntil = end
 	b.clock.AdvanceTo(end)
 	b.pioWords++
-	b.m.pioWords.Inc()
-	b.m.occupancy.Add(uint64(b.costs.PIOWordCost))
+	b.busyCycles += b.costs.PIOWordCost
 }
 
 // BusyUntil returns the time the bus becomes free.
@@ -121,6 +107,7 @@ type Stats struct {
 	Bursts     uint64     // number of DMA bursts
 	PIOWords   uint64     // programmed-I/O words
 	WaitCycles sim.Cycles // total arbitration wait
+	BusyCycles sim.Cycles // cycles the bus was reserved (bursts + PIO words)
 }
 
 // Stats returns cumulative counters.
@@ -130,5 +117,6 @@ func (b *Bus) Stats() Stats {
 		Bursts:     b.bursts,
 		PIOWords:   b.pioWords,
 		WaitCycles: b.waitCycles,
+		BusyCycles: b.busyCycles,
 	}
 }

@@ -212,7 +212,9 @@ func New(cfg Config) *Cluster {
 		mcfg.Metrics = cfg.Metrics
 		node := machine.New(i, mcfg)
 		iface := nic.New(i, node.Clock, costs, node.RAM, node.Bus, c.Backplane, cfg.NIC)
-		iface.SetMetrics(node.Metrics)
+		if node.Metrics != nil { // as machine.New: no counter closures when off
+			iface.SetMetrics(node.Metrics)
+		}
 		iface.SetTracer(node.Tracer)
 		c.Backplane.SetTracer(i, node.Tracer)
 		var faulty *device.Faulty
@@ -653,9 +655,10 @@ func (c *Cluster) PublishRollup() {
 	root.Gauge("cluster_wire_corrupts").Set(int64(fs.Corrupts))
 	// Routed-fabric link telemetry: one busy-cycles counter and one
 	// queue-depth gauge per directed link that carried traffic, under
-	// link{src,dst} labels, plus cluster totals. Reading LinkStats is a
-	// pure observation — runs with and without metrics stay
-	// byte-identical.
+	// link{src,dst} labels, plus cluster totals. Like the rollup gauges,
+	// each link counter reports its link as of this call. Reading
+	// LinkStats is a pure observation — runs with and without metrics
+	// stay byte-identical.
 	var linkBusy, linkWait, linkPkts, linkPeak uint64
 	for _, ls := range c.Backplane.LinkStats() {
 		linkBusy += ls.BusyCycles
@@ -667,8 +670,8 @@ func (c *Cluster) PublishRollup() {
 		scope := c.metrics.Scope(
 			telemetry.L("src", strconv.Itoa(ls.From)),
 			telemetry.L("dst", strconv.Itoa(ls.To)))
-		ctr := scope.Counter("link_busy_cycles")
-		ctr.Add(ls.BusyCycles - ctr.Value()) // counters are monotonic; publish the delta
+		busy := ls.BusyCycles
+		scope.CounterFunc("link_busy_cycles", func() uint64 { return busy })
 		scope.Gauge("link_queue_depth").Set(int64(ls.PeakQueue))
 	}
 	root.Gauge("cluster_links_used").Set(int64(len(c.Backplane.LinkStats())))

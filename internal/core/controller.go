@@ -123,34 +123,31 @@ type Controller struct {
 	m     ctlMetrics
 }
 
-// ctlMetrics holds the controller's telemetry instruments. Nil
+// ctlMetrics holds the controller's gauge and histograms. Nil
 // instruments are free no-ops, matching the nil-tracer idiom, so the
 // initiation fast path costs one pointer check per record point when
 // metrics are off.
 type ctlMetrics struct {
-	initiations *telemetry.Counter
-	completions *telemetry.Counter
-	failures    *telemetry.Counter
-	queueFull   *telemetry.Counter
-	queueDepth  *telemetry.Gauge
-	latency     *telemetry.Histogram // enqueue (accepted LOAD) → completion
-	queueWait   *telemetry.Histogram // enqueue → engine start
-	bytes       *telemetry.Histogram
+	queueDepth *telemetry.Gauge
+	latency    *telemetry.Histogram // enqueue (accepted LOAD) → completion
+	queueWait  *telemetry.Histogram // enqueue → engine start
+	bytes      *telemetry.Histogram
 }
 
-// SetMetrics attaches telemetry instruments (nil scope disables them).
+// SetMetrics registers the controller's counters over its Stats and
+// attaches its gauge and histograms (nil scope disables them).
 // Recording never advances the clock or changes controller decisions:
 // a run with metrics enabled is cycle-identical to one without.
 func (c *Controller) SetMetrics(s *telemetry.Scope) {
+	s.CounterFunc("udma_initiations", func() uint64 { return c.stats.Initiations })
+	s.CounterFunc("udma_completions", func() uint64 { return c.stats.Completions })
+	s.CounterFunc("udma_failures", func() uint64 { return c.stats.Failures })
+	s.CounterFunc("udma_queue_full", func() uint64 { return c.stats.QueueFull })
 	c.m = ctlMetrics{
-		initiations: s.Counter("udma_initiations"),
-		completions: s.Counter("udma_completions"),
-		failures:    s.Counter("udma_failures"),
-		queueFull:   s.Counter("udma_queue_full"),
-		queueDepth:  s.Gauge("udma_queue_depth"),
-		latency:     s.Histogram("udma_xfer_latency_cycles"),
-		queueWait:   s.Histogram("udma_queue_wait_cycles"),
-		bytes:       s.Histogram("udma_xfer_bytes"),
+		queueDepth: s.Gauge("udma_queue_depth"),
+		latency:    s.Histogram("udma_xfer_latency_cycles"),
+		queueWait:  s.Histogram("udma_queue_wait_cycles"),
+		bytes:      s.Histogram("udma_xfer_bytes"),
 	}
 }
 
@@ -332,7 +329,6 @@ func (c *Controller) Load(pa addr.PAddr) Status {
 		// bytes), the same figure a status poll computes — not the raw
 		// latched count of the refused request.
 		c.stats.QueueFull++
-		c.m.queueFull.Inc()
 		return makeStatus(false, true, false, c.matchAny(pa), false, c.outstandingBytes(), device.ErrQueueFull)
 	default:
 		// Basic machine busy: the Store half was accepted while idle
@@ -343,7 +339,6 @@ func (c *Controller) Load(pa addr.PAddr) Status {
 	}
 
 	c.stats.Initiations++
-	c.m.initiations.Inc()
 	c.tracer.Record(trace.EvInitiation, uint64(req.src), uint64(req.dst),
 		fmt.Sprintf("%dB", req.count))
 	c.state = Idle // latch consumed; machine-level state is now derived
@@ -474,7 +469,6 @@ func (c *Controller) EnqueueSystem(src, dst addr.PAddr, count int) *SysTicket {
 			return req.ticket
 		}
 		c.stats.Initiations++
-		c.m.initiations.Inc()
 		c.m.queueWait.Observe(0)
 		req.startedAt = req.enqueuedAt
 		c.inflight = req
@@ -483,7 +477,6 @@ func (c *Controller) EnqueueSystem(src, dst addr.PAddr, count int) *SysTicket {
 		return req.ticket
 	}
 	c.stats.Initiations++
-	c.m.initiations.Inc()
 	c.sysQ = append(c.sysQ, req)
 	c.observeQueueDepth()
 	c.ref(req)
@@ -502,7 +495,6 @@ func (c *Controller) SystemQueueAvailable() bool {
 // ticket — but still frees the engine for the next request.
 func (c *Controller) onEngineDone(err error) {
 	c.stats.Completions++
-	c.m.completions.Inc()
 	if c.hasInflight {
 		if err != nil {
 			c.failTransfer(c.inflight, err)
@@ -559,7 +551,6 @@ func (c *Controller) startNext() {
 // the user-visible error latch, and the kernel's ticket.
 func (c *Controller) failTransfer(r request, err error) {
 	c.stats.Failures++
-	c.m.failures.Inc()
 	c.tracer.Span(trace.EvTransferFail, r.enqueuedAt, uint64(r.src), uint64(r.dst), err.Error())
 	if r.base != 0 {
 		c.failedBits[r.base] = errBitsOf(err)

@@ -145,22 +145,21 @@ type Engine struct {
 	m      engineMetrics
 }
 
-// engineMetrics holds the engine's telemetry instruments (all nil
-// no-ops until SetMetrics attaches a live scope).
+// engineMetrics holds the engine's telemetry histograms (nil no-ops
+// until SetMetrics attaches a live scope).
 type engineMetrics struct {
-	transfers *telemetry.Counter
-	failures  *telemetry.Counter
-	bytes     *telemetry.Histogram
-	cycles    *telemetry.Histogram
+	bytes  *telemetry.Histogram
+	cycles *telemetry.Histogram
 }
 
-// SetMetrics attaches telemetry instruments (nil scope disables them).
+// SetMetrics registers the engine's counters and attaches its
+// histograms (nil scope disables them).
 func (e *Engine) SetMetrics(s *telemetry.Scope) {
+	s.CounterFunc("dma_transfers", func() uint64 { return e.transfers })
+	s.CounterFunc("dma_failures", func() uint64 { return e.failures })
 	e.m = engineMetrics{
-		transfers: s.Counter("dma_transfers"),
-		failures:  s.Counter("dma_failures"),
-		bytes:     s.Histogram("dma_transfer_bytes"),
-		cycles:    s.Histogram("dma_transfer_cycles"),
+		bytes:  s.Histogram("dma_transfer_bytes"),
+		cycles: s.Histogram("dma_transfer_cycles"),
 	}
 }
 
@@ -315,11 +314,9 @@ func (e *Engine) complete(dev device.Device, da device.DevAddr, dir Direction, m
 	if err == nil {
 		e.transfers++
 		e.bytes += uint64(count)
-		e.m.transfers.Inc()
 	} else {
 		e.failures++
 		e.failedBytes += uint64(count)
-		e.m.failures.Inc()
 		err = &TransferError{Kind: kind, Stage: "complete", Src: e.src, Dst: e.dst,
 			Count: count, Err: err}
 	}

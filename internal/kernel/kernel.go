@@ -125,36 +125,20 @@ type Kernel struct {
 	hooks TestHooks
 
 	tracer *trace.Tracer // nil = tracing off
-	m      kernMetrics
 }
 
-// kernMetrics holds the kernel's telemetry instruments (nil no-ops
-// until SetMetrics attaches a live scope).
-type kernMetrics struct {
-	ctxSwitches   *telemetry.Counter
-	invals        *telemetry.Counter
-	pageFaults    *telemetry.Counter
-	proxyFaults   *telemetry.Counter
-	pins          *telemetry.Counter
-	unpins        *telemetry.Counter
-	evictions     *telemetry.Counter
-	pageIns       *telemetry.Counter
-	machineChecks *telemetry.Counter
-}
-
-// SetMetrics attaches telemetry instruments (nil scope disables them).
+// SetMetrics registers the kernel's counters over its Stats (nil scope
+// registers none).
 func (k *Kernel) SetMetrics(s *telemetry.Scope) {
-	k.m = kernMetrics{
-		ctxSwitches:   s.Counter("kernel_context_switches"),
-		invals:        s.Counter("kernel_invals"),
-		pageFaults:    s.Counter("kernel_page_faults"),
-		proxyFaults:   s.Counter("kernel_proxy_faults"),
-		pins:          s.Counter("kernel_pins"),
-		unpins:        s.Counter("kernel_unpins"),
-		evictions:     s.Counter("kernel_evictions"),
-		pageIns:       s.Counter("kernel_page_ins"),
-		machineChecks: s.Counter("kernel_machine_checks"),
-	}
+	s.CounterFunc("kernel_context_switches", func() uint64 { return k.stats.ContextSwitches })
+	s.CounterFunc("kernel_invals", func() uint64 { return k.stats.Invals })
+	s.CounterFunc("kernel_page_faults", func() uint64 { return k.stats.PageFaults })
+	s.CounterFunc("kernel_proxy_faults", func() uint64 { return k.stats.ProxyFaults })
+	s.CounterFunc("kernel_pins", func() uint64 { return k.stats.Pins })
+	s.CounterFunc("kernel_unpins", func() uint64 { return k.stats.Unpins })
+	s.CounterFunc("kernel_evictions", func() uint64 { return k.stats.Evictions })
+	s.CounterFunc("kernel_page_ins", func() uint64 { return k.stats.PageIns })
+	s.CounterFunc("kernel_machine_checks", func() uint64 { return k.stats.MachineChecks })
 }
 
 type frameInfo struct {
@@ -233,7 +217,6 @@ func New(clock *sim.Clock, costs *sim.CostModel, ram *mem.Physical, swap *mem.Ba
 // sleeping forever. It returns how many transfers were discarded.
 func (k *Kernel) MachineCheck(reason error) int {
 	k.stats.MachineChecks++
-	k.m.machineChecks.Inc()
 	msg := ""
 	if reason != nil {
 		msg = reason.Error()
@@ -411,7 +394,6 @@ func (k *Kernel) switchTo(p *Proc) {
 		return
 	}
 	k.stats.ContextSwitches++
-	k.m.ctxSwitches.Inc()
 	k.tracer.Record(trace.EvContextSwitch, uint64(p.pid), 0, p.name)
 	k.clock.Advance(k.costs.ContextSwitch)
 	if k.current != nil {
@@ -425,7 +407,6 @@ func (k *Kernel) switchTo(p *Proc) {
 		// single STORE instruction."
 		k.udma.Inval()
 		k.stats.Invals++
-		k.m.invals.Inc()
 	}
 	k.current = p
 	p.quantum = k.cfg.Quantum

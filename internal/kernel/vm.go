@@ -97,7 +97,6 @@ func (k *Kernel) releaseFrame(pfn uint32) {
 func (k *Kernel) pinFrame(pfn uint32) {
 	k.frames[pfn].pinned++
 	k.stats.Pins++
-	k.m.pins.Inc()
 	k.clock.Advance(k.costs.PinPage)
 }
 
@@ -107,7 +106,6 @@ func (k *Kernel) unpinFrame(pfn uint32) {
 	}
 	k.frames[pfn].pinned--
 	k.stats.Unpins++
-	k.m.unpins.Inc()
 	k.clock.Advance(k.costs.UnpinPage)
 }
 
@@ -189,7 +187,6 @@ func (k *Kernel) engineRegisterNames(pfn uint32) bool {
 // I2 by invalidating the proxy PTE whenever the real mapping changes.
 func (k *Kernel) evictFrame(pfn uint32, owner *Proc, vpn uint32, pte *mmu.PTE) error {
 	k.stats.Evictions++
-	k.m.evictions.Inc()
 	k.tracer.Record(trace.EvEviction, uint64(pfn), uint64(vpn), owner.name)
 
 	if pte.Dirty || pte.SwapSlot == 0 {
@@ -245,7 +242,6 @@ func (k *Kernel) pageIn(p *Proc, vpn uint32, pte *mmu.PTE) error {
 	}
 	k.clock.Advance(k.costs.PageInLatency)
 	k.stats.PageIns++
-	k.m.pageIns.Inc()
 	k.tracer.Record(trace.EvPageIn, uint64(pfn), uint64(vpn), p.name)
 	pte.Present = true
 	pte.Dirty = false
@@ -261,7 +257,6 @@ func (k *Kernel) pageIn(p *Proc, vpn uint32, pte *mmu.PTE) error {
 // should be retried.
 func (k *Kernel) handleFault(p *Proc, f *mmu.Fault) error {
 	k.stats.PageFaults++
-	k.m.pageFaults.Inc()
 	kind := trace.EvPageFault
 	if addr.VRegionOf(f.VA).IsProxy() {
 		kind = trace.EvProxyFault
@@ -303,7 +298,6 @@ func (k *Kernel) handleMemFault(p *Proc, f *mmu.Fault) error {
 // I3 write-upgrade protocol ("Maintaining I3").
 func (k *Kernel) handleMemProxyFault(p *Proc, f *mmu.Fault) error {
 	k.stats.ProxyFaults++
-	k.m.proxyFaults.Inc()
 	proxyVPN := addr.VPN(f.VA)
 	realVPN := addr.VPN(addr.VUnproxy(f.VA))
 	realPTE := p.as.Lookup(realVPN)
@@ -383,7 +377,6 @@ func (k *Kernel) handleDevProxyFault(p *Proc, f *mmu.Fault) error {
 		return p.segfault(f.VA, f.Access, f.Kind)
 	}
 	k.stats.ProxyFaults++
-	k.m.proxyFaults.Inc()
 	vpn := addr.VPN(f.VA)
 	// The simulated machine identity-maps device proxy space: virtual
 	// device-proxy page N corresponds to physical device-proxy page N.

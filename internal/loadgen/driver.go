@@ -141,6 +141,10 @@ func NewDriver(plan *Plan, cl *cluster.Cluster, opts DriverOptions) *Driver {
 			lastSeq: make(map[int]int),
 		}
 		dr.nodes = append(dr.nodes, ns)
+		if opts.Metrics != nil {
+			opts.Metrics.Scope(telemetry.L("node", fmt.Sprint(i))).CounterFunc("loadgen_arrivals",
+				func() uint64 { return uint64(ns.nextArr) })
+		}
 	}
 	for i := range dr.nodes {
 		dr.spawnNode(i)
@@ -202,7 +206,6 @@ func (dr *Driver) receiverBody(node int) func(p *kernel.Proc) {
 func (dr *Driver) pacerBody(node int) func(p *kernel.Proc) {
 	return func(p *kernel.Proc) {
 		ns := dr.nodes[node]
-		arrCtr := dr.opts.Metrics.Counter("loadgen_arrivals", telemetry.L("node", fmt.Sprint(node)))
 		schedule := dr.Plan.Arrivals[node]
 		// Resume from ns.nextArr: a respawned pacer (the node crashed and
 		// rebooted) walks the same schedule from where the kill hit it —
@@ -224,7 +227,6 @@ func (dr *Driver) pacerBody(node int) func(p *kernel.Proc) {
 			if ns.depthNow > ns.maxDepth {
 				ns.maxDepth = ns.depthNow
 			}
-			arrCtr.Inc()
 		}
 		ns.pacerDone = true
 	}

@@ -2,7 +2,9 @@ package loadgen
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"shrimp/internal/cluster"
@@ -248,31 +250,56 @@ func TestKnee(t *testing.T) {
 	}
 }
 
+// TestMetricsMirrorIsPureObserver: attaching a registry must not change
+// a trial in any regime — clean serving, churn against a small NIPT
+// cache, and crash–restart chaos — and the mirror must carry populated
+// sojourn histograms and NIPT counters that add up (every lookup hits
+// or misses) on every node.
 func TestMetricsMirrorIsPureObserver(t *testing.T) {
-	plain, err := RunTrial(testConfig(150))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.New()
-	tc := testConfig(150)
-	tc.Metrics = reg
-	mirrored, err := RunTrial(tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Fingerprint() != mirrored.Fingerprint() {
-		t.Fatal("attaching telemetry changed the simulation")
-	}
-	snap := reg.Snapshot()
-	found := false
-	for _, h := range snap.Histograms {
-		if h.Count > 0 && h.P999 > 0 &&
-			len(h.Name) >= len("loadgen_sojourn_cycles") &&
-			h.Name[:len("loadgen_sojourn_cycles")] == "loadgen_sojourn_cycles" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no populated loadgen sojourn histogram in snapshot: %+v", snap.Histograms)
+	churn := churnConfig(150)
+	churn.NIPTCapacity = 8
+	for _, tc := range []struct {
+		name string
+		cfg  TrialConfig
+	}{
+		{"clean", testConfig(150)},
+		{"churn", churn},
+		{"chaos", chaosConfig(150)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plain, err := RunTrial(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := telemetry.New()
+			cfg := tc.cfg
+			cfg.Metrics = reg
+			mirrored, err := RunTrial(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain.Fingerprint() != mirrored.Fingerprint() {
+				t.Fatal("attaching telemetry changed the simulation")
+			}
+			snap := reg.Snapshot()
+			found := false
+			for _, h := range snap.Histograms {
+				if h.Count > 0 && h.P999 > 0 && strings.HasPrefix(h.Name, "loadgen_sojourn_cycles") {
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("no populated loadgen sojourn histogram in snapshot: %+v", snap.Histograms)
+			}
+			for node := 0; node < cfg.Nodes; node++ {
+				get := func(name string) uint64 {
+					c, _ := snap.Counter(fmt.Sprintf("%s{node=%d}", name, node))
+					return c.Value
+				}
+				if l, h, m := get("nic_nipt_lookups"), get("nipt_hits"), get("nipt_misses"); l == 0 || l != h+m {
+					t.Errorf("node %d: nic_nipt_lookups %d, nipt_hits %d + nipt_misses %d", node, l, h, m)
+				}
+			}
+		})
 	}
 }

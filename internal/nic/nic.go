@@ -131,39 +131,16 @@ type Interface struct {
 	m     nicMetrics
 }
 
-// nicMetrics holds the board's telemetry instruments, resolved once at
+// nicMetrics holds the board's gauges and histograms, resolved once at
 // attach time. All nil (free no-ops) until SetMetrics is called.
 type nicMetrics struct {
-	pktsSent    *telemetry.Counter
-	bytesSent   *telemetry.Counter
-	pktsRecv    *telemetry.Counter
-	bytesRecv   *telemetry.Counter
-	niptLookups *telemetry.Counter
-	recvDrops   *telemetry.Counter
-	pktBytes    *telemetry.Histogram
+	pktBytes *telemetry.Histogram
+	ackRTT   *telemetry.Histogram
 
-	// NIPT cache instruments.
-	niptHits         *telemetry.Counter
-	niptMisses       *telemetry.Counter
-	niptEvictions    *telemetry.Counter
-	niptRefillCycles *telemetry.Counter
-
-	// Reliability-state pool instruments (see reclaim.go).
-	relReclaims  *telemetry.Counter
+	// Reliability-state pool levels (see reclaim.go).
 	relSenders   *telemetry.Gauge
 	relReceivers *telemetry.Gauge
 	relPoolFree  *telemetry.Gauge
-
-	// Reliability-layer instruments.
-	retransmits      *telemetry.Counter
-	acksSent         *telemetry.Counter
-	acksRecv         *telemetry.Counter
-	dupAcks          *telemetry.Counter
-	crcDropped       *telemetry.Counter
-	dupDropped       *telemetry.Counter
-	creditStalls     *telemetry.Counter
-	deliveryFailures *telemetry.Counter
-	ackRTT           *telemetry.Histogram
 }
 
 // pioState is the memory-mapped FIFO mode's register file.
@@ -257,37 +234,39 @@ func (n *Interface) Reliable() bool { return n.rel != nil }
 // SetTracer attaches an event tracer (nil disables tracing).
 func (n *Interface) SetTracer(t *trace.Tracer) { n.tracer = t }
 
-// SetMetrics attaches telemetry instruments (nil scope disables them).
+// SetMetrics registers the board's counters over its Stats and
+// attaches its gauges and histograms (nil scope disables them).
 // Recording is a pure observation: it never advances the clock.
 func (n *Interface) SetMetrics(s *telemetry.Scope) {
+	st := &n.stats
+	s.CounterFunc("nic_packets_sent", func() uint64 { return st.PacketsSent })
+	s.CounterFunc("nic_bytes_sent", func() uint64 { return st.BytesSent })
+	s.CounterFunc("nic_packets_recv", func() uint64 { return st.PacketsReceived })
+	s.CounterFunc("nic_bytes_recv", func() uint64 { return st.BytesReceived })
+	s.CounterFunc("nic_nipt_lookups", func() uint64 { return st.NIPTLookups })
+	s.CounterFunc("nic_recv_drops", func() uint64 { return st.RecvDrops })
+
+	s.CounterFunc("nipt_hits", func() uint64 { return st.NIPTHits })
+	s.CounterFunc("nipt_misses", func() uint64 { return st.NIPTMisses })
+	s.CounterFunc("nipt_evictions", func() uint64 { return st.NIPTEvictions })
+	s.CounterFunc("nipt_refill_cycles", func() uint64 { return st.NIPTRefillCycles })
+	s.CounterFunc("nic_rel_reclaims", func() uint64 { return st.SenderReclaims + st.ReceiverReclaims })
+
+	s.CounterFunc("nic_retransmits", func() uint64 { return st.Retransmits })
+	s.CounterFunc("nic_acks_sent", func() uint64 { return st.AcksSent })
+	s.CounterFunc("nic_acks_recv", func() uint64 { return st.AcksReceived })
+	s.CounterFunc("nic_dup_acks", func() uint64 { return st.DupAcks })
+	s.CounterFunc("nic_crc_dropped", func() uint64 { return st.CorruptDropped })
+	s.CounterFunc("nic_dup_dropped", func() uint64 { return st.DupDropped })
+	s.CounterFunc("nic_credit_stalls", func() uint64 { return st.CreditStalls })
+	s.CounterFunc("nic_delivery_failures", func() uint64 { return st.DeliveryFailures })
+
 	n.m = nicMetrics{
-		pktsSent:    s.Counter("nic_packets_sent"),
-		bytesSent:   s.Counter("nic_bytes_sent"),
-		pktsRecv:    s.Counter("nic_packets_recv"),
-		bytesRecv:   s.Counter("nic_bytes_recv"),
-		niptLookups: s.Counter("nic_nipt_lookups"),
-		recvDrops:   s.Counter("nic_recv_drops"),
-		pktBytes:    s.Histogram("nic_packet_bytes"),
-
-		niptHits:         s.Counter("nipt_hits"),
-		niptMisses:       s.Counter("nipt_misses"),
-		niptEvictions:    s.Counter("nipt_evictions"),
-		niptRefillCycles: s.Counter("nipt_refill_cycles"),
-
-		relReclaims:  s.Counter("nic_rel_reclaims"),
+		pktBytes:     s.Histogram("nic_packet_bytes"),
+		ackRTT:       s.Histogram("nic_ack_rtt_cycles"),
 		relSenders:   s.Gauge("nic_rel_senders_active"),
 		relReceivers: s.Gauge("nic_rel_receivers_active"),
 		relPoolFree:  s.Gauge("nic_rel_pool_free"),
-
-		retransmits:      s.Counter("nic_retransmits"),
-		acksSent:         s.Counter("nic_acks_sent"),
-		acksRecv:         s.Counter("nic_acks_recv"),
-		dupAcks:          s.Counter("nic_dup_acks"),
-		crcDropped:       s.Counter("nic_crc_dropped"),
-		dupDropped:       s.Counter("nic_dup_dropped"),
-		creditStalls:     s.Counter("nic_credit_stalls"),
-		deliveryFailures: s.Counter("nic_delivery_failures"),
-		ackRTT:           s.Histogram("nic_ack_rtt_cycles"),
 	}
 }
 
@@ -361,7 +340,6 @@ func (n *Interface) CheckTransfer(da device.DevAddr, nbytes int, toDevice bool) 
 		s := n.sender(n.nipt[da.Page].DestNode)
 		if s.broken == nil && len(s.pending)+len(s.unacked) >= n.rel.cfg.MaxPending {
 			n.stats.CreditStalls++
-			n.m.creditStalls.Inc()
 			n.tracer.Record(trace.EvCreditStall, uint64(s.dest), uint64(len(s.unacked)), "")
 			bits |= device.ErrQueueFull
 		}
@@ -374,7 +352,6 @@ func (n *Interface) CheckTransfer(da device.DevAddr, nbytes int, toDevice bool) 
 // miss adds the host-memory refill cost, and the entry is pinned for
 // the duration of the transfer (released by the completion Write).
 func (n *Interface) TransferLatency(da device.DevAddr, _ int) sim.Cycles {
-	n.m.niptLookups.Inc()
 	lat := n.costs.NIPTLookup + n.costs.PacketHeader + n.costs.PacketPerPage
 	if da.Page < uint32(len(n.nipt)) && n.nipt[da.Page].Valid {
 		lat += n.lookupNIPT(da.Page, true)
@@ -421,8 +398,6 @@ func (n *Interface) launch(e NIPTEntry, off uint32, data []byte) error {
 	})
 	n.stats.PacketsSent++
 	n.stats.BytesSent += uint64(len(data))
-	n.m.pktsSent.Inc()
-	n.m.bytesSent.Add(uint64(len(data)))
 	n.m.pktBytes.Observe(uint64(len(data)))
 	n.tracer.Record(trace.EvPacketSend, uint64(e.DestNode), uint64(len(data)), "")
 	return nil
@@ -473,7 +448,6 @@ func (n *Interface) deliverData(pkt *interconnect.Packet) {
 		// interrupt).
 		n.stats.RecvDrops++
 		n.stats.RecvDropBytes += uint64(len(pkt.Payload))
-		n.m.recvDrops.Inc()
 		return
 	}
 	arrive := n.clock.Now()
@@ -493,14 +467,11 @@ func (n *Interface) deliverData(pkt *interconnect.Packet) {
 		if err := n.ram.Write(dest, payload); err != nil {
 			n.stats.RecvDrops++
 			n.stats.RecvDropBytes += uint64(len(payload))
-			n.m.recvDrops.Inc()
 			return
 		}
 		n.stats.PacketsReceived++
 		n.stats.BytesReceived += uint64(len(payload))
 		n.stats.LastRecvAt = n.clock.Now()
-		n.m.pktsRecv.Inc()
-		n.m.bytesRecv.Add(uint64(len(payload)))
 		n.tracer.Span(trace.EvPacketRecv, arrive, uint64(pkt.Src), uint64(len(payload)), "")
 	})
 }

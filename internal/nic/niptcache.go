@@ -65,7 +65,6 @@ func (n *Interface) lookupNIPT(idx uint32, pin bool) sim.Cycles {
 	c := n.cache
 	if c == nil {
 		n.stats.NIPTHits++
-		n.m.niptHits.Inc()
 		return 0
 	}
 	if pin {
@@ -76,20 +75,17 @@ func (n *Interface) lookupNIPT(idx uint32, pin bool) sim.Cycles {
 		line.used = c.tick
 		c.lines[idx] = line
 		n.stats.NIPTHits++
-		n.m.niptHits.Inc()
 		if pin {
 			c.pinned, c.hasPin = idx, true
 		}
 		return 0
 	}
 	n.stats.NIPTMisses++
-	n.m.niptMisses.Inc()
 	cost := c.refill
 	if c.jitter > 0 {
 		cost += sim.Cycles(c.rng.Intn(int(c.jitter)))
 	}
 	n.stats.NIPTRefillCycles += uint64(cost)
-	n.m.niptRefillCycles.Add(uint64(cost))
 	if n.installLine(idx) && pin {
 		c.pinned, c.hasPin = idx, true
 	}
@@ -139,7 +135,6 @@ func (n *Interface) evictLine() bool {
 	}
 	delete(c.lines, victim)
 	n.stats.NIPTEvictions++
-	n.m.niptEvictions.Inc()
 	return true
 }
 

@@ -51,7 +51,6 @@ func (n *Interface) ReclaimIdle() int {
 		delete(n.rel.senders, dest)
 		n.rel.senderPool = append(n.rel.senderPool, s)
 		n.stats.SenderReclaims++
-		n.m.relReclaims.Inc()
 		reclaimed++
 	}
 	for _, src := range sortedKeys(n.rel.receivers) {
@@ -63,7 +62,6 @@ func (n *Interface) ReclaimIdle() int {
 		delete(n.rel.receivers, src)
 		n.rel.recvPool = append(n.rel.recvPool, r)
 		n.stats.ReceiverReclaims++
-		n.m.relReclaims.Inc()
 		reclaimed++
 	}
 	return reclaimed

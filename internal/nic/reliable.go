@@ -312,15 +312,12 @@ func (n *Interface) transmitData(s *relSender, p *relPkt, retrans bool) {
 		p.firstSent = n.clock.Now()
 		n.stats.PacketsSent++
 		n.stats.BytesSent += uint64(len(p.payload))
-		n.m.pktsSent.Inc()
-		n.m.bytesSent.Add(uint64(len(p.payload)))
 		n.m.pktBytes.Observe(uint64(len(p.payload)))
 		n.tracer.Record(trace.EvPacketSend, uint64(s.dest), uint64(len(p.payload)), "")
 	} else {
 		p.retx = true
 		n.stats.Retransmits++
 		n.stats.RetransBytes += uint64(len(p.payload))
-		n.m.retransmits.Inc()
 		n.tracer.Record(trace.EvRetransmit, uint64(s.dest), p.seq, "")
 	}
 	n.net.Send(pkt)
@@ -381,7 +378,6 @@ func (n *Interface) breakLink(s *relSender) {
 	}
 	s.broken = &DeliveryError{Dest: s.dest, Epoch: s.epoch, Lost: lost}
 	n.stats.DeliveryFailures++
-	n.m.deliveryFailures.Inc()
 	n.tracer.Record(trace.EvDeliveryFail, uint64(s.dest), uint64(lost), "retry cap")
 	if s.timer != nil {
 		n.clock.Cancel(s.timer)
@@ -400,12 +396,10 @@ func (n *Interface) breakLink(s *relSender) {
 func (n *Interface) handleAck(pkt *interconnect.Packet) {
 	if packetCRC(pkt) != pkt.CRC {
 		n.stats.CorruptDropped++
-		n.m.crcDropped.Inc()
 		n.tracer.Record(trace.EvCrcDrop, uint64(pkt.Src), pkt.Ack, "ack")
 		return
 	}
 	n.stats.AcksReceived++
-	n.m.acksRecv.Inc()
 	s := n.sender(pkt.Src)
 	s.lastActive = n.clock.Now()
 	if pkt.Epoch != s.epoch {
@@ -428,7 +422,6 @@ func (n *Interface) handleAck(pkt *interconnect.Packet) {
 		}
 	} else {
 		n.stats.DupAcks++
-		n.m.dupAcks.Inc()
 	}
 	s.advWindow = int(pkt.Window)
 	n.pump(s)
@@ -442,7 +435,6 @@ func (n *Interface) recvData(pkt *interconnect.Packet) {
 	if packetCRC(pkt) != pkt.CRC {
 		n.stats.CorruptDropped++
 		n.stats.CorruptBytes += uint64(len(pkt.Payload))
-		n.m.crcDropped.Inc()
 		n.tracer.Record(trace.EvCrcDrop, uint64(pkt.Src), pkt.Seq, "data")
 		return
 	}
@@ -469,7 +461,6 @@ func (n *Interface) recvData(pkt *interconnect.Packet) {
 		// it). Re-ACK so a sender that missed the ACK can move on.
 		n.stats.DupDropped++
 		n.stats.DupBytes += uint64(len(pkt.Payload))
-		n.m.dupDropped.Inc()
 		n.tracer.Record(trace.EvDupDrop, uint64(pkt.Src), pkt.Seq, "")
 		n.sendAck(r)
 	case pkt.Seq == r.expected:
@@ -489,7 +480,6 @@ func (n *Interface) recvData(pkt *interconnect.Packet) {
 		if _, dup := r.reseq[pkt.Seq]; dup {
 			n.stats.DupDropped++
 			n.stats.DupBytes += uint64(len(pkt.Payload))
-			n.m.dupDropped.Inc()
 		} else if len(r.reseq) >= n.rel.cfg.ReseqBuf ||
 			pkt.Seq > r.expected+uint64(n.rel.cfg.ReseqBuf) {
 			// No room (or hopelessly far ahead): the retransmit will
@@ -519,7 +509,6 @@ func (n *Interface) sendAck(r *relReceiver) {
 	}
 	ack.CRC = packetCRC(ack)
 	n.stats.AcksSent++
-	n.m.acksSent.Inc()
 	n.net.Send(ack)
 }
 

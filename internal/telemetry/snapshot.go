@@ -46,15 +46,17 @@ type Snapshot struct {
 	Histograms []HistSnap    `json:"histograms"`
 }
 
-// Snapshot renders the registry's current state. Nil-safe: a nil
-// registry snapshots as empty.
+// Snapshot renders the registry's current state, calling every counter
+// func. Take it between windows or after a run, never while a worker
+// runs a node (see the package doc). Nil-safe: a nil registry
+// snapshots as empty.
 func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{}
 	if r == nil {
 		return s
 	}
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
+	counters := make(map[string]func() uint64, len(r.counters))
 	for k, c := range r.counters {
 		counters[k] = c
 	}
@@ -67,8 +69,8 @@ func (r *Registry) Snapshot() *Snapshot {
 		hists[k] = h
 	}
 	r.mu.Unlock()
-	for k, c := range counters {
-		s.Counters = append(s.Counters, CounterSnap{Name: k, Value: c.Value()})
+	for k, read := range counters {
+		s.Counters = append(s.Counters, CounterSnap{Name: k, Value: read()})
 	}
 	for k, g := range gauges {
 		s.Gauges = append(s.Gauges, GaugeSnap{Name: k, Value: g.Value(), Max: g.Max()})

@@ -3,7 +3,16 @@
 // keyed by name and small label sets, plus the list of per-node event
 // tracers (internal/trace) that WriteChromeTrace exports to Perfetto.
 //
-// Three properties are load-bearing and guarded by tests:
+// Counters are pulled, gauges and histograms are pushed. Every layer
+// already counts its events in its own Stats; a counter is a read of
+// one of those fields, registered once at attach time with
+// Scope.CounterFunc and evaluated when a Snapshot is taken. An event is
+// therefore counted exactly once, and counting costs nothing at record
+// time. Gauges (live levels with a high-water mark) and histograms
+// (distributions) hold state no Stats keeps, so layers record into them
+// as events happen.
+//
+// Four properties are load-bearing and guarded by tests:
 //
 //   - Pure observer. Recording reads the simulated clock but never
 //     advances it, schedules no events, and consumes no randomness, so
@@ -12,18 +21,23 @@
 //     observation test). A metric that perturbed timing would invalidate
 //     every number it reported.
 //
-//   - Free when disabled. Like trace.Tracer, every instrument is
-//     nil-safe: components hold possibly-nil *Counter/*Gauge/*Histogram
-//     pointers resolved once at attach time, and a nil receiver is a
-//     no-op. The hot paths pay one nil check per record point.
+//   - Free when disabled. Like trace.Tracer, every pushed instrument is
+//     nil-safe: components hold possibly-nil *Gauge/*Histogram pointers
+//     resolved once at attach time, and a nil receiver is a no-op. A nil
+//     scope registers no counter funcs. The hot paths pay one nil check
+//     per gauge or histogram record point and nothing per counted event.
 //
 //   - Safe under concurrent scopes. When internal/cluster runs nodes on
 //     parallel workers, each node records through its own per-node
-//     scope into the shared registry. Counters, gauges and histograms
-//     use atomics, so a snapshot taken after a barrier is byte-identical
-//     regardless of worker count or goroutine scheduling. Events go to
-//     the node's own trace.Tracer, which has one writer at a time and
-//     needs no lock.
+//     scope into the shared registry. Gauges and histograms use atomics,
+//     and events go to the node's own trace.Tracer, which has one writer
+//     at a time and needs no lock.
+//
+//   - Snapshots are taken between windows. A counter func reads plain
+//     layer state that a worker writes while its node's window runs, so
+//     Snapshot must be called when no window is running: at a barrier
+//     or after the run. A snapshot taken there is byte-identical
+//     regardless of worker count or goroutine scheduling.
 //
 // Instruments are identified by a name plus an ordered label set
 // ("udma_xfer_latency_cycles{node=0}"). Cycle-valued histograms use the
@@ -49,37 +63,9 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// Counter is a monotonically increasing count. The nil Counter is a
-// valid "metrics off" value: Add and Inc on nil are no-ops. Updates are
-// atomic, so scopes on different workers may share one counter.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
-	}
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
 // Gauge is a point-in-time level (queue depth, bytes outstanding) that
-// also tracks its high-water mark. Nil-safe like Counter. Add is an
+// also tracks its high-water mark. The nil Gauge is a valid "metrics
+// off" value: every method on nil is a no-op or reads 0. Add is an
 // atomic read-modify-write so concurrent deltas never lose updates; Set
 // is a plain store and should only race with itself when callers accept
 // last-writer-wins semantics (per-node gauges never share writers).
@@ -138,7 +124,7 @@ func (g *Gauge) Max() int64 {
 // instrument updates themselves are lock-free.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter
+	counters map[string]func() uint64
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	tracers  []procTracer
@@ -153,7 +139,7 @@ type procTracer struct {
 // New returns an empty registry.
 func New() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
+		counters: make(map[string]func() uint64),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
@@ -178,23 +164,6 @@ func key(name string, labels []Label) string {
 	}
 	sb.WriteByte('}')
 	return sb.String()
-}
-
-// Counter returns (creating if needed) the counter with the given name
-// and labels. Nil registry returns nil — a valid no-op instrument.
-func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	if r == nil {
-		return nil
-	}
-	k := key(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[k]
-	if !ok {
-		c = &Counter{}
-		r.counters[k] = c
-	}
-	return c
 }
 
 // Gauge returns (creating if needed) the gauge with the given identity.
@@ -253,9 +222,10 @@ func (r *Registry) procTracers() []procTracer {
 }
 
 // Scope is a registry handle with a pre-bound label set (typically
-// node=N). Components resolve their instruments once through a scope at
-// attach time; a nil *Scope resolves every instrument to nil, so the
-// same code path is free when metrics are off.
+// node=N). Components register their counters and resolve their gauges
+// and histograms once through a scope at attach time; a nil *Scope
+// registers nothing and resolves every instrument to nil, so the same
+// code path is free when metrics are off.
 type Scope struct {
 	reg    *Registry
 	labels []Label
@@ -281,12 +251,18 @@ func (s *Scope) Registry() *Registry {
 	return s.reg
 }
 
-// Counter resolves a counter under the scope's labels.
-func (s *Scope) Counter(name string) *Counter {
+// CounterFunc registers the counter name under the scope's labels as a
+// read of layer state: Snapshot calls read and reports what it returns.
+// Registering a key again replaces the earlier func. A nil scope
+// registers nothing.
+func (s *Scope) CounterFunc(name string, read func() uint64) {
 	if s == nil {
-		return nil
+		return
 	}
-	return s.reg.Counter(name, s.labels...)
+	k := key(name, s.labels)
+	s.reg.mu.Lock()
+	s.reg.counters[k] = read
+	s.reg.mu.Unlock()
 }
 
 // Gauge resolves a gauge under the scope's labels.

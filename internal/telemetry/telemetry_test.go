@@ -3,32 +3,30 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
 
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x")
 	g := r.Gauge("y")
 	h := r.Histogram("z")
-	if c != nil || g != nil || h != nil {
+	if g != nil || h != nil {
 		t.Fatal("nil registry produced live instruments")
 	}
 	// All nil-instrument operations must be no-ops, not panics.
-	c.Inc()
-	c.Add(5)
 	g.Set(3)
 	g.Add(-1)
 	h.Observe(42)
-	if c.Value() != 0 || g.Value() != 0 || g.Max() != 0 || h.Count() != 0 {
+	if g.Value() != 0 || g.Max() != 0 || h.Count() != 0 {
 		t.Fatal("nil instruments accumulated state")
 	}
 	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
 		t.Fatal("nil histogram reads nonzero")
 	}
 	var s *Scope
-	if s.Counter("x") != nil || s.Gauge("y") != nil || s.Histogram("z") != nil {
+	if s.Gauge("y") != nil || s.Histogram("z") != nil {
 		t.Fatal("nil scope produced live instruments")
 	}
 	if r.Scope(L("node", "0")) != nil {
@@ -40,21 +38,86 @@ func TestNilRegistrySafe(t *testing.T) {
 	}
 }
 
+// TestCounterFuncNilScope: with metrics off a layer's SetMetrics still
+// registers its counters, through a nil scope, and that must neither
+// panic nor ever call the read func.
+func TestCounterFuncNilScope(t *testing.T) {
+	var s *Scope
+	s.CounterFunc("x", func() uint64 {
+		t.Fatal("nil scope called a counter func")
+		return 0
+	})
+}
+
+// TestCounterFuncReadAtSnapshot: a counter is a read of layer state, so
+// each snapshot reports the state at snapshot time, not at
+// registration.
+func TestCounterFuncReadAtSnapshot(t *testing.T) {
+	r := New()
+	var events uint64 = 1
+	r.Scope(L("node", "0")).CounterFunc("events", func() uint64 { return events })
+	events = 5
+	if c, ok := r.Snapshot().Counter("events{node=0}"); !ok || c.Value != 5 {
+		t.Fatalf("first snapshot: %+v ok=%v, want 5", c, ok)
+	}
+	events += 4
+	if c, _ := r.Snapshot().Counter("events{node=0}"); c.Value != 9 {
+		t.Fatalf("second snapshot: %d, want 9", c.Value)
+	}
+}
+
+// TestSnapshotOrder: counters, gauges and histograms each come out
+// sorted by canonical name, whatever order they were registered in.
+func TestSnapshotOrder(t *testing.T) {
+	r := New()
+	for _, n := range []string{"2", "0", "1"} {
+		s := r.Scope(L("node", n))
+		s.CounterFunc("b_count", func() uint64 { return 1 })
+		s.CounterFunc("a_count", func() uint64 { return 1 })
+		s.Gauge("level").Set(1)
+		s.Histogram("lat_cycles").Observe(1)
+	}
+	snap := r.Snapshot()
+	var got []string
+	for _, c := range snap.Counters {
+		got = append(got, c.Name)
+	}
+	want := []string{"a_count{node=0}", "a_count{node=1}", "a_count{node=2}",
+		"b_count{node=0}", "b_count{node=1}", "b_count{node=2}"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("counter order %v, want %v", got, want)
+	}
+	for i, g := range snap.Gauges {
+		if want := fmt.Sprintf("level{node=%d}", i); g.Name != want {
+			t.Fatalf("gauge %d = %s, want %s", i, g.Name, want)
+		}
+	}
+	for i, h := range snap.Histograms {
+		if want := fmt.Sprintf("lat_cycles{node=%d}", i); h.Name != want {
+			t.Fatalf("histogram %d = %s, want %s", i, h.Name, want)
+		}
+	}
+}
+
+// TestCounterGauge: registering a counter key again replaces the
+// earlier func, which keeps republishing (Cluster.PublishRollup)
+// idempotent, and labels are part of a counter's identity. A gauge
+// keeps its level and high-water mark and resolves to one instrument
+// per identity.
 func TestCounterGauge(t *testing.T) {
 	r := New()
-	c := r.Counter("requests", L("node", "0"))
-	c.Inc()
-	c.Add(9)
-	if c.Value() != 10 {
-		t.Fatalf("counter = %d", c.Value())
+	r.Scope(L("node", "0")).CounterFunc("requests", func() uint64 { return 1 })
+	r.Scope(L("node", "0")).CounterFunc("requests", func() uint64 { return 2 })
+	r.Scope(L("node", "1")).CounterFunc("requests", func() uint64 { return 3 })
+	snap := r.Snapshot()
+	if len(snap.Counters) != 2 {
+		t.Fatalf("counters = %+v, want two", snap.Counters)
 	}
-	// Same identity resolves to the same instrument.
-	if r.Counter("requests", L("node", "0")) != c {
-		t.Fatal("counter identity not stable")
+	if c, _ := snap.Counter("requests{node=0}"); c.Value != 2 {
+		t.Fatalf("re-registered counter = %d, want 2 (the later func)", c.Value)
 	}
-	// Different labels are different instruments.
-	if r.Counter("requests", L("node", "1")) == c {
-		t.Fatal("labels ignored in identity")
+	if c, _ := snap.Counter("requests{node=1}"); c.Value != 3 {
+		t.Fatalf("labels ignored in identity: node=1 = %d", c.Value)
 	}
 
 	g := r.Gauge("depth")
@@ -63,6 +126,9 @@ func TestCounterGauge(t *testing.T) {
 	g.Set(2)
 	if g.Value() != 2 || g.Max() != 7 {
 		t.Fatalf("gauge value=%d max=%d", g.Value(), g.Max())
+	}
+	if r.Gauge("depth") != g {
+		t.Fatal("gauge identity not stable")
 	}
 }
 
@@ -142,22 +208,21 @@ func TestScopeLabelsSortedCanonical(t *testing.T) {
 	r := New()
 	a := r.Scope(L("node", "0"), L("dev", "nic"))
 	b := r.Scope(L("dev", "nic"), L("node", "0"))
-	ca := a.Counter("pkts")
-	cb := b.Counter("pkts")
-	if ca != cb {
+	if a.Gauge("pkts") != b.Gauge("pkts") {
 		t.Fatal("label order changed instrument identity")
 	}
-	ca.Inc()
+	a.CounterFunc("pkts", func() uint64 { return 1 })
+	b.CounterFunc("pkts", func() uint64 { return 2 })
 	snap := r.Snapshot()
-	if _, ok := snap.Counter("pkts{dev=nic,node=0}"); !ok {
-		t.Fatalf("canonical name missing: %+v", snap.Counters)
+	if c, ok := snap.Counter("pkts{dev=nic,node=0}"); !ok || c.Value != 2 || len(snap.Counters) != 1 {
+		t.Fatalf("canonical name missing or split by label order: %+v", snap.Counters)
 	}
 }
 
 func TestSnapshotTextAndJSON(t *testing.T) {
 	r := New()
 	s := r.Scope(L("node", "0"))
-	s.Counter("bus_pio_words").Add(7)
+	s.CounterFunc("bus_pio_words", func() uint64 { return 7 })
 	s.Gauge("udma_queue_depth").Set(3)
 	h := s.Histogram("udma_xfer_latency_cycles")
 	for i := 0; i < 100; i++ {
