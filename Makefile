@@ -2,7 +2,7 @@ GO ?= go
 GOFMT ?= gofmt
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt test race check golden bench experiments faults lossy serve mesh churn chaos scenarios fuzz simcheck cover profile
+.PHONY: all build vet fmt test race check golden bench experiments faults lossy serve mesh churn chaos fuzz simcheck cover profile
 
 all: check
 
@@ -27,11 +27,16 @@ race:
 # and pass the test suite under the race detector.
 check: build vet fmt race
 
-# golden rewrites the committed telemetry snapshots in testdata/golden
-# (small serve, churn, chaos and torus incast runs) from the current
-# code; TestGolden compares against them byte for byte. Review the diff.
+# golden rewrites the whole golden record under testdata/golden from
+# the current code: experiment renderings, simcheck sweep reports,
+# shrimpsim scenario lines and telemetry snapshots. The tests compare
+# against it byte for byte; review `git diff testdata/golden` line by
+# line. The packages are listed because `go test ./... -update` fails in
+# any package whose test binary has no -update flag.
+GOLDEN_PKGS = . ./cmd/shrimpsim ./internal/experiments ./internal/simcheck
+
 golden:
-	$(GO) test -count=1 -run '^TestGolden$$' . -update
+	$(GO) test -count=1 $(GOLDEN_PKGS) -update
 
 # bench runs every experiment and records the machine-readable headline
 # metrics (bandwidth, latency percentiles, delivery counts) in
@@ -83,41 +88,6 @@ churn:
 # proof as serve.
 chaos:
 	$(GO) run ./cmd/shrimpsim -scenario chaos
-
-# SCENARIO_ARGS is the table of shrimpsim runs that the scenarios target
-# proves reproducible, one quoted argument line each: the unseeded
-# scenarios at their default flags, then the seeded ones.
-SCENARIO_ARGS = \
-	"-scenario send -trace" \
-	"-scenario cluster" \
-	"-scenario share" \
-	"-scenario paging" \
-	"-scenario autoupdate" \
-	"-scenario contention" \
-	"-scenario faults" \
-	"-scenario lossy" \
-	"-scenario serve" \
-	"-scenario churn" \
-	"-scenario chaos" \
-	"-scenario incast -nodes 64 -topology mesh" \
-	"-scenario incast -nodes 16 -topology torus -workers 4" \
-	"-scenario fuzz -seed 1 -count 25"
-
-# scenarios builds shrimpsim once and runs every SCENARIO_ARGS line
-# twice, diffing the two outputs: same-process reproducibility is each
-# seeded scenario's own proof (a rerun plus another worker count), and
-# the diff adds cross-process reproducibility for every line. Nothing is
-# left behind.
-scenarios:
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/shrimpsim" ./cmd/shrimpsim; \
-	for args in $(SCENARIO_ARGS); do \
-		echo "== shrimpsim $$args"; \
-		"$$tmp/shrimpsim" $$args > "$$tmp/run1.txt"; \
-		"$$tmp/shrimpsim" $$args > "$$tmp/run2.txt"; \
-		diff "$$tmp/run1.txt" "$$tmp/run2.txt"; \
-		cat "$$tmp/run1.txt"; \
-	done
 
 # fuzz gives each native fuzz target a short budget (override with
 # FUZZTIME=5m for a longer soak). Each target must be fuzzed alone:

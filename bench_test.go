@@ -1,10 +1,11 @@
 package shrimp_test
 
-// One benchmark per reproduced table/figure (the E1–E10 index in
-// DESIGN.md). Each benchmark runs real simulated work per iteration
-// and reports the *simulated* time and bandwidth as custom metrics
-// (sim-us/op, sim-MB/s) alongside Go's wall-clock ns/op — the simulated
-// numbers are the ones that correspond to the paper.
+// One benchmark per reproduced table/figure of the paper (E1–E10 of the
+// E1–E18 index in DESIGN.md), plus E11's transfer-strategy comparison.
+// Each benchmark runs real simulated work per iteration and reports
+// the *simulated* time and bandwidth as custom metrics (sim-us/op,
+// sim-MB/s) alongside Go's wall-clock ns/op — the simulated numbers are
+// the ones that correspond to the paper.
 
 import (
 	"fmt"

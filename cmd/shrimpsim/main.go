@@ -147,7 +147,6 @@ func main() {
 		}
 		return
 	}
-	experiments.SetSweepWorkers(a.workers)
 
 	if a.cpuprofile != "" {
 		f, perr := os.Create(a.cpuprofile)
@@ -178,16 +177,21 @@ func main() {
 		}()
 	}
 
-	o := newObs(a.metrics, a.withTrace, a.metricsOut, a.traceOut)
-
-	err := runScenario(a, o)
-	if err == nil {
-		err = o.finish(os.Stdout)
-	}
-	if err != nil {
+	if err := run(a); err != nil {
 		fmt.Fprintf(os.Stderr, "shrimpsim: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// run runs the scenario the options name on a.workers host goroutines
+// and then prints or writes what the observation flags asked for.
+func run(a options) error {
+	experiments.SetSweepWorkers(a.workers)
+	o := newObs(a.metrics, a.withTrace, a.metricsOut, a.traceOut)
+	if err := runScenario(a, o); err != nil {
+		return err
+	}
+	return o.finish(os.Stdout)
 }
 
 // runScenario runs the scenario the options name, observed by o.

@@ -1,11 +1,16 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"shrimp/internal/experiments"
+	"shrimp/internal/golden"
 )
 
 func parse(t *testing.T, args ...string) options {
@@ -37,14 +42,102 @@ func TestExplicitSeedReachesScenario(t *testing.T) {
 	}
 }
 
-// TestUnseededScenarios runs each scenario that has no seed and no
-// reproducibility proof once at its default flags; each must finish
-// without error.
-func TestUnseededScenarios(t *testing.T) {
-	for _, name := range []string{"send", "cluster", "share", "paging", "autoupdate", "contention"} {
-		a := parse(t, "-scenario", name)
-		if err := runScenario(a, newObs(a.metrics, a.withTrace, a.metricsOut, a.traceOut)); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
+// unseededFlags is the second flag set the unseeded scenarios run
+// under: a wider cluster, two-page messages and more senders.
+const unseededFlags = " -nodes 8 -size 8192 -senders 6"
+
+// scenarioLines is the golden table of shrimpsim runs: the unseeded
+// scenarios at their default flags and at unseededFlags, then the
+// seeded ones, each of which also proves itself in-process (a rerun
+// plus another worker count). Each line's stdout must match
+// testdata/golden/shrimpsim/<name>.txt byte for byte.
+var scenarioLines = []struct{ name, args string }{
+	{"send-trace", "-scenario send -trace"},
+	{"cluster", "-scenario cluster"},
+	{"share", "-scenario share"},
+	{"paging", "-scenario paging"},
+	{"autoupdate", "-scenario autoupdate"},
+	{"contention", "-scenario contention"},
+	{"send-trace-wide", "-scenario send -trace" + unseededFlags},
+	{"cluster-wide", "-scenario cluster" + unseededFlags},
+	{"share-wide", "-scenario share" + unseededFlags},
+	{"paging-wide", "-scenario paging" + unseededFlags},
+	{"autoupdate-wide", "-scenario autoupdate" + unseededFlags},
+	{"contention-wide", "-scenario contention" + unseededFlags},
+	{"faults", "-scenario faults"},
+	{"lossy", "-scenario lossy"},
+	{"serve", "-scenario serve"},
+	{"churn", "-scenario churn"},
+	{"chaos", "-scenario chaos"},
+	{"incast-mesh64", "-scenario incast -nodes 64 -topology mesh"},
+	{"incast-torus16-w4", "-scenario incast -nodes 16 -topology torus -workers 4"},
+	{"fuzz-25", "-scenario fuzz -seed 1 -count 25"},
+}
+
+// runLine runs one shrimpsim command line in-process, as main does, and
+// returns what it printed to stdout.
+func runLine(t *testing.T, args ...string) string {
+	t.Helper()
+	a := parse(t, args...)
+	defer experiments.SetSweepWorkers(1)
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	err = run(a)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatalf("shrimpsim %s: %v", strings.Join(args, " "), err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestScenarioGolden runs every scenarioLines entry and compares its
+// output with the golden record. A last run of the serve scenario with
+// -trace-out must print the serve golden plus the trace line (the
+// exporter is a pure observer), and the trace must show interval events
+// on at least two node processes.
+func TestScenarioGolden(t *testing.T) {
+	for _, sc := range scenarioLines {
+		t.Run(sc.name, func(t *testing.T) {
+			golden.Check(t, "shrimpsim/"+sc.name+".txt", runLine(t, strings.Fields(sc.args)...))
+		})
+	}
+	t.Run("serve-trace", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "serve.json")
+		out := runLine(t, "-scenario", "serve", "-trace-out", path)
+		line := "trace written to " + path + " (open at https://ui.perfetto.dev)\n"
+		if !strings.HasSuffix(out, line) {
+			t.Errorf("serve -trace-out did not end with %q", line)
+		}
+		golden.Check(t, "shrimpsim/serve.txt", strings.TrimSuffix(out, line))
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events []struct {
+			Ph  string  `json:"ph"`
+			Pid int     `json:"pid"`
+			Dur float64 `json:"dur"`
+		}
+		if err := json.Unmarshal(raw, &events); err != nil {
+			t.Fatal(err)
+		}
+		pids := map[int]bool{}
+		for _, e := range events {
+			if e.Ph == "X" && e.Dur > 0 {
+				pids[e.Pid] = true
+			}
+		}
+		if len(pids) < 2 {
+			t.Errorf("interval events from %d node processes, want >= 2", len(pids))
+		}
+	})
 }

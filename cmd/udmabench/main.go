@@ -6,7 +6,7 @@
 // Usage:
 //
 //	udmabench              # run every experiment
-//	udmabench -exp e1      # run one experiment (e1..e10)
+//	udmabench -exp e1      # run one experiment (e1..e18)
 //	udmabench -list        # list experiments
 //	udmabench -csv dir     # also write series/tables as CSV files
 //	udmabench -json FILE   # write per-experiment headline metrics as JSON
@@ -39,7 +39,7 @@ func main() {
 
 func run() int {
 	var (
-		exp        = flag.String("exp", "", "run a single experiment id (e1..e10)")
+		exp        = flag.String("exp", "", "run a single experiment id (e1..e18)")
 		list       = flag.Bool("list", false, "list experiments and exit")
 		csv        = flag.String("csv", "", "directory to write CSV output into")
 		jsonOut    = flag.String("json", "", "write per-experiment headline metrics as JSON to this file")

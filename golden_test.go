@@ -2,18 +2,12 @@ package shrimp_test
 
 // Golden telemetry snapshots: small serve, churn, chaos and incast runs
 // render their full metrics snapshot as text, and each rendering must
-// match its committed file under testdata/golden byte for byte. Any
-// change to a simulated count, a histogram, a gauge or a metric name
-// shows up as a diff there. Rewrite the files with
-//
-//	go test -run Golden . -update   (or: make golden)
+// match its committed file under testdata/golden/telemetry byte for
+// byte. Any change to a simulated count, a histogram, a gauge or a
+// metric name shows up as a diff there; `make golden` rewrites it.
 
 import (
 	"bytes"
-	"flag"
-	"fmt"
-	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -21,13 +15,12 @@ import (
 
 	"shrimp/internal/cluster"
 	"shrimp/internal/experiments"
+	"shrimp/internal/golden"
 	"shrimp/internal/interconnect"
 	"shrimp/internal/loadgen"
 	"shrimp/internal/telemetry"
 	"shrimp/internal/udmalib"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/golden from the current code")
 
 // goldenCounters is every counter name the layers register. The golden
 // runs must register each of them between them, so a layer that stops
@@ -123,24 +116,7 @@ func TestGolden(t *testing.T) {
 		for _, c := range snap.Counters {
 			seen[strings.SplitN(c.Name, "{", 2)[0]] = true
 		}
-		path := filepath.Join("testdata", "golden", g.name+".txt")
-		if *update {
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%v (run `make golden` to create it)", err)
-		}
-		if text != string(want) {
-			t.Errorf("%s: snapshot differs from %s (run `make golden` and review the diff):\n%s",
-				g.name, path, firstDiff(string(want), text))
-		}
+		golden.Check(t, "telemetry/"+g.name+".txt", text)
 	}
 	var missing []string
 	for _, name := range goldenCounters {
@@ -158,22 +134,4 @@ func TestGolden(t *testing.T) {
 	if len(missing) > 0 || len(extra) > 0 {
 		t.Errorf("golden runs' counter names: missing %v, unlisted %v", missing, extra)
 	}
-}
-
-// firstDiff reports the first line where two renderings part.
-func firstDiff(want, got string) string {
-	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
-	for i := 0; i < len(wl) || i < len(gl); i++ {
-		var w, g string
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if w != g {
-			return fmt.Sprintf("line %d:\n  want: %s\n  got:  %s", i+1, w, g)
-		}
-	}
-	return "(no line differs)"
 }

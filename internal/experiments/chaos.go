@@ -110,7 +110,7 @@ func RunChaosSeeded(seed uint64) (*Result, error) {
 		"downtime cyc", "dip depth", "recover µs")
 	goodputSer := &stats.Series{Name: "goodput vs crash schedule",
 		XLabel: "schedule point (0=none)", YLabel: "goodput B/Mcycle"}
-	accounted, recovered := true, true
+	accounted, recovered, dippedRecovered := true, true, false
 	maxDepth := 0.0
 	for i, r := range trials {
 		pt := chaosPoints[i]
@@ -136,6 +136,7 @@ func RunChaosSeeded(seed uint64) (*Result, error) {
 		if depth > maxDepth {
 			maxDepth = depth
 		}
+		dippedRecovered = dippedRecovered || (depth > 0 && recover > 0)
 		tbl.AddRow(pt.label,
 			fmt.Sprintf("%.0f", r.Goodput()),
 			fmt.Sprintf("%d", r.Delivered),
@@ -174,11 +175,14 @@ func RunChaosSeeded(seed uint64) (*Result, error) {
 		res.check(fmt.Sprintf("schedule %s respawned every rebooted node", pt.label),
 			r.Respawns == int(r.Crashes) && r.DowntimeCycles > 0,
 			"%d respawns for %d crashes, %d cycles down", r.Respawns, r.Crashes, r.DowntimeCycles)
+		res.check(fmt.Sprintf("schedule %s kept serving (goodput > 0)", pt.label),
+			r.Goodput() > 0, "%.0f B/Mcycle", r.Goodput())
 	}
 	res.check("goodput visibly dipped during at least one outage", maxDepth > 0,
 		"max dip depth %.2f", maxDepth)
 	res.check("every mid-load outage recovered (deliveries resumed after reboot)",
 		recovered, "")
+	res.check("at least one schedule dipped and then recovered", dippedRecovered, "")
 
 	// Longer repairs cost more downtime under the same crash budget.
 	m100, m400 := trials[4], trials[5]

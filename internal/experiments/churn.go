@@ -108,7 +108,7 @@ func RunChurnSeeded(seed uint64) (*Result, error) {
 		"reclaims", "small p50/p99/p999", "mid p50/p99/p999")
 	goodputSer := &stats.Series{Name: "goodput vs NIPT capacity",
 		XLabel: "cache capacity (entries; 0 = unbounded)", YLabel: "goodput B/Mcycle"}
-	accounted, ordered, tails := true, true, true
+	accounted, ordered, tails, served := true, true, true, true
 	for i, r := range trials {
 		if r.Delivered+r.Failed != r.Messages {
 			accounted = false
@@ -142,6 +142,7 @@ func RunChurnSeeded(seed uint64) (*Result, error) {
 		res.metric(metricKey("cap", labels[i], "goodput_bpmc"), r.Goodput())
 		res.metric(metricKey("cap", labels[i], "misses"), float64(r.NIPTMisses))
 		sm := &r.Classes[loadgen.ClassSmall]
+		served = served && r.Goodput() > 0 && sm.P50 > 0
 		res.metric(metricKey("cap", labels[i], "p50_us"), us(sm.P50))
 		res.metric(metricKey("cap", labels[i], "p99_us"), us(sm.P99))
 		res.metric(metricKey("cap", labels[i], "p999_us"), us(sm.P999))
@@ -153,6 +154,8 @@ func RunChurnSeeded(seed uint64) (*Result, error) {
 	res.check("per-flow FIFO order held at every capacity (0 violations)", ordered, "")
 	res.check("sojourn percentiles ordered p50 <= p99 <= p999 everywhere", tails, "")
 
+	res.check("goodput and small-class p50 are positive at every capacity", served, "")
+
 	res.check("the schedule actually churned (hundreds of flow deaths)",
 		plan.FlowDeaths >= 100, "%d deaths over %d messages", plan.FlowDeaths, churnMessages)
 
@@ -162,6 +165,10 @@ func RunChurnSeeded(seed uint64) (*Result, error) {
 		tiny.NIPTMisses > big.NIPTMisses,
 		"capacity %d: %d misses vs capacity %d: %d misses",
 		capacities[0], tiny.NIPTMisses, capacities[len(churnCapacities)-1], big.NIPTMisses)
+	res.check("a tiny cache misses more than the unbounded table",
+		tiny.NIPTMisses > unbounded.NIPTMisses,
+		"capacity %d: %d misses vs unbounded: %d misses",
+		capacities[0], tiny.NIPTMisses, unbounded.NIPTMisses)
 	res.check("a tiny cache evicts under churn; the unbounded table never does",
 		tiny.NIPTEvictions > 0 && unbounded.NIPTEvictions == 0,
 		"%d vs %d evictions", tiny.NIPTEvictions, unbounded.NIPTEvictions)

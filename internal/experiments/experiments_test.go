@@ -1,15 +1,21 @@
 package experiments
 
 import (
-	"os"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
+
+	"shrimp/internal/golden"
 )
 
 // TestAllExperimentsPass runs every registered experiment and requires
 // every shape check against the paper to pass. This is the repository's
 // reproduction gate: if the simulator or cost model drifts, the knees
-// of the paper's curves move and these fail.
+// of the paper's curves move and these fail. Each experiment's rendering
+// must also match testdata/golden/experiments/<id>.txt byte for byte, so
+// a change that moves any simulated number shows up as a golden diff
+// even when every shape check still passes.
 func TestAllExperimentsPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments take a few seconds; skipped with -short")
@@ -34,8 +40,48 @@ func TestAllExperimentsPass(t *testing.T) {
 			if len(res.Tables) == 0 && len(res.Series) == 0 {
 				t.Error("experiment produced no output")
 			}
+			golden.Check(t, "experiments/"+id+".txt", renderGolden(res))
 		})
 	}
+}
+
+// renderGolden is an experiment's golden rendering: its tables, checks
+// with details, notes and sorted metrics. e14 measures host wall-clock
+// time, so only its checks and *barrier_rounds metrics go in; its
+// tables, notes and the host_cpus, wall-ms and speedup metrics vary by
+// host and run.
+func renderGolden(res *Result) string {
+	var b strings.Builder
+	wallClock := res.ID == "e14"
+	if !wallClock {
+		for _, tbl := range res.Tables {
+			tbl.Render(&b)
+			b.WriteString("\n")
+		}
+	}
+	for _, c := range res.Checks {
+		mark := "PASS"
+		if !c.Pass {
+			mark = "FAIL"
+		}
+		fmt.Fprintf(&b, "[%s] %s — %s\n", mark, c.Name, c.Detail)
+	}
+	if !wallClock {
+		for _, n := range res.Notes {
+			fmt.Fprintf(&b, "note: %s\n", n)
+		}
+	}
+	keys := make([]string, 0, len(res.Metrics))
+	for k := range res.Metrics {
+		if !wallClock || strings.HasSuffix(k, "barrier_rounds") {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(&b, "%s = %v\n", k, res.Metrics[k])
+	}
+	return b.String()
 }
 
 func TestRegistry(t *testing.T) {
@@ -73,5 +119,4 @@ func TestResultHelpers(t *testing.T) {
 	if r.Checks[1].Detail != "broken 7" {
 		t.Fatalf("detail = %q", r.Checks[1].Detail)
 	}
-	_ = os.Stdout
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"hash/fnv"
+	"strings"
 
 	"shrimp/internal/cluster"
 	"shrimp/internal/interconnect"
@@ -173,6 +174,20 @@ func RunScaleOut() (*Result, error) {
 	res.Series = append(res.Series, series)
 
 	// --- shape checks -----------------------------------------------------
+
+	ampleWins := true
+	var pairs []string
+	for _, cl := range cells {
+		if cl.fabric != "limited" {
+			continue
+		}
+		lim := runs[fmt.Sprintf("%s_%s_limited", cl.workload, cl.kind)]
+		amp := runs[fmt.Sprintf("%s_%s_ample", cl.workload, cl.kind)]
+		ampleWins = ampleWins && lim.goodput > 0 && amp.goodput > lim.goodput
+		pairs = append(pairs, fmt.Sprintf("%s/%s %.3f < %.3f", cl.workload, cl.kind, lim.goodput, amp.goodput))
+	}
+	res.check("ample beats limited goodput (> 0) for every workload and topology", ampleWins,
+		"limited < ample B/cyc: %s", strings.Join(pairs, ", "))
 
 	mi := runs["incast_mesh_limited"]
 	res.check("limited incast flattens at link capacity",

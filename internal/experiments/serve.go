@@ -172,6 +172,15 @@ func RunServeSeeded(seed uint64) (*Result, error) {
 		res.metric(metricKey(reg.name, "knee_rate"), knee)
 		res.metric(metricKey(reg.name, "goodput_sat_bpmc"), top.Goodput())
 		res.metric(metricKey(reg.name, "max_queue_depth"), float64(top.MaxQueueDepth))
+		served := true
+		var p50s []string
+		for c := range low.Classes {
+			s := &low.Classes[c]
+			served = served && s.P50 > 0
+			p50s = append(p50s, fmt.Sprintf("%s %.1f", s.Class, us(s.P50)))
+		}
+		res.check(reg.name+": every class is served below the knee (p50 > 0)", served,
+			"p50 µs: %s", strings.Join(p50s, ", "))
 		for c := range low.Classes {
 			s := &low.Classes[c]
 			res.metric(metricKey(reg.name, s.Class, "p50_us"), us(s.P50))

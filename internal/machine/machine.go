@@ -38,7 +38,6 @@ func SHRIMP1996() *sim.CostModel {
 	return &sim.CostModel{
 		CPUHz: 60e6,
 
-		ALUOp:             1,
 		MemRefHit:         1,
 		WriteThroughStore: 10, // ~24 MB/s word-by-word write-through
 		TLBMiss:           20,

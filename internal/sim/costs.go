@@ -15,7 +15,6 @@ type CostModel struct {
 
 	// --- CPU / memory system ---
 
-	ALUOp        Cycles // one arithmetic/logic instruction
 	MemRefHit    Cycles // load/store, TLB hit, cache-resident
 	TLBMiss      Cycles // page-table walk added on a TLB miss
 	UncachedRef  Cycles // load/store to an uncached (proxy / device) address

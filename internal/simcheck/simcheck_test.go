@@ -4,9 +4,11 @@ import (
 	"flag"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"shrimp/internal/cluster"
+	"shrimp/internal/golden"
 	"shrimp/internal/loadgen"
 	"shrimp/internal/telemetry"
 )
@@ -31,11 +33,27 @@ func TestSimCheck(t *testing.T) {
 	if testing.Short() {
 		seeds = 64
 	}
-	for _, rep := range Sweep(1, seeds, runtime.GOMAXPROCS(0), Options{}) {
+	reps := Sweep(1, seeds, runtime.GOMAXPROCS(0), Options{})
+	for _, rep := range reps {
 		if rep.Failed() {
 			t.Fatalf("\n%s", rep.String())
 		}
 	}
+	checkSweepGolden(t, "plain", reps)
+}
+
+// checkSweepGolden compares one Report line per seed with the mode's
+// golden file, testdata/golden/simcheck/<mode>.txt; under -short the
+// sweep's seeds are a prefix of the file's. The plain file is exactly
+// the per-seed lines of `shrimpsim -scenario fuzz -seed 1 -count 256`.
+func checkSweepGolden(t *testing.T, mode string, reps []*Report) {
+	t.Helper()
+	var b strings.Builder
+	for _, rep := range reps {
+		b.WriteString(rep.String())
+		b.WriteByte('\n')
+	}
+	golden.CheckPrefix(t, "simcheck/"+mode+".txt", b.String())
 }
 
 // lossyOverride forces the acceptance-criteria fault mix onto any
@@ -66,7 +84,8 @@ func TestSimCheckLossySweep(t *testing.T) {
 		seeds = 64
 	}
 	opts := Options{Override: lossyOverride}
-	for _, rep := range Sweep(1, seeds, runtime.GOMAXPROCS(0), opts) {
+	reps := Sweep(1, seeds, runtime.GOMAXPROCS(0), opts)
+	for _, rep := range reps {
 		if rep.Failed() {
 			t.Fatalf("\n%s", rep.String())
 		}
@@ -78,6 +97,7 @@ func TestSimCheckLossySweep(t *testing.T) {
 			}
 		}
 	}
+	checkSweepGolden(t, "lossy", reps)
 }
 
 // TestSimCheckDeterminism proves the repro contract: two runs of one
@@ -186,7 +206,8 @@ func TestSimCheckServeSweep(t *testing.T) {
 		seeds = 8
 	}
 	opts := Options{Override: serveOverride}
-	for _, rep := range Sweep(1, seeds, runtime.GOMAXPROCS(0), opts) {
+	reps := Sweep(1, seeds, runtime.GOMAXPROCS(0), opts)
+	for _, rep := range reps {
 		if rep.Failed() {
 			t.Fatalf("\n%s", rep.String())
 		}
@@ -194,6 +215,7 @@ func TestSimCheckServeSweep(t *testing.T) {
 			t.Fatalf("seed %d: serve override not applied: %+v", rep.Seed, rep.Cfg)
 		}
 	}
+	checkSweepGolden(t, "serve", reps)
 }
 
 // TestSimCheckServeWorkerEquivalence is the acceptance criterion for
@@ -283,7 +305,8 @@ func TestSimCheckChurnSweep(t *testing.T) {
 		seeds = 64
 	}
 	opts := Options{Override: churnOverride}
-	for _, rep := range Sweep(1, seeds, runtime.GOMAXPROCS(0), opts) {
+	reps := Sweep(1, seeds, runtime.GOMAXPROCS(0), opts)
+	for _, rep := range reps {
 		if rep.Failed() {
 			t.Fatalf("\n%s", rep.String())
 		}
@@ -291,6 +314,7 @@ func TestSimCheckChurnSweep(t *testing.T) {
 			t.Fatalf("seed %d: churn override not applied: %+v", rep.Seed, rep.Cfg)
 		}
 	}
+	checkSweepGolden(t, "churn", reps)
 }
 
 // TestSimCheckChurnWorkerEquivalence: churn composes flow birth/death,
@@ -344,7 +368,8 @@ func TestSimCheckChaosSweep(t *testing.T) {
 		seeds = 64
 	}
 	opts := Options{Override: chaosOverride}
-	for _, rep := range Sweep(1, seeds, runtime.GOMAXPROCS(0), opts) {
+	reps := Sweep(1, seeds, runtime.GOMAXPROCS(0), opts)
+	for _, rep := range reps {
 		if rep.Failed() {
 			t.Fatalf("\n%s", rep.String())
 		}
@@ -356,6 +381,7 @@ func TestSimCheckChaosSweep(t *testing.T) {
 			}
 		}
 	}
+	checkSweepGolden(t, "chaos", reps)
 }
 
 // TestSimCheckChaosWorkerEquivalence: crash and reboot are barrier
