@@ -2,7 +2,7 @@ GO ?= go
 GOFMT ?= gofmt
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt test race check golden bench experiments faults lossy serve mesh churn chaos fuzz simcheck cover profile
+.PHONY: all build vet fmt test race check benchcheck golden bench experiments faults lossy serve mesh churn chaos fuzz simcheck cover profile
 
 all: check
 
@@ -24,8 +24,13 @@ race:
 	$(GO) test -race ./...
 
 # check is the CI gate: everything must compile, vet and gofmt clean,
-# and pass the test suite under the race detector.
-check: build vet fmt race
+# and pass the test suite under the race detector; then the benchmark
+# module must build, vet and test clean against this tree and match its
+# fingerprint pins (benchcheck, CI's benchmark-module step).
+check: build vet fmt race benchcheck
+
+benchcheck:
+	$(GO) -C bench vet ./... && $(GO) -C bench test ./... && bash bench/run.sh -check
 
 # golden rewrites the whole golden record under testdata/golden from
 # the current code: experiment renderings, simcheck sweep reports,

@@ -131,15 +131,47 @@ func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
 			}
 		}
 	}
-	if o.workers < 1 {
-		o.workers = 1
+	return o, o.checkRanges()
+}
+
+// checkRanges refuses a flag value outside what the scenarios accept,
+// naming the flag and its bound, instead of a late panic or a quietly
+// different run.
+func (o options) checkRanges() error {
+	minNodes := 1
+	switch o.scenario {
+	case "incast", "serve", "churn", "chaos":
+		minNodes = 2
 	}
-	return o, nil
+	for _, c := range []struct {
+		flag  string
+		value any
+		ok    bool
+		bound string
+	}{
+		{"nodes", o.nodes, o.nodes >= minNodes, fmt.Sprintf(">= %d for -scenario %s", minNodes, o.scenario)},
+		{"size", o.size, o.size >= 1, ">= 1"},
+		{"senders", o.senders, o.senders >= 1, ">= 1"},
+		{"count", o.count, o.count >= 1, ">= 1"},
+		{"workers", o.workers, o.workers >= 1, ">= 1"},
+		{"rate", o.rate, o.rate > 0, "> 0"},
+		{"capacity", o.capacity, o.capacity >= 0, ">= 0"},
+	} {
+		if !c.ok {
+			return fmt.Errorf("-%s %v: must be %s", c.flag, c.value, c.bound)
+		}
+	}
+	return nil
 }
 
 func main() {
-	// flag.CommandLine exits on a bad flag, so parseArgs cannot fail here.
-	a, _ := parseArgs(flag.CommandLine, os.Args[1:])
+	// flag.CommandLine exits on a bad flag itself; parseArgs fails here
+	// only on a value out of range.
+	a, err := parseArgs(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "shrimpsim: %v\n", err)
+		os.Exit(2)
+	}
 	if a.list {
 		fmt.Println("scenarios:")
 		for _, sc := range scenarioIndex {
@@ -573,9 +605,6 @@ func scenarioIncast(nodes int, topology string, workers int, o *obs) error {
 	if err != nil {
 		return err
 	}
-	if nodes < 2 {
-		nodes = 2
-	}
 	const messages = 6
 	o.setCosts(machine.SHRIMP1996())
 	fmt.Printf("# incast on a routed %d-node %s: %d senders × %d × 4096 B into node 0\n",
@@ -622,9 +651,6 @@ func scenarioIncast(nodes int, topology string, workers int, o *obs) error {
 // fails the scenario. Every run contributes the trial fingerprint.
 func scenarioTrial(tc loadgen.TrialConfig, workers int, o *obs,
 	title func(*loadgen.Result) string, extras func(*loadgen.Result) error) error {
-	if tc.Nodes < 2 {
-		tc.Nodes = 2
-	}
 	costs := machine.SHRIMP1996()
 	o.setCosts(costs)
 	shown := false
@@ -740,9 +766,6 @@ func printOrderLine(res *loadgen.Result) {
 // simulation checker. A failure prints the violation list, the event
 // trail and the one-command go-test repro.
 func scenarioFuzz(seed uint64, count, workers int) error {
-	if count < 1 {
-		count = 1
-	}
 	fmt.Printf("# simcheck fuzz: %d seed(s) starting at %d, auditing I1–I4 every window\n", count, seed)
 	// Each seed is an independent simulation, so the sweep fans out over
 	// host workers; reports come back (and print) in seed order.

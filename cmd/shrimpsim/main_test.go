@@ -42,6 +42,42 @@ func TestExplicitSeedReachesScenario(t *testing.T) {
 	}
 }
 
+// TestFlagRanges pins parse-time range checks: each line below used to
+// panic, run a silently clamped or defaulted machine, or print one value
+// and run another. parseArgs must refuse it with an error naming the
+// flag, and every golden scenario line must still parse.
+func TestFlagRanges(t *testing.T) {
+	for _, line := range []string{
+		"-scenario cluster -nodes 0",
+		"-scenario send -nodes -1",
+		"-scenario incast -nodes 1",
+		"-scenario serve -nodes 1",
+		"-scenario churn -nodes 1",
+		"-scenario chaos -nodes 1",
+		"-scenario send -size 0",
+		"-scenario contention -senders -1",
+		"-scenario share -senders 0",
+		"-scenario fuzz -count 0",
+		"-scenario cluster -workers 0",
+		"-scenario serve -rate 0",
+		"-scenario churn -rate -5",
+		"-scenario churn -capacity -1",
+	} {
+		args := strings.Fields(line)
+		fs := flag.NewFlagSet("shrimpsim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		_, err := parseArgs(fs, args)
+		if flagName := args[2]; err == nil || !strings.HasPrefix(err.Error(), flagName+" ") {
+			t.Errorf("parse %q: err = %v, want one naming %s", line, err, flagName)
+		}
+	}
+	for _, sc := range scenarioLines {
+		parse(t, strings.Fields(sc.args)...)
+	}
+	parse(t, "-scenario", "cluster", "-nodes", "1")
+	parse(t, "-scenario", "churn", "-capacity", "0")
+}
+
 // unseededFlags is the second flag set the unseeded scenarios run
 // under: a wider cluster, two-page messages and more senders.
 const unseededFlags = " -nodes 8 -size 8192 -senders 6"

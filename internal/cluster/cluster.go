@@ -70,21 +70,11 @@ type Config struct {
 	// safe at Workers <= 1.
 	Workers int
 
-	// FaultInject wraps every node's NIC in a device.Faulty so the
-	// fault-recovery experiments can exercise the error paths under
-	// cluster traffic. Each node gets its own deterministic RNG derived
-	// from FaultSeed and the node ID; CheckTransfer rejects with
-	// probability FaultRejectRate and each DMA read/write fails with
-	// probability FaultFailRate.
-	FaultInject     bool
-	FaultSeed       uint64
-	FaultRejectRate float64
-	FaultFailRate   float64
-	// FaultEveryNth arms device.Faulty's deterministic periodic mode on
-	// every wrapped NIC (seeded from FaultSeed and the node ID) instead
-	// of hand-placed schedules: every Nth DMA completion fails. Zero
-	// leaves the periodic channel off. Requires FaultInject.
-	FaultEveryNth int
+	// Inject wraps every node's NIC in a device.Faulty that rejects and
+	// fails transfers at the plan's rates (crashplan.go), so the
+	// fault-recovery experiments exercise the error paths under cluster
+	// traffic. The zero plan leaves the NICs unwrapped.
+	Inject InjectPlan
 
 	// Fault perturbs the backplane itself: drops, duplicates, late
 	// deliveries, corruption and link flaps, all derived from Fault.Seed
@@ -114,8 +104,8 @@ type Cluster struct {
 	Nodes     []*machine.Node
 	NICs      []*nic.Interface
 	Backplane *interconnect.Backplane
-	// Faulty holds each node's injection wrapper when Config.FaultInject
-	// is set (nil entries otherwise). The wrapper, not the raw NIC, is
+	// Faulty holds each node's injection wrapper when Config.Inject is
+	// enabled (nil entries otherwise). The wrapper, not the raw NIC, is
 	// what the node's device map decodes — use Dev to address the NIC
 	// from udmalib.
 	Faulty []*device.Faulty
@@ -156,7 +146,7 @@ type stepResult struct {
 // Dev returns the device attached to node i's proxy pages: the fault
 // wrapper when injection is on, the raw NIC otherwise. udmalib.Open and
 // MapDevice resolve devices by identity, so callers must use this
-// handle rather than NICs[i] when FaultInject is set.
+// handle rather than NICs[i] when Config.Inject is enabled.
 func (c *Cluster) Dev(i int) device.Device {
 	if c.Faulty[i] != nil {
 		return c.Faulty[i]
@@ -219,15 +209,10 @@ func New(cfg Config) *Cluster {
 		c.Backplane.SetTracer(i, node.Tracer)
 		var faulty *device.Faulty
 		var dev device.Device = iface
-		if cfg.FaultInject {
+		if cfg.Inject.Enabled() {
 			faulty = device.NewFaulty(iface)
-			// Per-node RNG stream: same cluster seed, decorrelated by
-			// node ID so nodes do not fault in lockstep.
-			faulty.InjectRates(sim.NewRNG(cfg.FaultSeed^(uint64(i+1)*0x9E3779B97F4A7C15)),
-				cfg.FaultRejectRate, cfg.FaultFailRate)
-			if cfg.FaultEveryNth > 0 {
-				faulty.InjectEveryNth(cfg.FaultSeed^uint64(i+1), 0, cfg.FaultEveryNth)
-			}
+			faulty.InjectRates(sim.NewRNG(cfg.Inject.Seed^(uint64(i+1)*0x9E3779B97F4A7C15)),
+				cfg.Inject.RejectRate, cfg.Inject.FailRate)
 			dev = faulty
 		}
 		node.AttachDevice(dev, 0)

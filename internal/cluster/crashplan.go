@@ -7,9 +7,24 @@ import (
 	"shrimp/internal/sim"
 )
 
+// InjectPlan is the device fault model, the paper's "memory system
+// errors": every node's NIC is wrapped in a device.Faulty whose
+// CheckTransfer rejects with probability RejectRate and whose DMA
+// reads and writes fail at completion with probability FailRate. Each
+// node draws from its own RNG stream, derived from Seed and the node
+// ID, so nodes do not fault in lockstep. The zero plan is off.
+type InjectPlan struct {
+	Seed       uint64
+	RejectRate float64
+	FailRate   float64
+}
+
+// Enabled reports whether the plan can ever inject a fault.
+func (p InjectPlan) Enabled() bool { return p.RejectRate > 0 || p.FailRate > 0 }
+
 // CrashPlan is the node crash–restart fault model: whole-node failures
 // on a seeded schedule over simulated time, composing with the wire's
-// FaultPlan and the device-level FaultInject. Crash times are drawn
+// FaultPlan and the device-level InjectPlan. Crash times are drawn
 // from an exponential distribution with mean MTBF (the classic
 // availability model); each crash picks a uniform node, powers it off
 // for MTTR cycles, then reboots it.

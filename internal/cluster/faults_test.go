@@ -21,13 +21,10 @@ func runFaultedScenario(t *testing.T) (fp string, injected uint64) {
 	t.Helper()
 	const nodes = 3
 	c := cluster.New(cluster.Config{
-		Nodes:           nodes,
-		Machine:         machine.Config{RAMFrames: 64},
-		NIC:             nic.Config{NIPTPages: 8},
-		FaultInject:     true,
-		FaultSeed:       0xC10C_FA17,
-		FaultRejectRate: 0.08,
-		FaultFailRate:   0.08,
+		Nodes:   nodes,
+		Machine: machine.Config{RAMFrames: 64},
+		NIC:     nic.Config{NIPTPages: 8},
+		Inject:  cluster.InjectPlan{Seed: 0xC10C_FA17, RejectRate: 0.08, FailRate: 0.08},
 	})
 	defer c.Shutdown()
 

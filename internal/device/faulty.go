@@ -32,11 +32,6 @@ type Faulty struct {
 	rejectP float64
 	failP   float64
 
-	// Periodic injection (see InjectEveryNth).
-	rejectN, failN         int
-	rejectPhase, failPhase uint64
-	checkOps, dataOps      uint64
-
 	rejected uint64
 	failed   uint64
 }
@@ -54,24 +49,6 @@ func (f *Faulty) InjectRates(rng *sim.RNG, rejectP, failP float64) {
 	f.rng, f.rejectP, f.failP = rng, rejectP, failP
 }
 
-// InjectEveryNth arms fully deterministic periodic injection: every
-// rejectN-th CheckTransfer is rejected and every failN-th Write/Read
-// fails at completion, with the phase of each period derived from seed
-// (so different seeds fault different ops without any hand-placed
-// schedule — exactly what simcheck's randomized scenarios need). Zero
-// disables a channel. One-shot counters still take precedence; periodic
-// injection takes precedence over rate-based.
-func (f *Faulty) InjectEveryNth(seed uint64, rejectN, failN int) {
-	f.rejectN, f.failN = rejectN, failN
-	if rejectN > 0 {
-		f.rejectPhase = seed % uint64(rejectN)
-	}
-	if failN > 0 {
-		f.failPhase = (seed >> 17) % uint64(failN)
-	}
-	f.checkOps, f.dataOps = 0, 0
-}
-
 // Name implements Device.
 func (f *Faulty) Name() string { return f.Inner.Name() + "+faulty" }
 
@@ -80,34 +57,11 @@ func (f *Faulty) Pages() uint32 { return f.Inner.Pages() }
 
 // CheckTransfer implements Device.
 func (f *Faulty) CheckTransfer(da DevAddr, n int, toDevice bool) ErrBits {
-	if f.RejectNext > 0 {
-		f.RejectNext--
-		f.rejected++
-		bits := f.RejectBits
-		if bits == 0 {
-			bits = ErrBounds
+	if f.inject(&f.RejectNext, f.rejectP, &f.rejected) {
+		if f.RejectBits != 0 {
+			return f.RejectBits
 		}
-		return bits
-	}
-	if f.rejectN > 0 {
-		op := f.checkOps
-		f.checkOps++
-		if op%uint64(f.rejectN) == f.rejectPhase {
-			f.rejected++
-			bits := f.RejectBits
-			if bits == 0 {
-				bits = ErrBounds
-			}
-			return bits
-		}
-	}
-	if f.rng != nil && f.rejectP > 0 && f.rng.Float64() < f.rejectP {
-		f.rejected++
-		bits := f.RejectBits
-		if bits == 0 {
-			bits = ErrBounds
-		}
-		return bits
+		return ErrBounds
 	}
 	return f.Inner.CheckTransfer(da, n, toDevice)
 }
@@ -133,25 +87,20 @@ func (f *Faulty) Read(da DevAddr, n int, now sim.Cycles) ([]byte, error) {
 	return f.Inner.Read(da, n, now)
 }
 
-func (f *Faulty) injectFail() bool {
-	if f.FailNext > 0 {
-		f.FailNext--
-		f.failed++
-		return true
+func (f *Faulty) injectFail() bool { return f.inject(&f.FailNext, f.failP, &f.failed) }
+
+// inject decides one fault channel: a pending one-shot (*next) fires
+// first, then the rate draw at probability p; a fault bumps *fired.
+func (f *Faulty) inject(next *int, p float64, fired *uint64) bool {
+	switch {
+	case *next > 0:
+		*next--
+	case f.rng != nil && p > 0 && f.rng.Float64() < p:
+	default:
+		return false
 	}
-	if f.failN > 0 {
-		op := f.dataOps
-		f.dataOps++
-		if op%uint64(f.failN) == f.failPhase {
-			f.failed++
-			return true
-		}
-	}
-	if f.rng != nil && f.failP > 0 && f.rng.Float64() < f.failP {
-		f.failed++
-		return true
-	}
-	return false
+	*fired++
+	return true
 }
 
 // Injected returns how many rejections and completion failures fired.

@@ -63,81 +63,3 @@ func TestFaultyFailNext(t *testing.T) {
 		t.Fatalf("failed = %d", failed)
 	}
 }
-
-func TestFaultyEveryNth(t *testing.T) {
-	f := NewFaulty(NewBuffer("b", 2, 0, 0))
-	f.InjectEveryNth(40, 4, 5)
-	// Phases derive from the seed: check ops fault at op%4 == 40%4 == 0,
-	// data ops at op%5 == (40>>17)%5 == 0.
-	var rejects, fails []int
-	for op := 0; op < 12; op++ {
-		if bits := f.CheckTransfer(DevAddr{}, 4, true); bits != 0 {
-			rejects = append(rejects, op)
-		}
-	}
-	for op := 0; op < 15; op++ {
-		if err := f.Write(DevAddr{}, []byte{1, 2, 3, 4}, 0); err != nil {
-			if !errors.Is(err, ErrInjected) {
-				t.Fatalf("op %d: %v", op, err)
-			}
-			fails = append(fails, op)
-		}
-	}
-	wantRej, wantFail := []int{0, 4, 8}, []int{0, 5, 10}
-	if len(rejects) != len(wantRej) || len(fails) != len(wantFail) {
-		t.Fatalf("rejects %v fails %v", rejects, fails)
-	}
-	for i := range wantRej {
-		if rejects[i] != wantRej[i] {
-			t.Fatalf("rejects %v, want %v", rejects, wantRej)
-		}
-	}
-	for i := range wantFail {
-		if fails[i] != wantFail[i] {
-			t.Fatalf("fails %v, want %v", fails, wantFail)
-		}
-	}
-	rej, failed := f.Injected()
-	if rej != 3 || failed != 3 {
-		t.Fatalf("Injected() = %d, %d", rej, failed)
-	}
-}
-
-func TestFaultyEveryNthSeedShiftsPhase(t *testing.T) {
-	// Different seeds must fault different ops — that is the whole point
-	// of deriving the phase instead of always faulting op 0.
-	firstFault := func(seed uint64) int {
-		f := NewFaulty(NewBuffer("b", 2, 0, 0))
-		f.InjectEveryNth(seed, 7, 0)
-		for op := 0; ; op++ {
-			if f.CheckTransfer(DevAddr{}, 4, true) != 0 {
-				return op
-			}
-		}
-	}
-	seen := map[int]bool{}
-	for seed := uint64(0); seed < 7; seed++ {
-		seen[firstFault(seed)] = true
-	}
-	if len(seen) < 2 {
-		t.Fatalf("7 seeds all faulted the same op: %v", seen)
-	}
-}
-
-func TestFaultyEveryNthReseedResets(t *testing.T) {
-	f := NewFaulty(NewBuffer("b", 2, 0, 0))
-	f.InjectEveryNth(0, 3, 0) // phase 0: op 0 faults
-	if f.CheckTransfer(DevAddr{}, 4, true) == 0 {
-		t.Fatal("op 0 should fault at phase 0")
-	}
-	f.InjectEveryNth(0, 3, 0) // re-arm resets the op counters
-	if f.CheckTransfer(DevAddr{}, 4, true) == 0 {
-		t.Fatal("re-arm did not reset the op counter")
-	}
-	f.InjectEveryNth(0, 0, 0) // zero disables the channel
-	for op := 0; op < 10; op++ {
-		if f.CheckTransfer(DevAddr{}, 4, true) != 0 {
-			t.Fatal("disabled periodic injection still fired")
-		}
-	}
-}

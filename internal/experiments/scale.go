@@ -52,17 +52,19 @@ type scaleCase struct {
 	metrics  *telemetry.Registry // optional rollup mirror (pure observer)
 }
 
-// scaleRun is what one case measures.
-type scaleRun struct {
-	fingerprint string
-	bytes       uint64
-	elapsed     sim.Cycles
-	goodput     float64 // aggregate payload bytes per simulated cycle
-	hotBusy     uint64  // busiest link's busy cycles
-	hotFrac     float64 // busiest link's busy fraction of elapsed
-	waitCycles  uint64  // total cycles packets queued on links
-	peakQueue   uint64  // deepest link FIFO backlog anywhere
-	linksUsed   int
+// IncastRun is what one e18 case measures, and the readout of a
+// standalone RunIncast — the cmd/shrimpsim `-scenario incast` face of
+// the e18 machinery.
+type IncastRun struct {
+	Fingerprint string
+	Bytes       uint64
+	Elapsed     sim.Cycles
+	GoodputBPC  float64 // aggregate payload bytes per simulated cycle
+	HotBusy     uint64  // busiest link's busy cycles
+	HotFrac     float64 // busiest link's busy fraction of elapsed
+	WaitCycles  uint64  // total cycles packets queued on links
+	PeakQueue   uint64  // deepest link FIFO backlog anywhere
+	LinksUsed   int
 }
 
 // scaleTopo builds the 8×8 declaration at the given per-link capacity
@@ -104,7 +106,7 @@ func RunScaleOut() (*Result, error) {
 		fmt.Sprintf("64-node routed fabric (8×8), %d B messages: goodput vs link capacity", scaleMsgSize),
 		"workload", "topology", "fabric", "goodput B/cyc", "MB/s", "elapsed Mcyc", "hot link busy", "queue wait Mcyc", "peak queue")
 	costs := machine.SHRIMP1996()
-	runs := make(map[string]*scaleRun, len(cells))
+	runs := make(map[string]*IncastRun, len(cells))
 	for _, cl := range cells {
 		sc := scaleCase{
 			name:     fmt.Sprintf("%s_%s_%s", cl.workload, cl.kind, cl.fabric),
@@ -119,15 +121,15 @@ func RunScaleOut() (*Result, error) {
 		}
 		runs[sc.name] = r
 		tbl.AddRow(cl.workload, cl.kind.String(), cl.fabric,
-			fmt.Sprintf("%.3f", r.goodput),
-			fmt.Sprintf("%.1f", mbps(costs, int(r.bytes), r.elapsed)),
-			fmt.Sprintf("%.2f", float64(r.elapsed)/1e6),
-			fmt.Sprintf("%.0f%%", 100*r.hotFrac),
-			fmt.Sprintf("%.2f", float64(r.waitCycles)/1e6),
-			fmt.Sprintf("%d", r.peakQueue))
-		res.metric(sc.name+"_goodput_bpc", r.goodput)
-		res.metric(sc.name+"_elapsed_cycles", float64(r.elapsed))
-		res.metric(sc.name+"_peak_queue", float64(r.peakQueue))
+			fmt.Sprintf("%.3f", r.GoodputBPC),
+			fmt.Sprintf("%.1f", mbps(costs, int(r.Bytes), r.Elapsed)),
+			fmt.Sprintf("%.2f", float64(r.Elapsed)/1e6),
+			fmt.Sprintf("%.0f%%", 100*r.HotFrac),
+			fmt.Sprintf("%.2f", float64(r.WaitCycles)/1e6),
+			fmt.Sprintf("%d", r.PeakQueue))
+		res.metric(sc.name+"_goodput_bpc", r.GoodputBPC)
+		res.metric(sc.name+"_elapsed_cycles", float64(r.Elapsed))
+		res.metric(sc.name+"_peak_queue", float64(r.PeakQueue))
 	}
 	res.Tables = append(res.Tables, tbl)
 
@@ -163,12 +165,12 @@ func RunScaleOut() (*Result, error) {
 		perMsg := float64(costs.RecvDMAStartup) + float64(scaleMsgSize)/costs.DMABytesPerCyc
 		offered := float64(k) * float64(scaleMsgSize) / perMsg
 		sweepTbl.AddRow(fmt.Sprintf("%d", k), fmt.Sprintf("%.2f", offered),
-			fmt.Sprintf("%.3f", r.goodput),
-			fmt.Sprintf("%.0f%%", 100*r.hotFrac),
-			fmt.Sprintf("%d", r.peakQueue))
-		series.Add(float64(k), r.goodput)
-		sweepGoodputs = append(sweepGoodputs, r.goodput)
-		res.metric(fmt.Sprintf("incast_flat_senders_%d_goodput_bpc", k), r.goodput)
+			fmt.Sprintf("%.3f", r.GoodputBPC),
+			fmt.Sprintf("%.0f%%", 100*r.HotFrac),
+			fmt.Sprintf("%d", r.PeakQueue))
+		series.Add(float64(k), r.GoodputBPC)
+		sweepGoodputs = append(sweepGoodputs, r.GoodputBPC)
+		res.metric(fmt.Sprintf("incast_flat_senders_%d_goodput_bpc", k), r.GoodputBPC)
 	}
 	res.Tables = append(res.Tables, sweepTbl)
 	res.Series = append(res.Series, series)
@@ -183,23 +185,23 @@ func RunScaleOut() (*Result, error) {
 		}
 		lim := runs[fmt.Sprintf("%s_%s_limited", cl.workload, cl.kind)]
 		amp := runs[fmt.Sprintf("%s_%s_ample", cl.workload, cl.kind)]
-		ampleWins = ampleWins && lim.goodput > 0 && amp.goodput > lim.goodput
-		pairs = append(pairs, fmt.Sprintf("%s/%s %.3f < %.3f", cl.workload, cl.kind, lim.goodput, amp.goodput))
+		ampleWins = ampleWins && lim.GoodputBPC > 0 && amp.GoodputBPC > lim.GoodputBPC
+		pairs = append(pairs, fmt.Sprintf("%s/%s %.3f < %.3f", cl.workload, cl.kind, lim.GoodputBPC, amp.GoodputBPC))
 	}
 	res.check("ample beats limited goodput (> 0) for every workload and topology", ampleWins,
 		"limited < ample B/cyc: %s", strings.Join(pairs, ", "))
 
 	mi := runs["incast_mesh_limited"]
 	res.check("limited incast flattens at link capacity",
-		mi.goodput >= 0.5*scaleLimitedBPC && mi.goodput <= 2.5*scaleLimitedBPC,
+		mi.GoodputBPC >= 0.5*scaleLimitedBPC && mi.GoodputBPC <= 2.5*scaleLimitedBPC,
 		"mesh incast goodput %.3f B/cyc vs %.2f B/cyc per link (63 senders share the victim's 2 inbound links)",
-		mi.goodput, scaleLimitedBPC)
+		mi.GoodputBPC, scaleLimitedBPC)
 
 	ai := runs["incast_mesh_ample"]
 	res.check("ample fabric does not flatten at link capacity",
-		ai.goodput >= 2.5*mi.goodput,
+		ai.GoodputBPC >= 2.5*mi.GoodputBPC,
 		"ample incast %.3f B/cyc vs limited %.3f (receiver bus %.2f B/cyc is the ample bottleneck)",
-		ai.goodput, mi.goodput, costs.DMABytesPerCyc)
+		ai.GoodputBPC, mi.GoodputBPC, costs.DMABytesPerCyc)
 
 	lo, hi := sweepGoodputs[0], sweepGoodputs[0]
 	for _, g := range sweepGoodputs {
@@ -216,8 +218,8 @@ func RunScaleOut() (*Result, error) {
 
 	ti := runs["incast_torus_limited"]
 	res.check("torus wraparound widens the incast funnel",
-		ti.goodput >= 1.4*mi.goodput,
-		"torus incast %.3f vs mesh %.3f B/cyc (4 inbound links vs 2)", ti.goodput, mi.goodput)
+		ti.GoodputBPC >= 1.4*mi.GoodputBPC,
+		"torus incast %.3f vs mesh %.3f B/cyc (4 inbound links vs 2)", ti.GoodputBPC, mi.GoodputBPC)
 
 	// All-to-all: the torus's wraparound halves each dimension's worst
 	// crossing load. End-to-end goodput moves less (every destination
@@ -226,18 +228,18 @@ func RunScaleOut() (*Result, error) {
 	// guard.
 	ma, ta := runs["alltoall_mesh_limited"], runs["alltoall_torus_limited"]
 	res.check("torus spreads the all-to-all hot-spot (halved worst-link load)",
-		float64(ta.hotBusy) <= 0.75*float64(ma.hotBusy) && ta.goodput >= 0.95*ma.goodput,
+		float64(ta.HotBusy) <= 0.75*float64(ma.HotBusy) && ta.GoodputBPC >= 0.95*ma.GoodputBPC,
 		"hottest link busy %.2f Mcyc (torus) vs %.2f (mesh); goodput %.3f vs %.3f B/cyc",
-		float64(ta.hotBusy)/1e6, float64(ma.hotBusy)/1e6, ta.goodput, ma.goodput)
+		float64(ta.HotBusy)/1e6, float64(ma.HotBusy)/1e6, ta.GoodputBPC, ma.GoodputBPC)
 
 	mb, ab := runs["bisect_mesh_limited"], runs["bisect_mesh_ample"]
 	crossCap := 2 * scaleWidth * scaleLimitedBPC // W crossing links per direction
 	res.check("bisection exchange saturates the crossing links",
-		mb.goodput >= 0.5*crossCap && mb.goodput <= 1.25*crossCap,
-		"mesh bisect goodput %.3f B/cyc vs %.1f B/cyc crossing capacity", mb.goodput, crossCap)
+		mb.GoodputBPC >= 0.5*crossCap && mb.GoodputBPC <= 1.25*crossCap,
+		"mesh bisect goodput %.3f B/cyc vs %.1f B/cyc crossing capacity", mb.GoodputBPC, crossCap)
 	res.check("ample fabric clears the bisection bottleneck",
-		ab.goodput >= 2*mb.goodput,
-		"ample %.3f vs limited %.3f B/cyc", ab.goodput, mb.goodput)
+		ab.GoodputBPC >= 2*mb.GoodputBPC,
+		"ample %.3f vs limited %.3f B/cyc", ab.GoodputBPC, mb.GoodputBPC)
 
 	// --- determinism: worker equivalence and run-twice --------------------
 
@@ -257,8 +259,8 @@ func RunScaleOut() (*Result, error) {
 			return nil, fmt.Errorf("fingerprint workers=%d: %w", w, err)
 		}
 		if w == 1 {
-			baseFP = r.fingerprint
-		} else if r.fingerprint != baseFP {
+			baseFP = r.Fingerprint
+		} else if r.Fingerprint != baseFP {
 			identical = false
 		}
 	}
@@ -272,11 +274,11 @@ func RunScaleOut() (*Result, error) {
 		return nil, fmt.Errorf("rerun: %w", err)
 	}
 	res.check("same seed, same fabric: run-twice bit-exact",
-		again.fingerprint == baseFP,
-		"rerun fingerprint %s vs %s", again.fingerprint[:16], baseFP[:16])
+		again.Fingerprint == baseFP,
+		"rerun fingerprint %s vs %s", again.Fingerprint[:16], baseFP[:16])
 
-	res.metric("fabric_links_used_incast", float64(mi.linksUsed))
-	res.metric("incast_wait_cycles", float64(mi.waitCycles))
+	res.metric("fabric_links_used_incast", float64(mi.LinksUsed))
+	res.metric("incast_wait_cycles", float64(mi.WaitCycles))
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("limited fabric: %.2f B/cyc per directed link — below the %.2f B/cyc receive bus, so links are the bottleneck", scaleLimitedBPC, costs.DMABytesPerCyc),
 		"ample fabric: links at the host-interface rate (2.9 B/cyc); incast is then bound by the victim's EISA receive bus",
@@ -288,7 +290,7 @@ func RunScaleOut() (*Result, error) {
 // runScaleCase builds the 64-node cluster, wires the workload's send
 // windows, runs it to completion and folds the outcome — including the
 // per-link occupancy ledger — into a fingerprint.
-func runScaleCase(sc scaleCase) (*scaleRun, error) {
+func runScaleCase(sc scaleCase) (*IncastRun, error) {
 	nodes := sc.topo.Nodes
 	c := cluster.New(cluster.Config{
 		Nodes:    nodes,
@@ -368,9 +370,9 @@ func runScaleCase(sc scaleCase) (*scaleRun, error) {
 	if bytes != wantBytes {
 		return nil, fmt.Errorf("wire carried %d bytes, want %d", bytes, wantBytes)
 	}
-	r := &scaleRun{bytes: bytes, elapsed: c.MaxNow()}
-	if r.elapsed > 0 {
-		r.goodput = float64(bytes) / float64(r.elapsed)
+	r := &IncastRun{Bytes: bytes, Elapsed: c.MaxNow()}
+	if r.Elapsed > 0 {
+		r.GoodputBPC = float64(bytes) / float64(r.Elapsed)
 	}
 
 	h := fnv.New64a()
@@ -378,36 +380,22 @@ func runScaleCase(sc scaleCase) (*scaleRun, error) {
 		fmt.Fprintf(h, "n%d clock=%d nic=%+v|", i, c.Nodes[i].Clock.Now(), c.NICs[i].Stats())
 	}
 	ls := c.Backplane.LinkStats()
-	r.linksUsed = len(ls)
+	r.LinksUsed = len(ls)
 	for _, l := range ls {
 		fmt.Fprintf(h, "L%d>%d:%d:%d:%d:%d|", l.From, l.To, l.BusyCycles, l.WaitCycles, l.Packets, l.PeakQueue)
-		if l.BusyCycles > r.hotBusy {
-			r.hotBusy = l.BusyCycles
+		if l.BusyCycles > r.HotBusy {
+			r.HotBusy = l.BusyCycles
 		}
-		r.waitCycles += l.WaitCycles
-		if l.PeakQueue > r.peakQueue {
-			r.peakQueue = l.PeakQueue
+		r.WaitCycles += l.WaitCycles
+		if l.PeakQueue > r.PeakQueue {
+			r.PeakQueue = l.PeakQueue
 		}
 	}
-	if r.elapsed > 0 {
-		r.hotFrac = float64(r.hotBusy) / float64(r.elapsed)
+	if r.Elapsed > 0 {
+		r.HotFrac = float64(r.HotBusy) / float64(r.Elapsed)
 	}
-	r.fingerprint = fmt.Sprintf("%016x", h.Sum64())
+	r.Fingerprint = fmt.Sprintf("%016x", h.Sum64())
 	return r, nil
-}
-
-// IncastRun is the readout of one standalone incast run — the
-// cmd/shrimpsim `-scenario incast` face of the e18 machinery.
-type IncastRun struct {
-	Fingerprint string
-	Bytes       uint64
-	Elapsed     sim.Cycles
-	GoodputBPC  float64 // aggregate payload bytes per simulated cycle
-	HotBusy     uint64  // busiest link's busy cycles
-	HotFrac     float64 // busiest link's busy fraction of elapsed
-	WaitCycles  uint64  // total cycles packets queued on links
-	PeakQueue   uint64  // deepest link FIFO backlog anywhere
-	LinksUsed   int
 }
 
 // RunIncast drives every node but node 0 to push `messages` page-sized
@@ -427,22 +415,8 @@ func RunIncast(nodes int, kind interconnect.Kind, linkBPC float64, messages, wor
 		workers = 1
 	}
 	topo := interconnect.Topology{Kind: kind, Nodes: nodes, LinkBytesPerCyc: linkBPC}
-	r, err := runScaleCase(scaleCase{topo: topo, workload: "incast",
+	return runScaleCase(scaleCase{topo: topo, workload: "incast",
 		messages: messages, workers: workers, metrics: reg})
-	if err != nil {
-		return nil, err
-	}
-	return &IncastRun{
-		Fingerprint: r.fingerprint,
-		Bytes:       r.bytes,
-		Elapsed:     r.elapsed,
-		GoodputBPC:  r.goodput,
-		HotBusy:     r.hotBusy,
-		HotFrac:     r.hotFrac,
-		WaitCycles:  r.waitCycles,
-		PeakQueue:   r.peakQueue,
-		LinksUsed:   r.linksUsed,
-	}, nil
 }
 
 // ScaleLimitedBPC is the constrained per-link capacity the incast

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"shrimp/internal/cluster"
 	"shrimp/internal/interconnect"
 	"shrimp/internal/loadgen"
 	"shrimp/internal/machine"
@@ -42,9 +43,7 @@ func serveRegimes(seed uint64) []serveRegime {
 			}
 		}},
 		{"faulty", func(tc *loadgen.TrialConfig) {
-			tc.FaultInject = true
-			tc.FaultRejectRate = 0.02
-			tc.FaultFailRate = 0.02
+			tc.Inject = cluster.InjectPlan{Seed: seed, RejectRate: 0.02, FailRate: 0.02}
 		}},
 	}
 }

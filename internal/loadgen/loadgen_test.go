@@ -154,6 +154,31 @@ func TestTrialLimitIsErrLimit(t *testing.T) {
 	}
 }
 
+// TestTrialRefusesBadConfig pins that a trial that could never serve —
+// one node has no remote destination, a negative rate no arrivals — is
+// refused before the cluster is built, not by a panic in BuildPlan or a
+// run to the cycle limit.
+func TestTrialRefusesBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*TrialConfig)
+	}{
+		{"one node", func(tc *TrialConfig) { tc.Nodes = 1 }},
+		{"negative nodes", func(tc *TrialConfig) { tc.Nodes = -3 }},
+		{"negative rate", func(tc *TrialConfig) { tc.Rate = -50 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(150)
+			cfg.Limit = 10_000_000 // a run that starts fails fast, not at 2e9
+			tc.edit(&cfg)
+			res, err := RunTrial(cfg)
+			if err == nil || errors.Is(err, cluster.ErrLimit) || res != nil {
+				t.Fatalf("RunTrial = %v, %v; want a config error before any run", res, err)
+			}
+		})
+	}
+}
+
 func TestTrialLossyWireAccounts(t *testing.T) {
 	tc := testConfig(150)
 	tc.Fault = interconnect.FaultPlan{
@@ -183,9 +208,7 @@ func TestTrialLossyWireAccounts(t *testing.T) {
 
 func TestTrialFaultyDeviceKeepsServing(t *testing.T) {
 	tc := testConfig(150)
-	tc.FaultInject = true
-	tc.FaultRejectRate = 0.02
-	tc.FaultFailRate = 0.02
+	tc.Inject = cluster.InjectPlan{Seed: tc.Seed, RejectRate: 0.02, FailRate: 0.02}
 	res, err := RunTrial(tc)
 	if err != nil {
 		t.Fatal(err)

@@ -33,11 +33,9 @@ type TrialConfig struct {
 	// Fault perturbs the wire (lossy regime); the NIC reliability layer
 	// is always armed, so a clean trial is simply a zero plan.
 	Fault interconnect.FaultPlan
-	// FaultInject wraps every NIC in device.Faulty at the given rates
-	// (faulty regime), seeded from Config.Seed.
-	FaultInject     bool
-	FaultRejectRate float64
-	FaultFailRate   float64
+	// Inject wraps every NIC in device.Faulty at the plan's rates
+	// (faulty regime); see cluster.InjectPlan.
+	Inject cluster.InjectPlan
 
 	// Topology declares the routed fabric (mesh/torus, width, per-link
 	// capacity); the zero value is the near-square mesh at the
@@ -96,9 +94,17 @@ func (tc TrialConfig) withDefaults() TrialConfig {
 // to it, and runs the cluster to completion with the driver's barrier
 // hooks: PublishControl before every Step, the driver's error check
 // after it. It returns the aggregated SLO readout; a trial that reaches
-// Limit fails with an error wrapping cluster.ErrLimit.
+// Limit fails with an error wrapping cluster.ErrLimit. A trial with
+// fewer than two nodes or a negative rate is refused before anything
+// is built.
 func RunTrial(tc TrialConfig) (*Result, error) {
 	tc = tc.withDefaults()
+	switch {
+	case tc.Nodes < 2:
+		return nil, fmt.Errorf("loadgen: %d nodes (need >= 2 to serve remote traffic)", tc.Nodes)
+	case tc.Rate < 0:
+		return nil, fmt.Errorf("loadgen: offered rate %g msgs/Mcycle is negative", tc.Rate)
+	}
 	plan := BuildPlan(tc.Config)
 	cl := cluster.New(cluster.Config{
 		Nodes:    tc.Nodes,
@@ -127,15 +133,12 @@ func RunTrial(tc TrialConfig) (*Result, error) {
 				IdleReclaimAge: tc.IdleReclaimAge,
 			},
 		},
-		Crash:           tc.Crash,
-		Window:          tc.Window,
-		Workers:         tc.Workers,
-		FaultInject:     tc.FaultInject,
-		FaultSeed:       tc.Seed,
-		FaultRejectRate: tc.FaultRejectRate,
-		FaultFailRate:   tc.FaultFailRate,
-		Fault:           tc.Fault,
-		Metrics:         tc.Metrics,
+		Crash:   tc.Crash,
+		Window:  tc.Window,
+		Workers: tc.Workers,
+		Inject:  tc.Inject,
+		Fault:   tc.Fault,
+		Metrics: tc.Metrics,
 	})
 	defer cl.Shutdown()
 	dr := NewDriver(plan, cl, DriverOptions{Retry: tc.Retry, Metrics: tc.Metrics})

@@ -3,6 +3,7 @@ package simcheck
 import (
 	"testing"
 
+	"shrimp/internal/cluster"
 	"shrimp/internal/kernel"
 )
 
@@ -57,10 +58,10 @@ func TestBrokenI1(t *testing.T) {
 func TestBrokenI2(t *testing.T) {
 	rep := sweepBroken(t, kernel.TestHooks{SkipI2ProxyInval: true}, func(cfg *ScenarioConfig) {
 		cfg.Nodes = 1
-		cfg.RAMFrames = 24
+		cfg.Machine.RAMFrames = 24
 		cfg.ProcsPerNode = 3
 		cfg.OpsPerProc = 10
-		cfg.FaultInject = false
+		cfg.Inject = cluster.InjectPlan{}
 		cfg.Kills = 0
 	}, 32)
 	wantInvariant(t, rep, "I2", "memory", "conservation")
@@ -76,7 +77,7 @@ func TestBrokenI3(t *testing.T) {
 		cfg.OpsPerProc = 10
 		cfg.Cleaner = true
 		cfg.CleanerPeriod = 5_000
-		cfg.FaultInject = false
+		cfg.Inject = cluster.InjectPlan{}
 		cfg.Kills = 0
 	}, 32)
 	wantInvariant(t, rep, "I3")
@@ -89,13 +90,13 @@ func TestBrokenI3(t *testing.T) {
 func TestBrokenI4(t *testing.T) {
 	rep := sweepBroken(t, kernel.TestHooks{SkipI4Guard: true}, func(cfg *ScenarioConfig) {
 		cfg.Nodes = 1
-		cfg.RAMFrames = 24
-		cfg.QueueDepth = 8
-		cfg.SysQueueDepth = 2
+		cfg.Machine.RAMFrames = 24
+		cfg.Machine.UDMA.QueueDepth = 8
+		cfg.Machine.UDMA.SystemQueueDepth = 2
 		cfg.DeviceLatency = 20_000
 		cfg.ProcsPerNode = 4
 		cfg.OpsPerProc = 10
-		cfg.FaultInject = false
+		cfg.Inject = cluster.InjectPlan{}
 		cfg.Kills = 0
 	}, 32)
 	wantInvariant(t, rep, "I4", "conservation", "memory", "refcount")

@@ -7,46 +7,35 @@ import (
 
 	"shrimp/internal/addr"
 	"shrimp/internal/cluster"
-	"shrimp/internal/core"
 	"shrimp/internal/device"
 	"shrimp/internal/interconnect"
 	"shrimp/internal/kernel"
 	"shrimp/internal/loadgen"
-	"shrimp/internal/machine"
 	"shrimp/internal/nic"
 	"shrimp/internal/sim"
 	"shrimp/internal/trace"
 	"shrimp/internal/udmalib"
 )
 
-// ScenarioConfig is the seed-derived shape of one randomized run. Every
-// field is exported so Options.Override can bias a test toward specific
-// pressure (tiny RAM for eviction storms, deep queues for I4, a fast
-// cleaner for I3).
+// ScenarioConfig is the seed-derived shape of one randomized run: the
+// cluster's own Config plus the knobs of the scenario's process
+// programs. Every field is exported so Options.Override can bias a test
+// toward specific pressure (tiny RAM for eviction storms, deep queues
+// for I4, a fast cleaner for I3) on any cluster knob.
+//
+// A backplane Fault plan also arms the NIC reliability sublayer to
+// survive it; byte conservation is then asserted end-to-end across
+// retransmission.
 type ScenarioConfig struct {
-	Nodes         int
-	RAMFrames     int
-	QueueDepth    int
-	SysQueueDepth int
-	Quantum       sim.Cycles
-	Window        sim.Cycles // lockstep horizon step = audit interval
+	cluster.Config
+
 	ProcsPerNode  int
 	OpsPerProc    int
 	DeviceLatency sim.Cycles // scratch-buffer transfer latency
 	ScratchPages  uint32
-	NIPTPages     uint32
 
 	Cleaner       bool
 	CleanerPeriod sim.Cycles
-
-	FaultInject     bool
-	FaultRejectRate float64
-	FaultFailRate   float64
-
-	// Fault perturbs the backplane when enabled, and then arms the NIC
-	// reliability sublayer to survive it; byte conservation is asserted
-	// end-to-end across retransmission.
-	Fault interconnect.FaultPlan
 
 	Kills    int // processes killed mid-run (never receivers)
 	MaxSteps int // liveness bound, in lockstep windows
@@ -59,28 +48,6 @@ type ScenarioConfig struct {
 	// Options.Override — never drawn from the seed — so every existing
 	// seed's scenario shape is untouched.
 	Serve *loadgen.Config
-
-	// NIPTCapacity bounds the board's NIPT cache over the host-memory
-	// backing table (0 = unbounded); IdleReclaimAge ages idle
-	// reliability state into the free pools at barriers. Both are
-	// seed-drawn, after the lossy block, so earlier per-seed fields
-	// keep their values.
-	NIPTCapacity   int
-	IdleReclaimAge sim.Cycles
-
-	// Crash, when enabled, is the cluster's node crash–restart chaos
-	// plan: whole nodes lose power at seeded instants and reboot after
-	// MTTR, wiping all volatile board state and killing every kernel
-	// process. Seed-drawn last, after the reclamation draw, so every
-	// earlier field keeps its per-seed value.
-	Crash cluster.CrashPlan
-
-	// Topology is the routed fabric (newest draws of all, after the
-	// crash block, same append-only rule): a torus closes the router
-	// grid's rows and columns into rings, and a LinkBytesPerCyc below
-	// the host-interface rate makes barrier-time contention resolution
-	// bite. Nodes stays zero; the cluster fills it in.
-	Topology interconnect.Topology
 }
 
 // randomConfig draws a scenario shape from the master RNG. Ranges are
@@ -88,37 +55,34 @@ type ScenarioConfig struct {
 // evictions against UDMA references (I4), non-zero quanta force context
 // switches mid-sequence (I1), the cleaner clears dirty bits against
 // live proxy mappings (I3), queue depths of 0 cover the basic machine.
+// The draw order is fixed: a new draw goes after every existing one, so
+// earlier fields keep their per-seed values.
 func randomConfig(rng *sim.RNG) ScenarioConfig {
-	cfg := ScenarioConfig{
-		Nodes:         1 + rng.Intn(3),
-		RAMFrames:     48 + rng.Intn(65),
-		QueueDepth:    []int{0, 2, 4, 8}[rng.Intn(4)],
-		Quantum:       sim.Cycles(1200 + rng.Intn(2800)),
-		Window:        sim.Cycles(4000 + rng.Intn(12000)),
-		ProcsPerNode:  2 + rng.Intn(3),
-		OpsPerProc:    3 + rng.Intn(6),
-		DeviceLatency: []sim.Cycles{0, 50, 2000, 20000}[rng.Intn(4)],
-		NIPTPages:     64,
-		MaxSteps:      60_000,
-	}
+	var cfg ScenarioConfig
+	cfg.Nodes = 1 + rng.Intn(3)
+	cfg.Machine.RAMFrames = 48 + rng.Intn(65)
+	cfg.Machine.UDMA.QueueDepth = []int{0, 2, 4, 8}[rng.Intn(4)]
+	cfg.Machine.Kernel.Quantum = sim.Cycles(1200 + rng.Intn(2800))
+	cfg.Window = sim.Cycles(4000 + rng.Intn(12000)) // lockstep horizon step = audit interval
+	cfg.ProcsPerNode = 2 + rng.Intn(3)
+	cfg.OpsPerProc = 3 + rng.Intn(6)
+	cfg.DeviceLatency = []sim.Cycles{0, 50, 2000, 20000}[rng.Intn(4)]
+	cfg.NIC.NIPTPages = 64
+	cfg.MaxSteps = 60_000
 	cfg.ScratchPages = uint32(2 * cfg.ProcsPerNode)
-	if cfg.QueueDepth > 0 && rng.Bool() {
-		cfg.SysQueueDepth = 2
+	if cfg.Machine.UDMA.QueueDepth > 0 && rng.Bool() {
+		cfg.Machine.UDMA.SystemQueueDepth = 2
 	}
 	if rng.Intn(3) == 0 {
 		cfg.Cleaner = true
 		cfg.CleanerPeriod = sim.Cycles(30_000 + rng.Intn(90_000))
 	}
 	if rng.Intn(3) == 0 {
-		cfg.FaultInject = true
-		cfg.FaultRejectRate = 0.02
-		cfg.FaultFailRate = 0.02
+		cfg.Inject = cluster.InjectPlan{RejectRate: 0.02, FailRate: 0.02}
 	}
 	if rng.Intn(2) == 0 {
 		cfg.Kills = rng.Intn(3)
 	}
-	// Lossy-wire draws come last so adding them kept every earlier
-	// field's per-seed value stable.
 	if rng.Intn(3) == 0 {
 		cfg.Fault = interconnect.FaultPlan{
 			DropRate:    0.02 + 0.08*rng.Float64(),
@@ -131,25 +95,24 @@ func randomConfig(rng *sim.RNG) ScenarioConfig {
 			cfg.Fault.FlapDown = sim.Cycles(2_000 + rng.Intn(4_000))
 		}
 	}
-	// Bounded-NIPT and reclamation draws also come last (same rule as
-	// the lossy block: new draws never move existing per-seed values).
+	// Bounded NIPT cache, and idle reliability state aged into the free
+	// pools at barriers.
 	if rng.Intn(3) == 0 {
-		cfg.NIPTCapacity = 1 + rng.Intn(31)
+		cfg.NIC.NIPTCapacity = 1 + rng.Intn(31)
 	}
 	if cfg.Fault.Enabled() && rng.Intn(2) == 0 {
-		cfg.IdleReclaimAge = sim.Cycles(20_000 + rng.Intn(60_000))
+		cfg.NIC.Reliability.IdleReclaimAge = sim.Cycles(20_000 + rng.Intn(60_000))
 	}
-	// Crash-plan draws are the newest, so they come last of all (same
-	// append-only rule): a quarter of seeds get whole-node power loss.
+	// A quarter of seeds get whole-node power loss.
 	if rng.Intn(4) == 0 {
 		cfg.Crash.MTBF = sim.Cycles(150_000 + rng.Intn(250_000))
 		cfg.Crash.MTTR = sim.Cycles(30_000 + rng.Intn(90_000))
 		cfg.Crash.MaxCrashes = 1 + rng.Intn(2)
 	}
-	// Routed-fabric draws come after the crash block (append-only rule
-	// again): a third of seeds wrap the mesh into a torus, and a third
-	// throttle the fabric links below the host-interface rate so link
-	// contention actually bites.
+	// Routed fabric: a third of seeds wrap the mesh into a torus, and a
+	// third throttle the fabric links below the host-interface rate so
+	// link contention actually bites. Topology.Nodes stays zero; the
+	// cluster fills it in.
 	if rng.Intn(3) == 0 {
 		cfg.Topology.Kind = interconnect.KindTorus
 	}
@@ -297,7 +260,7 @@ func (s *scenario) capped() bool {
 // and are ignored; without them, any op error other than a queue-full
 // refusal (a documented transient on the queued machine) is a finding.
 func (s *scenario) opError(node int, what string, err error) {
-	if err == nil || s.cfg.FaultInject || s.cfg.Fault.Enabled() || queueFull(err) {
+	if err == nil || s.cfg.Inject.Enabled() || s.cfg.Fault.Enabled() || queueFull(err) {
 		return
 	}
 	s.fail(node, "op-error", what+": "+err.Error())
@@ -362,44 +325,20 @@ func buildScenario(seed uint64, opts Options) *scenario {
 		}
 		cfg.Serve = &sc
 		plan = loadgen.BuildPlan(sc)
-		if need := plan.NIPTEntries(); cfg.NIPTPages < need {
-			cfg.NIPTPages = need
+		if need := plan.NIPTEntries(); cfg.NIC.NIPTPages < need {
+			cfg.NIC.NIPTPages = need
 		}
 	}
+	// Knobs no scenario draws: fixed values, the seed and the Options.
+	cfg.NIC.PIOWindow = true
+	cfg.NIC.NIPTRefillJitter = 16
+	cfg.NIC.NIPTSeed = seed
+	cfg.NIC.Reliability.Enabled = cfg.Fault.Enabled()
+	cfg.Inject.Seed = seed
+	cfg.Workers = opts.Workers
+	cfg.Metrics = opts.Metrics
 	s := &scenario{seed: seed, cfg: cfg, opts: opts, step: -1}
-
-	s.cl = cluster.New(cluster.Config{
-		Nodes:    cfg.Nodes,
-		Topology: cfg.Topology,
-		Machine: machine.Config{
-			RAMFrames: cfg.RAMFrames,
-			UDMA: core.Config{
-				QueueDepth:       cfg.QueueDepth,
-				SystemQueueDepth: cfg.SysQueueDepth,
-			},
-			Kernel: kernel.Config{Quantum: cfg.Quantum},
-		},
-		NIC: nic.Config{
-			NIPTPages:        cfg.NIPTPages,
-			PIOWindow:        true,
-			NIPTCapacity:     cfg.NIPTCapacity,
-			NIPTRefillJitter: 16,
-			NIPTSeed:         seed,
-			Reliability: nic.ReliabilityConfig{
-				Enabled:        cfg.Fault.Enabled(),
-				IdleReclaimAge: cfg.IdleReclaimAge,
-			},
-		},
-		Crash:           cfg.Crash,
-		Window:          cfg.Window,
-		Workers:         opts.Workers,
-		FaultInject:     cfg.FaultInject,
-		FaultSeed:       seed,
-		FaultRejectRate: cfg.FaultRejectRate,
-		FaultFailRate:   cfg.FaultFailRate,
-		Fault:           cfg.Fault,
-		Metrics:         opts.Metrics,
-	})
+	s.cl = cluster.New(cfg.Config)
 	s.procViol = make([][]Violation, cfg.Nodes)
 
 	for i, n := range s.cl.Nodes {
@@ -588,7 +527,7 @@ func (s *scenario) serveVerify() {
 	if res.OrderViolations != 0 {
 		s.fail(0, "serve-order", fmt.Sprintf("%d per-flow FIFO violations", res.OrderViolations))
 	}
-	if !s.cfg.FaultInject && !s.cfg.Fault.Enabled() && !s.cfg.Crash.Enabled() && res.Failed != 0 {
+	if !s.cfg.Inject.Enabled() && !s.cfg.Fault.Enabled() && !s.cfg.Crash.Enabled() && res.Failed != 0 {
 		s.fail(0, "serve-accounting", fmt.Sprintf("%d failures on a clean machine", res.Failed))
 	}
 	if res.NIPTHits+res.NIPTMisses != res.NIPTLookups {
@@ -596,7 +535,7 @@ func (s *scenario) serveVerify() {
 			fmt.Sprintf("nipt cache books: %d hits + %d misses != %d lookups",
 				res.NIPTHits, res.NIPTMisses, res.NIPTLookups))
 	}
-	if s.cfg.NIPTCapacity == 0 && res.NIPTMisses != 0 {
+	if s.cfg.NIC.NIPTCapacity == 0 && res.NIPTMisses != 0 {
 		s.fail(0, "serve-accounting",
 			fmt.Sprintf("%d misses on an unbounded NIPT", res.NIPTMisses))
 	}
@@ -822,7 +761,7 @@ func (s *scenario) opLocalSend(node int, p *kernel.Proc, d *udmalib.Dev,
 	}
 	devOff := myPage * addr.PageSize
 	var err error
-	if queued && s.cfg.QueueDepth > 0 {
+	if queued && s.cfg.Machine.UDMA.QueueDepth > 0 {
 		err = d.QueuedSend(srcBuf, devOff, n)
 	} else {
 		err = d.Send(srcBuf, devOff, n)
@@ -914,8 +853,8 @@ func (s *scenario) opStatusProbe(node int, p *kernel.Proc, srcBuf addr.VAddr, rn
 // unmapped NIPT entry — the packet is dropped by the board, so the op
 // exercises the PIO path with no memory side effects.
 func (s *scenario) opPIOPoke(node int, p *kernel.Proc, nd *udmalib.Dev, rng *sim.RNG) {
-	pioBase := nd.Base() + addr.VAddr(s.cfg.NIPTPages*addr.PageSize)
-	invalidEntry := s.cfg.NIPTPages - 1
+	pioBase := nd.Base() + addr.VAddr(s.cfg.NIC.NIPTPages*addr.PageSize)
+	invalidEntry := s.cfg.NIC.NIPTPages - 1
 	if err := p.Store(pioBase+nic.PIORegDest, invalidEntry<<12); err != nil {
 		s.opError(node, "pio dest", err)
 		return

@@ -286,11 +286,11 @@ func TestSimCheckServeLossyWorkerEquivalence(t *testing.T) {
 // is armed.
 func churnOverride(cfg *ScenarioConfig) {
 	cfg.Serve = &loadgen.Config{Churn: true}
-	if cfg.NIPTCapacity == 0 {
-		cfg.NIPTCapacity = 8
+	if cfg.NIC.NIPTCapacity == 0 {
+		cfg.NIC.NIPTCapacity = 8
 	}
-	if cfg.Fault.Enabled() && cfg.IdleReclaimAge == 0 {
-		cfg.IdleReclaimAge = 40_000
+	if cfg.Fault.Enabled() && cfg.NIC.Reliability.IdleReclaimAge == 0 {
+		cfg.NIC.Reliability.IdleReclaimAge = 40_000
 	}
 }
 
@@ -310,7 +310,7 @@ func TestSimCheckChurnSweep(t *testing.T) {
 		if rep.Failed() {
 			t.Fatalf("\n%s", rep.String())
 		}
-		if rep.Cfg.Serve == nil || !rep.Cfg.Serve.Churn || rep.Cfg.NIPTCapacity == 0 {
+		if rep.Cfg.Serve == nil || !rep.Cfg.Serve.Churn || rep.Cfg.NIC.NIPTCapacity == 0 {
 			t.Fatalf("seed %d: churn override not applied: %+v", rep.Seed, rep.Cfg)
 		}
 	}
@@ -458,14 +458,14 @@ func TestSimCheckCoversMechanisms(t *testing.T) {
 	for seed := uint64(1); seed <= 64; seed++ {
 		cfg := deriveConfig(seed)
 		multi = multi || cfg.Nodes > 1
-		queued = queued || cfg.QueueDepth > 0
-		faulty = faulty || cfg.FaultInject
+		queued = queued || cfg.Machine.UDMA.QueueDepth > 0
+		faulty = faulty || cfg.Inject.Enabled()
 		cleaner = cleaner || cfg.Cleaner
 		kills = kills || cfg.Kills > 0
 		lossy = lossy || cfg.Fault.Enabled()
 		flappy = flappy || cfg.Fault.FlapPeriod > 0
-		capped = capped || cfg.NIPTCapacity > 0
-		reclaim = reclaim || cfg.IdleReclaimAge > 0
+		capped = capped || cfg.NIC.NIPTCapacity > 0
+		reclaim = reclaim || cfg.NIC.Reliability.IdleReclaimAge > 0
 		chaos = chaos || cfg.Crash.Enabled()
 	}
 	for name, ok := range map[string]bool{
