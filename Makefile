@@ -38,7 +38,7 @@ benchcheck:
 # against it byte for byte; review `git diff testdata/golden` line by
 # line. The packages are listed because `go test ./... -update` fails in
 # any package whose test binary has no -update flag.
-GOLDEN_PKGS = . ./cmd/shrimpsim ./internal/experiments ./internal/simcheck
+GOLDEN_PKGS = . ./cmd/shrimpsim ./examples/... ./internal/experiments ./internal/simcheck
 
 golden:
 	$(GO) test -count=1 $(GOLDEN_PKGS) -update

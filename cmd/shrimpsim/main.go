@@ -143,6 +143,18 @@ func (o options) checkRanges() error {
 	case "incast", "serve", "churn", "chaos":
 		minNodes = 2
 	}
+	// The buffer device is 4-byte aligned, and a message must fit the
+	// device pages its scenario gives it.
+	maxSize := map[string]int{
+		"share": addr.PageSize, "contention": addr.PageSize, // one page per process
+		"paging":  pagingDevPages * addr.PageSize,
+		"cluster": clusterWindowPages * addr.PageSize,
+	}[o.scenario]
+	sizeOK, sizeBound := o.size >= 4 && o.size%4 == 0, "a multiple of 4, >= 4"
+	if maxSize > 0 {
+		sizeOK = sizeOK && o.size <= maxSize
+		sizeBound = fmt.Sprintf("a multiple of 4 in [4, %d] for -scenario %s", maxSize, o.scenario)
+	}
 	for _, c := range []struct {
 		flag  string
 		value any
@@ -150,7 +162,7 @@ func (o options) checkRanges() error {
 		bound string
 	}{
 		{"nodes", o.nodes, o.nodes >= minNodes, fmt.Sprintf(">= %d for -scenario %s", minNodes, o.scenario)},
-		{"size", o.size, o.size >= 1, ">= 1"},
+		{"size", o.size, sizeOK, sizeBound},
 		{"senders", o.senders, o.senders >= 1, ">= 1"},
 		{"count", o.count, o.count >= 1, ">= 1"},
 		{"workers", o.workers, o.workers >= 1, ">= 1"},
@@ -401,13 +413,17 @@ func scenarioSend(size int, withTrace bool, o *obs) error {
 	return nil
 }
 
+// clusterWindowPages is the cluster scenario's send window: the NIPT
+// entries each node maps toward its ring successor's frames 64 and up.
+const clusterWindowPages = 64
+
 func scenarioCluster(nodes, size, workers int, o *obs) error {
 	fmt.Printf("# %d-node deliberate-update ring, %d bytes per message\n", nodes, size)
 	c := cluster.New(cluster.Config{
 		Nodes:   nodes,
 		Workers: workers,
 		Machine: machine.Config{RAMFrames: 128},
-		NIC:     nic.Config{NIPTPages: 64},
+		NIC:     nic.Config{NIPTPages: clusterWindowPages},
 		Metrics: o.registry(),
 	})
 	o.setCosts(c.Nodes[0].Costs)
@@ -782,11 +798,14 @@ func scenarioFuzz(seed uint64, count, workers int) error {
 	return nil
 }
 
+// pagingDevPages sizes the paging scenario's buffer device.
+const pagingDevPages = 8
+
 func scenarioPaging(size int, o *obs) error {
 	fmt.Printf("# UDMA sends while a pager thrashes memory (I2/I4 at work)\n")
 	n := machine.New(0, machine.Config{RAMFrames: 48, Metrics: o.registry()})
 	o.setCosts(n.Costs)
-	buf := device.NewBuffer("buf", 8, 4, 0)
+	buf := device.NewBuffer("buf", pagingDevPages, 4, 0)
 	n.AttachDevice(buf, 0)
 	defer n.Kernel.Shutdown()
 

@@ -62,6 +62,14 @@ func TestFlagRanges(t *testing.T) {
 		"-scenario serve -rate 0",
 		"-scenario churn -rate -5",
 		"-scenario churn -capacity -1",
+		"-scenario share -size 4100",
+		"-scenario share -size 8192",
+		"-scenario contention -size 8192",
+		"-scenario send -size 6",
+		"-scenario cluster -size 6",
+		"-scenario paging -size 6",
+		"-scenario paging -size 32772",
+		"-scenario cluster -size 266240",
 	} {
 		args := strings.Fields(line)
 		fs := flag.NewFlagSet("shrimpsim", flag.ContinueOnError)
@@ -76,11 +84,19 @@ func TestFlagRanges(t *testing.T) {
 	}
 	parse(t, "-scenario", "cluster", "-nodes", "1")
 	parse(t, "-scenario", "churn", "-capacity", "0")
+	parse(t, "-scenario", "share", "-size", "4096")
+	parse(t, "-scenario", "paging", "-size", "32768")
+	parse(t, "-scenario", "cluster", "-size", "262144")
 }
 
 // unseededFlags is the second flag set the unseeded scenarios run
-// under: a wider cluster, two-page messages and more senders.
-const unseededFlags = " -nodes 8 -size 8192 -senders 6"
+// under: a wider cluster, two-page messages and more senders. share and
+// contention give each sender one device page, so their wide runs send
+// half-page messages (sharedFlags).
+const (
+	unseededFlags = " -nodes 8 -size 8192 -senders 6"
+	sharedFlags   = " -nodes 8 -size 2048 -senders 6"
+)
 
 // scenarioLines is the golden table of shrimpsim runs: the unseeded
 // scenarios at their default flags and at unseededFlags, then the
@@ -96,10 +112,10 @@ var scenarioLines = []struct{ name, args string }{
 	{"contention", "-scenario contention"},
 	{"send-trace-wide", "-scenario send -trace" + unseededFlags},
 	{"cluster-wide", "-scenario cluster" + unseededFlags},
-	{"share-wide", "-scenario share" + unseededFlags},
+	{"share-wide", "-scenario share" + sharedFlags},
 	{"paging-wide", "-scenario paging" + unseededFlags},
 	{"autoupdate-wide", "-scenario autoupdate" + unseededFlags},
-	{"contention-wide", "-scenario contention" + unseededFlags},
+	{"contention-wide", "-scenario contention" + sharedFlags},
 	{"faults", "-scenario faults"},
 	{"lossy", "-scenario lossy"},
 	{"serve", "-scenario serve"},
@@ -116,23 +132,12 @@ func runLine(t *testing.T, args ...string) string {
 	t.Helper()
 	a := parse(t, args...)
 	defer experiments.SetSweepWorkers(1)
-	f, err := os.CreateTemp(t.TempDir(), "stdout")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	stdout := os.Stdout
-	os.Stdout = f
-	err = run(a)
-	os.Stdout = stdout
+	var err error
+	out := golden.Stdout(t, func() { err = run(a) })
 	if err != nil {
 		t.Fatalf("shrimpsim %s: %v", strings.Join(args, " "), err)
 	}
-	out, err := os.ReadFile(f.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
+	return out
 }
 
 // TestScenarioGolden runs every scenarioLines entry and compares its

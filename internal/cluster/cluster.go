@@ -198,7 +198,6 @@ func New(cfg Config) *Cluster {
 	for i := 0; i < cfg.Nodes; i++ {
 		mcfg := cfg.Machine
 		mcfg.Costs = costs
-		mcfg.Clock = nil // per-node clock
 		mcfg.Metrics = cfg.Metrics
 		node := machine.New(i, mcfg)
 		iface := nic.New(i, node.Clock, costs, node.RAM, node.Bus, c.Backplane, cfg.NIC)

@@ -48,7 +48,6 @@ func RunInitiationCost() (*Result, error) {
 			if err := p.WriteBuf(va, workload.Payload(64, 1)); err != nil {
 				return err
 			}
-			check := udmalib.DefaultTunables().CheckCycles
 
 			// Warm the proxy mappings (they are created on demand).
 			p.Store(devVA, 4)
@@ -58,7 +57,7 @@ func RunInitiationCost() (*Result, error) {
 			var total sim.Cycles
 			for i := 0; i < reps; i++ {
 				start := p.Now()
-				p.Compute(check)                           // alignment / boundary check
+				p.Compute(udmalib.CheckCycles)             // alignment / boundary check
 				if err := p.Store(devVA, 64); err != nil { // STORE nbytes TO destAddr
 					return err
 				}
@@ -127,7 +126,7 @@ func RunInitiationComparison() (*Result, error) {
 	}
 	variants := []variant{
 		{"UDMA (2 refs + check)", func(n *machine.Node, buf *device.Buffer, p *kernel.Proc, va addr.VAddr) error {
-			p.Compute(udmalib.DefaultTunables().CheckCycles)
+			p.Compute(udmalib.CheckCycles)
 			if err := p.Store(addr.VAddr(addr.DevProxy(0, 0)), payload); err != nil {
 				return err
 			}

@@ -68,6 +68,26 @@ func compare(t testing.TB, name, got string, prefix bool) {
 	}
 }
 
+// Stdout runs fn with os.Stdout redirected to a file and returns what
+// fn wrote there.
+func Stdout(t testing.TB, fn func()) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	defer func() { os.Stdout = stdout }()
+	fn()
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
 // root is the module root: the nearest directory at or above the test's
 // working directory (its package directory) that holds go.mod.
 func root(t testing.TB) string {

@@ -88,12 +88,12 @@ type Dip struct {
 }
 
 // computeDips buckets every node's cumulative-delivery samples into
-// SampleEvery-wide bins and reads each completed crash event's dip out
+// sampleEvery-wide bins and reads each completed crash event's dip out
 // of the aggregate curve. Open events (node still down at trial end)
 // are skipped.
 func computeDips(events []cluster.CrashEvent, samples [][]Sample,
-	delivered int, elapsed, sampleEvery sim.Cycles) []Dip {
-	if len(events) == 0 || sampleEvery <= 0 || elapsed <= 0 {
+	delivered int, elapsed sim.Cycles) []Dip {
+	if len(events) == 0 || elapsed <= 0 {
 		return nil
 	}
 	// Per-bucket cluster-wide deliveries from the per-node cumulative

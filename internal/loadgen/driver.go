@@ -353,7 +353,7 @@ func (dr *Driver) samplerBody(node int) func(p *kernel.Proc) {
 		ns := dr.nodes[node]
 		gauge := dr.opts.Metrics.Gauge("loadgen_queue_depth", telemetry.L("node", fmt.Sprint(node)))
 		for {
-			p.Sleep(dr.Plan.Cfg.SampleEvery)
+			p.Sleep(sampleEvery)
 			st := dr.cl.NICs[node].Stats()
 			done := 0
 			for c := 0; c < NumClasses; c++ {

@@ -99,16 +99,6 @@ type Config struct {
 	// (default 4): every node exports WindowPages pinned pages, mapped
 	// into every sender's NIPT.
 	WindowPages int
-	// MixSmall/MixMid/MixLarge weight the class draw per flow
-	// (default 6:3:1).
-	MixSmall, MixMid, MixLarge int
-	// StartAt is the first-arrival floor in cycles (default 64_000),
-	// leaving room for the receive windows to export and publish before
-	// traffic lands.
-	StartAt sim.Cycles
-	// SampleEvery is the queue-depth/credit-stall sampling period per
-	// node (default 10_000 cycles).
-	SampleEvery sim.Cycles
 
 	// Churn switches the flow model to connection churn: instead of a
 	// fixed population drawn uniformly, ActiveFlows flows are live at
@@ -125,6 +115,18 @@ type Config struct {
 	MsgsPerFlow int
 }
 
+// The fixed trial shape every Config shares.
+const (
+	// mixSmall:mixMid:mixLarge weight the class draw per flow.
+	mixSmall, mixMid, mixLarge = 6, 3, 1
+	// startAt is the first-arrival floor in cycles, leaving room for the
+	// receive windows to export and publish before traffic lands.
+	startAt sim.Cycles = 64_000
+	// sampleEvery is the queue-depth/credit-stall sampling period per
+	// node.
+	sampleEvery sim.Cycles = 10_000
+)
+
 func (c Config) withDefaults() Config {
 	if c.Nodes == 0 {
 		c.Nodes = 4
@@ -140,15 +142,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WindowPages == 0 {
 		c.WindowPages = 4
-	}
-	if c.MixSmall == 0 && c.MixMid == 0 && c.MixLarge == 0 {
-		c.MixSmall, c.MixMid, c.MixLarge = 6, 3, 1
-	}
-	if c.StartAt == 0 {
-		c.StartAt = 64_000
-	}
-	if c.SampleEvery == 0 {
-		c.SampleEvery = 10_000
 	}
 	if c.Churn {
 		if c.ActiveFlows == 0 {
@@ -187,7 +180,7 @@ type Plan struct {
 	Flows []Flow
 	// Arrivals[src] is source node src's schedule, ascending in At.
 	Arrivals [][]Arrival
-	// Span is the offered interval: last arrival time minus StartAt.
+	// Span is the offered interval: last arrival time minus startAt.
 	Span sim.Cycles
 	// Offered and OfferedBytes count the schedule per class.
 	Offered      [NumClasses]int
@@ -210,15 +203,14 @@ func BuildPlan(cfg Config) *Plan {
 	rng := sim.NewRNG(cfg.Seed)
 	p := &Plan{Cfg: cfg}
 
-	weight := cfg.MixSmall + cfg.MixMid + cfg.MixLarge
 	newFlow := func() Flow {
 		src := rng.Intn(cfg.Nodes)
 		dst := (src + 1 + rng.Intn(cfg.Nodes-1)) % cfg.Nodes
 		class := ClassSmall
-		switch pick := rng.Intn(weight); {
-		case pick < cfg.MixSmall:
+		switch pick := rng.Intn(mixSmall + mixMid + mixLarge); {
+		case pick < mixSmall:
 			class = ClassSmall
-		case pick < cfg.MixSmall+cfg.MixMid:
+		case pick < mixSmall+mixMid:
 			class = ClassMid
 		default:
 			class = ClassLarge
@@ -239,7 +231,7 @@ func BuildPlan(cfg Config) *Plan {
 	meanGap := 1e6 / cfg.Rate
 	p.Arrivals = make([][]Arrival, cfg.Nodes)
 	seq := make([]int, cfg.Flows)
-	t := cfg.StartAt
+	t := startAt
 	for m := 0; m < cfg.Messages; m++ {
 		// Exponential inter-arrival via inverse transform; 1-U is in
 		// (0,1], so the log argument never hits zero.
@@ -255,7 +247,7 @@ func BuildPlan(cfg Config) *Plan {
 		p.Offered[fl.Class]++
 		p.OfferedBytes[fl.Class] += uint64(fl.Class.Size(cfg.WindowPages))
 	}
-	p.Span = t - cfg.StartAt
+	p.Span = t - startAt
 	return p
 }
 
@@ -283,7 +275,7 @@ func buildChurn(p *Plan, rng *sim.RNG, newFlow func() Flow) {
 	meanGap := 1e6 / cfg.Rate
 	p.Arrivals = make([][]Arrival, cfg.Nodes)
 	var seq []int // per flow id, grown as flows are born
-	t := cfg.StartAt
+	t := startAt
 	for m := 0; m < cfg.Messages; m++ {
 		gap := sim.Cycles(-math.Log(1-rng.Float64()) * meanGap)
 		if gap < 1 {
@@ -307,7 +299,7 @@ func buildChurn(p *Plan, rng *sim.RNG, newFlow func() Flow) {
 			budget[s] = drawBudget()
 		}
 	}
-	p.Span = t - cfg.StartAt
+	p.Span = t - startAt
 }
 
 // NIPTEntries is the sender NIPT capacity a plan needs. In the fixed

@@ -9,7 +9,7 @@ import (
 )
 
 // Sample is one point of a node's queue-depth / NIC-pressure time
-// series, taken every Config.SampleEvery cycles.
+// series, taken every sampleEvery cycles.
 type Sample struct {
 	At           sim.Cycles
 	Depth        int    // messages queued on the node, all destinations
@@ -37,7 +37,7 @@ type Result struct {
 	Cfg Config
 
 	// Span is the offered interval (first to last scheduled arrival);
-	// Elapsed runs from StartAt to the last delivery. An unsaturated
+	// Elapsed runs from startAt to the last delivery. An unsaturated
 	// system keeps Elapsed ≈ Span; past the knee Elapsed stretches.
 	Span    sim.Cycles
 	Elapsed sim.Cycles
@@ -252,14 +252,13 @@ func (dr *Driver) Finish() (*Result, error) {
 		ds.MeanSojourn = hd.Mean()
 		ds.MaxSojourn = hd.Max()
 	}
-	if lastDone > dr.Plan.Cfg.StartAt {
-		r.Elapsed = lastDone - dr.Plan.Cfg.StartAt
+	if lastDone > startAt {
+		r.Elapsed = lastDone - startAt
 	}
 	if r.Elapsed > 0 {
 		r.AchievedRate = float64(r.Delivered) * 1e6 / float64(r.Elapsed)
 	}
-	r.Dips = computeDips(dr.cl.CrashEvents(), r.Samples,
-		r.Delivered, r.Elapsed, dr.Plan.Cfg.SampleEvery)
+	r.Dips = computeDips(dr.cl.CrashEvents(), r.Samples, r.Delivered, r.Elapsed)
 	return r, nil
 }
 

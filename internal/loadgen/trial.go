@@ -22,11 +22,6 @@ type TrialConfig struct {
 	// Workers is the cluster's host parallelism; any value yields the
 	// same Result.Fingerprint.
 	Workers int
-	// Window is the lockstep horizon step (default 2000 cycles — well
-	// under the retransmit timeout so ACKs never look late).
-	Window sim.Cycles
-	// RAMFrames per node (default 128).
-	RAMFrames int
 	// Limit bounds the run (default 2e9 cycles); hitting it is an error.
 	Limit sim.Cycles
 
@@ -36,11 +31,6 @@ type TrialConfig struct {
 	// Inject wraps every NIC in device.Faulty at the plan's rates
 	// (faulty regime); see cluster.InjectPlan.
 	Inject cluster.InjectPlan
-
-	// Topology declares the routed fabric (mesh/torus, width, per-link
-	// capacity); the zero value is the near-square mesh at the
-	// host-interface rate. See interconnect.Topology.
-	Topology interconnect.Topology
 
 	// Retry overrides the server send retry policy.
 	Retry udmalib.RetryPolicy
@@ -75,12 +65,6 @@ type TrialConfig struct {
 
 func (tc TrialConfig) withDefaults() TrialConfig {
 	tc.Config = tc.Config.withDefaults()
-	if tc.Window == 0 {
-		tc.Window = 2000
-	}
-	if tc.RAMFrames == 0 {
-		tc.RAMFrames = 128
-	}
 	if tc.Limit == 0 {
 		tc.Limit = 2_000_000_000
 	}
@@ -107,10 +91,9 @@ func RunTrial(tc TrialConfig) (*Result, error) {
 	}
 	plan := BuildPlan(tc.Config)
 	cl := cluster.New(cluster.Config{
-		Nodes:    tc.Nodes,
-		Topology: tc.Topology,
+		Nodes: tc.Nodes,
 		Machine: machine.Config{
-			RAMFrames: tc.RAMFrames,
+			RAMFrames: 128,
 			Kernel:    kernel.Config{Quantum: 2000},
 		},
 		NIC: nic.Config{
@@ -133,8 +116,10 @@ func RunTrial(tc TrialConfig) (*Result, error) {
 				IdleReclaimAge: tc.IdleReclaimAge,
 			},
 		},
-		Crash:   tc.Crash,
-		Window:  tc.Window,
+		Crash: tc.Crash,
+		// The lockstep horizon step sits well under the retransmit
+		// timeout so ACKs never look late.
+		Window:  2000,
 		Workers: tc.Workers,
 		Inject:  tc.Inject,
 		Fault:   tc.Fault,

@@ -86,8 +86,6 @@ type Config struct {
 	UDMA core.Config
 	// Kernel configures scheduling and bounce buffers.
 	Kernel kernel.Config
-	// Clock shares an external clock (cluster builds); nil creates one.
-	Clock *sim.Clock
 	// Metrics attaches a telemetry registry; every hardware layer of
 	// the node records into it under a node=<id> label, and the node
 	// gets an event tracer the registry lists as process "node<id>".
@@ -141,10 +139,7 @@ func New(id int, cfg Config) *Node {
 	if cfg.TLBEntries != nil {
 		tlbEntries = *cfg.TLBEntries
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = sim.NewClock()
-	}
+	clock := sim.NewClock()
 
 	n := &Node{
 		ID:     id,

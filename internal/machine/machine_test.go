@@ -61,17 +61,6 @@ func TestZeroTLBConfig(t *testing.T) {
 	}
 }
 
-func TestSharedClock(t *testing.T) {
-	clock := sim.NewClock()
-	a := New(0, Config{Clock: clock})
-	b := New(1, Config{Clock: clock})
-	defer a.Kernel.Shutdown()
-	defer b.Kernel.Shutdown()
-	if a.Clock != clock || b.Clock != clock {
-		t.Fatal("nodes did not share the provided clock")
-	}
-}
-
 func TestAttachDevice(t *testing.T) {
 	n := New(0, Config{})
 	defer n.Kernel.Shutdown()

@@ -170,9 +170,6 @@ type Config struct {
 	// that miss pay a refill cost (niptcache.go). 0 = unbounded: the
 	// whole table fits on the board, the original SHRIMP assumption.
 	NIPTCapacity int
-	// NIPTRefill is the per-miss refill cost; 0 means the default
-	// (niptRefillDefault). Ignored when NIPTCapacity is 0.
-	NIPTRefill sim.Cycles
 	// NIPTRefillJitter adds a seeded 0..J-1 cycle draw to each refill,
 	// modeling host-memory contention. 0 = fixed cost.
 	NIPTRefillJitter sim.Cycles
@@ -207,14 +204,9 @@ func New(nodeID int, clock *sim.Clock, costs *sim.CostModel, ram *mem.Physical,
 		nic.pioPages = 1
 	}
 	if cfg.NIPTCapacity > 0 {
-		refill := cfg.NIPTRefill
-		if refill == 0 {
-			refill = niptRefillDefault
-		}
 		nic.cache = &niptCache{
 			cap:    cfg.NIPTCapacity,
 			lines:  make(map[uint32]niptLine, cfg.NIPTCapacity),
-			refill: refill,
 			jitter: cfg.NIPTRefillJitter,
 			rng:    sim.NewRNG(cfg.NIPTSeed ^ uint64(nodeID+1)*0x9E3779B97F4A7C15),
 		}

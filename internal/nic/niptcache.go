@@ -25,10 +25,10 @@ import (
 // to the unbounded board, because SetNIPT write-allocates (installs are
 // warm) and nothing is ever evicted.
 
-// niptRefillDefault is the refill cost charged per miss when the cache
-// is enabled and Config.NIPTRefill is zero: a host-memory table walk
-// over the I/O bus, ~4 µs at the SHRIMP clock.
-const niptRefillDefault sim.Cycles = 240
+// niptRefill is the refill cost charged per miss when the cache is
+// enabled: a host-memory table walk over the I/O bus, ~4 µs at the
+// SHRIMP clock.
+const niptRefill sim.Cycles = 240
 
 // niptLine is one resident cache line. Only residency is tracked; the
 // entry value stays in the backing table.
@@ -41,7 +41,6 @@ type niptCache struct {
 	cap    int
 	lines  map[uint32]niptLine
 	tick   uint64
-	refill sim.Cycles
 	jitter sim.Cycles // per-miss refill jitter bound (0 = fixed cost)
 	rng    *sim.RNG   // drawn ONLY on a miss, so all-hit runs never touch it
 
@@ -81,7 +80,7 @@ func (n *Interface) lookupNIPT(idx uint32, pin bool) sim.Cycles {
 		return 0
 	}
 	n.stats.NIPTMisses++
-	cost := c.refill
+	cost := niptRefill
 	if c.jitter > 0 {
 		cost += sim.Cycles(c.rng.Intn(int(c.jitter)))
 	}

@@ -31,8 +31,8 @@ func TestNIPTCacheLRUEviction(t *testing.T) {
 	}
 	n.Write(device.DevAddr{Page: 1, Off: 0}, []byte{1, 2, 3, 4}, 0) // release the pin
 	missLat := n.TransferLatency(device.DevAddr{Page: 0, Off: 0}, 64)
-	if int64(missLat) != baseXferLat(p)+int64(niptRefillDefault) {
-		t.Fatalf("miss latency = %d, want base+%d", missLat, niptRefillDefault)
+	if int64(missLat) != baseXferLat(p)+int64(niptRefill) {
+		t.Fatalf("miss latency = %d, want base+%d", missLat, niptRefill)
 	}
 	n.Write(device.DevAddr{Page: 0, Off: 0}, []byte{1, 2, 3, 4}, 0)
 	if n.NIPTResident(2) || !n.NIPTResident(0) || !n.NIPTResident(1) {
@@ -42,8 +42,8 @@ func TestNIPTCacheLRUEviction(t *testing.T) {
 	if s.NIPTHits+s.NIPTMisses != s.NIPTLookups {
 		t.Fatalf("hits %d + misses %d != lookups %d", s.NIPTHits, s.NIPTMisses, s.NIPTLookups)
 	}
-	if s.NIPTRefillCycles != uint64(niptRefillDefault) {
-		t.Fatalf("refill cycles = %d, want %d", s.NIPTRefillCycles, niptRefillDefault)
+	if s.NIPTRefillCycles != uint64(niptRefill) {
+		t.Fatalf("refill cycles = %d, want %d", s.NIPTRefillCycles, niptRefill)
 	}
 }
 

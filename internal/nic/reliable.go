@@ -42,7 +42,8 @@ import (
 // raw, exactly as before.
 type ReliabilityConfig struct {
 	Enabled bool
-	// Window is the go-back-N send window in packets (default 8).
+	// Window is the go-back-N send window in packets (default 8); it
+	// is also the receiver's resequencing capacity.
 	Window int
 	// MaxPending bounds the retransmit+pending buffer per destination;
 	// CheckTransfer answers queue-full beyond it (default 2×Window).
@@ -53,9 +54,6 @@ type ReliabilityConfig struct {
 	// MaxRetries caps consecutive timeouts without ACK progress before
 	// the link is declared broken (default 8).
 	MaxRetries int
-	// ReseqBuf is the receiver's resequencing capacity in packets
-	// (default = Window).
-	ReseqBuf int
 	// IdleReclaimAge ages out idle per-destination protocol state: a
 	// sender or receiver quiescent for this many cycles is returned to
 	// the board's free pool at the next barrier (ReclaimIdle in
@@ -77,9 +75,6 @@ func (c ReliabilityConfig) withDefaults() ReliabilityConfig {
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 8
-	}
-	if c.ReseqBuf <= 0 {
-		c.ReseqBuf = c.Window
 	}
 	return c
 }
@@ -480,8 +475,8 @@ func (n *Interface) recvData(pkt *interconnect.Packet) {
 		if _, dup := r.reseq[pkt.Seq]; dup {
 			n.stats.DupDropped++
 			n.stats.DupBytes += uint64(len(pkt.Payload))
-		} else if len(r.reseq) >= n.rel.cfg.ReseqBuf ||
-			pkt.Seq > r.expected+uint64(n.rel.cfg.ReseqBuf) {
+		} else if len(r.reseq) >= n.rel.cfg.Window ||
+			pkt.Seq > r.expected+uint64(n.rel.cfg.Window) {
 			// No room (or hopelessly far ahead): the retransmit will
 			// carry it again.
 			n.stats.ReseqDropped++
@@ -495,7 +490,7 @@ func (n *Interface) recvData(pkt *interconnect.Packet) {
 
 // sendAck emits the receiver's cumulative ACK with remaining credits.
 func (n *Interface) sendAck(r *relReceiver) {
-	credits := n.rel.cfg.ReseqBuf - len(r.reseq)
+	credits := n.rel.cfg.Window - len(r.reseq)
 	if credits < 0 {
 		credits = 0
 	}

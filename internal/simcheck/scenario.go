@@ -175,7 +175,7 @@ type scenario struct {
 
 	step       int
 	violations []Violation
-	overflow   bool // violations beyond MaxViolations were dropped
+	overflow   bool // violations beyond maxViolations were dropped
 	trail      []trace.Event
 	trailNode  int
 
@@ -215,7 +215,7 @@ type scenario struct {
 func (s *scenario) fail(node int, invariant, detail string) {
 	v := Violation{Node: node, Step: s.step, Invariant: invariant, Detail: detail}
 	if s.inStep {
-		if len(s.procViol[node]) > s.opts.MaxViolations {
+		if len(s.procViol[node]) > maxViolations {
 			return // already beyond what collect() could ever keep
 		}
 		s.procViol[node] = append(s.procViol[node], v)
@@ -227,7 +227,7 @@ func (s *scenario) fail(node int, invariant, detail string) {
 // record appends one violation to the shared list, capturing the
 // node's event trail on the first finding. Barrier-only.
 func (s *scenario) record(v Violation) {
-	if len(s.violations) >= s.opts.MaxViolations {
+	if len(s.violations) >= maxViolations {
 		s.overflow = true
 		return
 	}
@@ -251,7 +251,7 @@ func (s *scenario) collect() {
 }
 
 func (s *scenario) capped() bool {
-	return len(s.violations) >= s.opts.MaxViolations
+	return len(s.violations) >= maxViolations
 }
 
 // opError reports an unexpected operation error. With fault injection

@@ -41,6 +41,10 @@ func (v Violation) String() string {
 	return fmt.Sprintf("node %d step %d: %s: %s", v.Node, v.Step, v.Invariant, v.Detail)
 }
 
+// maxViolations stops a run after this many findings; one broken
+// invariant tends to trip the auditor every window.
+const maxViolations = 8
+
 // Options tunes a checker run.
 type Options struct {
 	// Hooks deliberately break the kernel under test — the checker's own
@@ -49,9 +53,6 @@ type Options struct {
 	// Override mutates the seed-derived scenario configuration before
 	// the cluster is built (bias tests toward specific pressure).
 	Override func(*ScenarioConfig)
-	// MaxViolations stops the run after this many findings (default 8);
-	// one broken invariant tends to trip the auditor every window.
-	MaxViolations int
 	// Workers sets cluster.Config.Workers: how many host goroutines run
 	// node windows in parallel. Any value yields the same fingerprint,
 	// violations, metrics and traces as Workers=1 — the tentpole
@@ -117,9 +118,6 @@ func (r *Report) String() string {
 // Run executes one seeded scenario under the online auditor and
 // returns its report.
 func Run(seed uint64, opts Options) *Report {
-	if opts.MaxViolations <= 0 {
-		opts.MaxViolations = 8
-	}
 	s := buildScenario(seed, opts)
 	defer s.cl.Shutdown()
 

@@ -2,7 +2,6 @@ package udmalib_test
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
 	"shrimp/internal/addr"
@@ -35,41 +34,6 @@ func TestBaseReturnsWindowAddress(t *testing.T) {
 	run(t, n)
 	if addr.VRegionOf(base) != addr.RegionDevProxy {
 		t.Fatalf("Base() = %#x, not in device proxy space", uint32(base))
-	}
-}
-
-func TestMaxRetriesSurfacesFailure(t *testing.T) {
-	// A device that never frees (enormous latency) plus a bounded retry
-	// budget must yield an error instead of spinning forever.
-	n := machine.New(0, machine.Config{})
-	slow := device.NewBuffer("slow", 8, 0, 1_000_000_000)
-	n.AttachDevice(slow, 0)
-	t.Cleanup(n.Kernel.Shutdown)
-
-	var err error
-	n.Kernel.Spawn("p", func(p *kernel.Proc) {
-		d, _ := udmalib.Open(p, slow, true)
-		tun := udmalib.DefaultTunables()
-		tun.MaxRetries = 10
-		d.SetTunables(tun)
-		va, _ := p.Alloc(4096)
-		// First send occupies the device for an eternity...
-		if e := d.SendAsync(va, 0, 64); e != nil {
-			err = e
-			return
-		}
-		// ...second send exhausts its retries.
-		err = d.Send(va, 512, 64)
-	})
-	if e := n.Kernel.RunFor(2_000_000_000); e != nil {
-		t.Fatal(e)
-	}
-	if err == nil {
-		t.Fatal("bounded retries did not surface an error")
-	}
-	var he *udmalib.HardError
-	if errors.As(err, &he) {
-		t.Fatalf("busy should not be a HardError: %v", err)
 	}
 }
 

@@ -25,33 +25,22 @@ import (
 	"shrimp/internal/sim"
 )
 
-// Tunables model the library's CPU work per operation; they are
-// calibrated so a one-page initiation costs ≈2.8 µs on the SHRIMP1996
-// machine (two 1 µs uncached references plus this ALU work).
-type Tunables struct {
-	// SetupCycles is charged once per Send/Recv call: argument
-	// marshaling, proxy-address computation, entry checks.
-	SetupCycles sim.Cycles
+// The library's CPU work per operation, calibrated so a one-page
+// initiation costs ≈2.8 µs on the SHRIMP1996 machine (two 1 µs uncached
+// references plus this ALU work).
+const (
+	// setupCycles is charged once per Send/Recv call: argument
+	// marshaling, proxy-address computation, entry checks (~5.3 µs at
+	// 60 MHz).
+	setupCycles sim.Cycles = 320
 	// CheckCycles is charged per initiation attempt: the alignment and
-	// page-boundary bookkeeping.
-	CheckCycles sim.Cycles
-	// PollGapCycles is extra work per completion-poll iteration beyond
+	// page-boundary bookkeeping. The initiation path totals
+	// ≈ 2×60+48 = 168 cycles = 2.8 µs.
+	CheckCycles sim.Cycles = 48
+	// pollGapCycles is extra work per completion-poll iteration beyond
 	// the status LOAD itself.
-	PollGapCycles sim.Cycles
-	// MaxRetries bounds initiation retries before giving up (a value
-	// of 0 means retry forever, which is what production code does).
-	MaxRetries int
-}
-
-// DefaultTunables matches the paper's measured initiation cost.
-func DefaultTunables() Tunables {
-	return Tunables{
-		SetupCycles:   320, // ~5.3 µs per call at 60 MHz
-		CheckCycles:   48,  // initiation path total ≈ 2×60+48 = 168 cy = 2.8 µs
-		PollGapCycles: 4,
-		MaxRetries:    0,
-	}
-}
+	pollGapCycles sim.Cycles = 4
+)
 
 // Stats counts library-level events.
 type Stats struct {
@@ -69,23 +58,19 @@ type Stats struct {
 type Dev struct {
 	p    *kernel.Proc
 	base addr.VAddr // virtual base of the device-proxy window
-	tun  Tunables
 
 	stats Stats
 }
 
 // Open maps the device into the process (one MapDevice syscall) and
-// returns a handle using the default tunables.
+// returns a handle.
 func Open(p *kernel.Proc, dev device.Device, writable bool) (*Dev, error) {
 	base, err := p.MapDevice(dev, writable)
 	if err != nil {
 		return nil, err
 	}
-	return &Dev{p: p, base: base, tun: DefaultTunables()}, nil
+	return &Dev{p: p, base: base}, nil
 }
-
-// SetTunables overrides the cost model of the library itself.
-func (d *Dev) SetTunables(t Tunables) { d.tun = t }
 
 // Base returns the virtual address of the device-proxy window.
 func (d *Dev) Base() addr.VAddr { return d.base }
@@ -198,10 +183,10 @@ func (d *Dev) SendRetry(va addr.VAddr, devOff uint32, n int, pol RetryPolicy) er
 // drains (the STORE half stays latched).
 func (d *Dev) QueuedSend(va addr.VAddr, devOff uint32, n int) error {
 	d.stats.Sends++
-	d.p.Compute(d.tun.SetupCycles)
+	d.p.Compute(setupCycles)
 	var lastBase addr.VAddr
 	for n > 0 {
-		d.p.Compute(d.tun.CheckCycles)
+		d.p.Compute(CheckCycles)
 		srcProxy := addr.VProxy(va)
 		st, err := d.initiateQueued(d.base+addr.VAddr(devOff), srcProxy, n)
 		if err != nil {
@@ -244,7 +229,7 @@ func (d *Dev) SendGather(segs []Segment) error {
 		return nil
 	}
 	d.stats.Sends++
-	d.p.Compute(d.tun.SetupCycles)
+	d.p.Compute(setupCycles)
 	var lastBase addr.VAddr
 	for _, seg := range segs {
 		va, devOff, n := seg.VA, seg.DevOff, seg.N
@@ -252,7 +237,7 @@ func (d *Dev) SendGather(segs []Segment) error {
 			return fmt.Errorf("udmalib: gather segment of %d bytes", n)
 		}
 		for n > 0 {
-			d.p.Compute(d.tun.CheckCycles)
+			d.p.Compute(CheckCycles)
 			srcProxy := addr.VProxy(va)
 			st, err := d.initiateQueued(d.base+addr.VAddr(devOff), srcProxy, n)
 			if err != nil {
@@ -330,9 +315,7 @@ func (d *Dev) Wait(proxyVA addr.VAddr) error {
 			}
 			return nil
 		}
-		if d.tun.PollGapCycles > 0 {
-			d.p.Compute(d.tun.PollGapCycles)
-		}
+		d.p.Compute(pollGapCycles)
 	}
 }
 
@@ -346,13 +329,13 @@ func (d *Dev) transfer(va addr.VAddr, devOff uint32, n int, toDevice, waitLast b
 	} else {
 		d.stats.Recvs++
 	}
-	d.p.Compute(d.tun.SetupCycles)
+	d.p.Compute(setupCycles)
 
 	first := true
 	for n > 0 {
 		// Alignment/page-boundary bookkeeping: part of the measured
 		// 2.8 µs initiation path.
-		d.p.Compute(d.tun.CheckCycles)
+		d.p.Compute(CheckCycles)
 		if !first {
 			d.stats.SplitPages++
 		}
@@ -390,7 +373,7 @@ func (d *Dev) transfer(va addr.VAddr, devOff uint32, n int, toDevice, waitLast b
 
 // initiate runs the two-instruction sequence with the retry protocol.
 func (d *Dev) initiate(destVA, srcVA addr.VAddr, n int) (core.Status, error) {
-	for try := 0; ; try++ {
+	for {
 		st, err := d.initiateOnce(destVA, srcVA, n)
 		if err != nil {
 			return 0, err
@@ -405,10 +388,7 @@ func (d *Dev) initiate(destVA, srcVA addr.VAddr, n int) (core.Status, error) {
 		// Busy or invalidated: "the user process can deduce what
 		// happened and re-try its operation."
 		d.stats.Retries++
-		if d.tun.MaxRetries > 0 && try >= d.tun.MaxRetries {
-			return st, fmt.Errorf("udmalib: initiation still failing after %d retries: %v", try, st)
-		}
-		d.p.Compute(d.tun.PollGapCycles)
+		d.p.Compute(pollGapCycles)
 	}
 }
 
