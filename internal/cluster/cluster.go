@@ -42,8 +42,8 @@ import (
 type Config struct {
 	// Nodes is the node count (the paper's prototype had four).
 	Nodes int
-	// Machine configures each node (Clock is ignored: every node gets
-	// its own).
+	// Machine configures each node. Its Costs also time the backplane,
+	// and Config.Metrics replaces its Metrics.
 	Machine machine.Config
 	// NIC configures each node's network interface.
 	NIC nic.Config
@@ -185,10 +185,6 @@ func New(cfg Config) *Cluster {
 		workers:   workers,
 		metrics:   cfg.Metrics,
 	}
-	// Mailbox mode even at Workers=1, so the simulated schedule is the
-	// same at every worker count (serial is the reference, not a
-	// different simulation).
-	c.Backplane.SetDeferred(true)
 	if cfg.Fault.Enabled() {
 		c.Backplane.SetFaultPlan(cfg.Fault)
 	}
@@ -677,16 +673,4 @@ func (c *Cluster) PublishRollup() {
 		root.Gauge("cluster_crash_abandoned_bytes").Set(int64(abandoned))
 		root.Gauge("cluster_crash_dropped_bytes").Set(int64(crashDropped + fs.CrashDroppedDataBytes))
 	}
-}
-
-// AnyPending reports whether any node has scheduled events outstanding
-// or any cross-node packet is parked in a backplane mailbox awaiting
-// the next barrier flush.
-func (c *Cluster) AnyPending() bool {
-	for _, n := range c.Nodes {
-		if n.Clock.Pending() > 0 {
-			return true
-		}
-	}
-	return c.Backplane.MailPending()
 }

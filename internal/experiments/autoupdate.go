@@ -87,7 +87,7 @@ func updateCost(runs, runLen int, auto bool) (float64, error) {
 	}
 
 	var elapsed sim.Cycles
-	err := runOn(c.Nodes[0], "sender", func(p *kernel.Proc) error {
+	err := runSender(c, func(p *kernel.Proc) error {
 		src, err := p.Alloc(addr.PageSize)
 		if err != nil {
 			return err

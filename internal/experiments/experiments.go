@@ -182,8 +182,9 @@ func Run(id string) (*Result, error) {
 
 // --- shared helpers ---------------------------------------------------------
 
-// runOn spawns fn as the only process on the node and drives the
-// kernel to completion, shutting the node down afterward.
+// runOn spawns fn as the only process on a standalone node (one with
+// no backplane; a cluster runs through runSender) and drives the kernel
+// to completion.
 func runOn(n *machine.Node, name string, fn func(p *kernel.Proc) error) error {
 	var procErr error
 	n.Kernel.Spawn(name, func(p *kernel.Proc) {
@@ -191,6 +192,20 @@ func runOn(n *machine.Node, name string, fn func(p *kernel.Proc) error) error {
 	})
 	if err := n.Kernel.Run(sim.Forever); err != nil {
 		return fmt.Errorf("experiments: kernel run: %w", err)
+	}
+	return procErr
+}
+
+// runSender spawns fn as process "sender" on node 0 and runs the whole
+// cluster for up to 5e9 cycles: every node's windows, then the hardware
+// drain that lands the last packets and receive DMAs.
+func runSender(c *cluster.Cluster, fn func(p *kernel.Proc) error) error {
+	var procErr error
+	c.Nodes[0].Kernel.Spawn("sender", func(p *kernel.Proc) {
+		procErr = fn(p)
+	})
+	if err := c.Run(5_000_000_000); err != nil {
+		return err
 	}
 	return procErr
 }

@@ -74,8 +74,8 @@ func RunFig8() (*Result, error) {
 	at := func(x int) float64 { v, _ := pct.Y(float64(x)); return v }
 	res.check("peak bandwidth plausible for EISA", peak > 15 && peak < 33,
 		"peak %.1f MB/s (EISA burst is 33 MB/s raw)", peak)
-	res.check(">50%% of peak at 512 B", at(512) > 50, "measured %.1f%%", at(512))
-	res.check("~94%% of peak at 4 KB (±4)", at(4096) >= 90 && at(4096) <= 98,
+	res.check(">50% of peak at 512 B", at(512) > 50, "measured %.1f%%", at(512))
+	res.check("~94% of peak at 4 KB (±4)", at(4096) >= 90 && at(4096) <= 98,
 		"measured %.1f%%", at(4096))
 	dipLow := 100.0
 	for _, p := range pct.Points {
@@ -139,7 +139,7 @@ func fig8Bandwidth(size, queueDepth int) (float64, error) {
 	}
 
 	var elapsed sim.Cycles
-	err := runOn(c.Nodes[0], "sender", func(p *kernel.Proc) error {
+	err := runSender(c, func(p *kernel.Proc) error {
 		d, err := udmalib.Open(p, c.NICs[0], true)
 		if err != nil {
 			return err

@@ -74,7 +74,7 @@ func RunHIPPIOverhead() (*Result, error) {
 	at := func(x int) float64 { v, _ := series.Y(float64(x)); return v }
 	res.check("fixed overhead > 350 µs", overhead1KB > 350,
 		"measured %.0f µs of non-wire time per send", overhead1KB)
-	res.check("1 KB blocks under 5%% of raw", at(1024) < 5,
+	res.check("1 KB blocks under 5% of raw", at(1024) < 5,
 		"measured %.1f MB/s at 1 KB (paper: 2.7)", at(1024))
 	res.check("64 KB blocks still below 80 MB/s", at(65536) < 80,
 		"measured %.1f MB/s at 64 KB", at(65536))

@@ -91,7 +91,7 @@ func niptRun(entries uint32) (usPerSend float64, exercised int, intact bool, err
 	}
 
 	var elapsed sim.Cycles
-	err = runOn(c.Nodes[0], "sender", func(p *kernel.Proc) error {
+	err = runSender(c, func(p *kernel.Proc) error {
 		d, err := udmalib.Open(p, c.NICs[0], true)
 		if err != nil {
 			return err
@@ -122,11 +122,6 @@ func niptRun(entries uint32) (usPerSend float64, exercised int, intact bool, err
 	if err != nil {
 		return 0, 0, false, err
 	}
-	// Drain in-flight packets and receive DMAs through the cluster's
-	// merged event loop (per-node RunUntilIdle would never see packets
-	// parked in the backplane's deferred mailboxes).
-	c.DrainHardware()
-
 	// The LAST message into each frame wins; verify frame contents
 	// match the latest sender whose entry pointed there.
 	lastSeed := make(map[uint32]byte)

@@ -93,7 +93,7 @@ func nicLatency(size int, pio bool) (float64, error) {
 	}
 
 	var sendStart sim.Cycles
-	err := runOn(c.Nodes[0], "sender", func(p *kernel.Proc) error {
+	err := runSender(c, func(p *kernel.Proc) error {
 		d, err := udmalib.Open(p, c.NICs[0], true)
 		if err != nil {
 			return err
@@ -141,12 +141,6 @@ func nicLatency(size int, pio bool) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Both sides finish in hardware after the sender process exits: the
-	// cluster's merged drain flushes the backplane mailboxes and fires
-	// the sender's in-flight DMA (whose completion launches the packet),
-	// the receiver's arrival and its receive-DMA events, all in global
-	// time order.
-	c.DrainHardware()
 	st := c.NICs[1].Stats()
 	if st.PacketsReceived < 2 {
 		return 0, fmt.Errorf("only %d packets received", st.PacketsReceived)

@@ -15,19 +15,17 @@
 // charge their own occupancy, which is what makes two senders into one
 // receiver slow each other down (see DESIGN.md §15).
 //
-// The backplane has two delivery modes. In immediate mode (the default,
-// used by single-threaded rigs and the nic package's tests) Send
-// schedules the arrival on the receiver's clock right away. In deferred
-// mode (armed by internal/cluster via SetDeferred) every cross-node
-// packet is appended to the sender's timestamped outbox mailbox instead,
-// and Flush — called at the cluster's lockstep barriers — merges all
-// mailboxes in a deterministic (arrive, src, seq) order onto the
-// receiver clocks. Because nothing touches a remote clock mid-window, a
-// node's inbound events for a window are fixed before the window runs,
-// which is what lets the cluster run node kernels on parallel worker
-// goroutines without changing a single simulated timestamp. Loopback
-// packets (src == dst) are always delivered immediately: they stay on
-// the sender's own clock, so they are race-free under any worker count.
+// Cross-node delivery goes through mailboxes: Send appends every
+// cross-node packet to the sender's timestamped outbox, and Flush —
+// called at the cluster's lockstep barriers — merges all mailboxes in a
+// deterministic (arrive, src, seq) order onto the receiver clocks.
+// Because nothing touches a remote clock mid-window, a node's inbound
+// events for a window are fixed before the window runs, which is what
+// lets the cluster run node kernels on parallel worker goroutines
+// without changing a single simulated timestamp. A rig that drives
+// clocks by hand flushes before it advances them. Loopback packets
+// (src == dst) are delivered at once: they stay on the sender's own
+// clock, so they are race-free under any worker count.
 package interconnect
 
 import (
@@ -160,8 +158,6 @@ type Backplane struct {
 	ids   []int      // attached node ids, sorted: deterministic iteration
 	n     int        // attached endpoint count
 
-	deferred bool
-
 	// down marks crashed nodes. It is written only by SetNodeDown at
 	// lockstep barriers (no worker mid-window), so plain reads from
 	// Send on worker goroutines are ordered by the barrier and the
@@ -210,16 +206,6 @@ func (b *Backplane) ep(id int) Endpoint {
 	}
 	return b.eps[id]
 }
-
-// SetDeferred switches cross-node deliveries into mailbox mode: Send
-// parks arrivals in the sender's outbox and Flush (at a barrier)
-// schedules them. internal/cluster arms this for every cluster so that
-// the simulation is bit-identical at every worker count; standalone
-// rigs that drive clocks by hand keep immediate mode.
-func (b *Backplane) SetDeferred(on bool) { b.deferred = on }
-
-// Deferred reports whether mailbox delivery is armed.
-func (b *Backplane) Deferred() bool { return b.deferred }
 
 // SetFaultPlan installs (or, with the zero plan, clears) the wire fault
 // model. Call before traffic starts: per-link RNG streams reset.
@@ -301,15 +287,6 @@ func (b *Backplane) Hops(src, dst int) sim.Cycles {
 	return sim.Cycles(b.topo.PathLen(src, dst))
 }
 
-// Lookahead returns the minimum cross-node flight time under the cost
-// model: one link of routing latency plus the wire time of an empty
-// packet. No packet launched in a window can arrive at another node
-// earlier than this after its launch — the bound that makes the
-// cluster's conservative windowed parallelism safe (see DESIGN.md §11).
-func (b *Backplane) Lookahead() sim.Cycles {
-	return b.costs.LinkLatency + b.fabricCycles(0)
-}
-
 // LinkLookahead is the per-directed-(src,dst) conservative bound: the
 // zero-load flight time of an empty packet along the routed XY path
 // (path length times per-link routing latency, plus empty-packet wire
@@ -330,9 +307,9 @@ func (b *Backplane) LinkLookahead(src, dst int) sim.Cycles {
 // the sender-clock time at which the outgoing FIFO is free again
 // (dropped packets still occupied the FIFO on their way out).
 //
-// In deferred mode the delivery is parked in the sender's outbox until
-// the next Flush; everything Send itself touches lives in the sender's
-// shard, so concurrent sends from different nodes never share state.
+// A cross-node delivery is parked in the sender's outbox until the next
+// Flush; everything Send itself touches lives in the sender's shard, so
+// concurrent sends from different nodes never share state.
 func (b *Backplane) Send(pkt *Packet) sim.Cycles {
 	if b.n != b.topo.Nodes {
 		panic(fmt.Sprintf("interconnect: send with %d of %d declared nodes attached",
@@ -433,21 +410,17 @@ func (b *Backplane) Send(pkt *Packet) sim.Cycles {
 	return ob.injectFree
 }
 
-// deliver routes one arrival: immediately onto the receiver's clock, or
-// into the sender's mailbox when deferred. Loopback (src == dst) is
-// always immediate — the "receiver" clock is the sender's own, so the
-// schedule is race-free and identical at every worker count.
-//
-// Deferred mail parks at the zero-load arrival; contention is charged
-// later, in Flush's merged order. Immediate mode (single-threaded by
-// contract) charges contention right here, in Send order — the same
-// total order a one-node-at-a-time rig would merge to.
+// deliver routes one arrival: into the sender's mailbox, or — for
+// loopback (src == dst) — straight onto the sender's own clock, which
+// is race-free and identical at every worker count. Mail parks at the
+// zero-load arrival; contention is charged later, in Flush's merged
+// order.
 func (b *Backplane) deliver(ob *outbox, dst Endpoint, pkt *Packet, arriveSender sim.Cycles) {
-	if b.deferred && pkt.Src != pkt.Dst {
+	if pkt.Src != pkt.Dst {
 		ob.park(pkt, arriveSender)
 		return
 	}
-	b.schedule(dst, pkt, b.chargeArrival(pkt, arriveSender))
+	b.schedule(dst, pkt, arriveSender)
 }
 
 // schedule puts a packet arrival on the receiver's clock: never before

@@ -37,6 +37,7 @@ func TestDeliveryTiming(t *testing.T) {
 	b, eps := rig(2)
 	pkt := &Packet{Src: 0, Dst: 1, Payload: make([]byte, 100)}
 	b.Send(pkt)
+	b.Flush()
 	// flight = 1 hop * 10 + 100/2 = 60.
 	eps[1].clock.Advance(59)
 	if len(eps[1].got) != 0 {
@@ -58,6 +59,7 @@ func TestInjectionSerializes(t *testing.T) {
 	if free1 != 50 || free2 != 100 {
 		t.Fatalf("inject-free times %d,%d, want 50,100", free1, free2)
 	}
+	b.Flush()
 	eps[1].clock.Advance(10_000)
 	if len(eps[1].got) != 2 {
 		t.Fatalf("delivered %d packets", len(eps[1].got))
@@ -72,6 +74,7 @@ func TestReceiverClockBehindSender(t *testing.T) {
 	b, eps := rig(2)
 	eps[0].clock.Advance(1000) // sender far ahead
 	b.Send(&Packet{Src: 0, Dst: 1, Payload: make([]byte, 4)})
+	b.Flush()
 	// Receiver is at 0; arrival maps to sender-time 1000+flight.
 	eps[1].clock.Advance(1000 + 10 + 2)
 	if len(eps[1].got) != 1 {
@@ -83,6 +86,7 @@ func TestReceiverClockAheadOfSender(t *testing.T) {
 	b, eps := rig(2)
 	eps[1].clock.Advance(5000) // receiver ahead
 	b.Send(&Packet{Src: 0, Dst: 1, Payload: make([]byte, 4)})
+	b.Flush()
 	// Delivery must not be scheduled in the receiver's past.
 	eps[1].clock.Advance(1)
 	if len(eps[1].got) != 1 {

@@ -20,6 +20,7 @@ func sendBurst(b *Backplane, eps []*fakeEP, count, size int) {
 			pay[j] = byte(i + j)
 		}
 		b.Send(&Packet{Src: 0, Dst: 1, Kind: PktData, Seq: uint64(i + 1), Payload: pay})
+		b.Flush()
 		eps[1].clock.Advance(10_000)
 	}
 }
@@ -102,6 +103,7 @@ func TestFaultPlanCorruption(t *testing.T) {
 	b, eps := lossyRig(2, FaultPlan{Seed: 3, CorruptRate: 1.0})
 	want := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	b.Send(&Packet{Src: 0, Dst: 1, Kind: PktData, CRC: 0xDEAD, Payload: append([]byte(nil), want...)})
+	b.Flush()
 	eps[1].clock.Advance(10_000)
 	if len(eps[1].got) != 1 {
 		t.Fatalf("delivered %d", len(eps[1].got))
@@ -134,6 +136,7 @@ func TestFaultPlanDelayReorders(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		b.Send(&Packet{Src: 0, Dst: 1, Kind: PktData, Seq: uint64(i + 1), Payload: make([]byte, 8)})
 	}
+	b.Flush()
 	eps[1].clock.Advance(1_000_000)
 	if b.FaultStats().Delays == 0 {
 		t.Fatal("50% delay rate produced no delays over 50 packets")
@@ -178,6 +181,7 @@ func TestFaultPlanFlapWindows(t *testing.T) {
 	}
 	eps[0].clock.AdvanceTo(when)
 	b.Send(&Packet{Src: 0, Dst: 1, Kind: PktData, Payload: make([]byte, 16)})
+	b.Flush()
 	eps[1].clock.Advance(100_000)
 	if len(eps[1].got) != 0 {
 		t.Fatal("packet crossed a down link")
@@ -210,6 +214,7 @@ func TestStatsCountRetransmissions(t *testing.T) {
 	b, eps := rig(2)
 	b.Send(&Packet{Src: 0, Dst: 1, Payload: make([]byte, 100)})
 	b.Send(&Packet{Src: 0, Dst: 1, Retrans: true, Payload: make([]byte, 40)})
+	b.Flush()
 	eps[1].clock.Advance(10_000)
 	p, by, rp, rb := b.Stats()
 	if p != 2 || by != 140 || rp != 1 || rb != 40 {

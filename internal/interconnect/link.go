@@ -11,8 +11,7 @@ import (
 // FIFO: a packet entering at t starts at max(t, free) and holds the
 // link for its wire time, so packets queued behind it form a FIFO in
 // charge order. Contention is only ever charged in the deterministic
-// (arrive, src, seq) merge order (or at Send time in immediate mode,
-// which is single-threaded by contract), so link state never races.
+// (arrive, src, seq) merge order of Flush, so link state never races.
 type link struct {
 	free sim.Cycles // busy-until horizon
 	busy uint64     // cycles the link spent moving bytes
@@ -92,7 +91,8 @@ func (b *Backplane) zeroLoadFlight(src, dst int, payload int) sim.Cycles {
 // at is the zero-load arrival including any fault-plan extra delay;
 // contention can only push the arrival later, never earlier, so the
 // Chandy–Misra bound derived from zero-load flight time stays
-// conservative. Loopback packets never touch fabric links.
+// conservative. Only cross-node packets (from Flush) are charged:
+// loopback never touches fabric links.
 //
 // The walk enters the fabric at the inject start (pkt.LaunchedAt); the
 // fault-plan extra — at minus the zero-load arrival — is re-applied
@@ -101,9 +101,6 @@ func (b *Backplane) zeroLoadFlight(src, dst int, payload int) sim.Cycles {
 // fault must be able to reorder deliveries, not just shift them).
 func (b *Backplane) chargeArrival(pkt *Packet, at sim.Cycles) sim.Cycles {
 	src, dst := pkt.Src, pkt.Dst
-	if src == dst {
-		return at
-	}
 	wire := b.fabricCycles(len(pkt.Payload))
 	extra := at - pkt.LaunchedAt - b.zeroLoadFlight(src, dst, len(pkt.Payload))
 	t := pkt.LaunchedAt

@@ -19,7 +19,6 @@ import (
 func TestMergeMatchesReferenceSort(t *testing.T) {
 	const nodes = 9
 	b, eps := rig(nodes)
-	b.SetDeferred(true)
 	rng := rand.New(rand.NewSource(42))
 
 	sizes := []int{0, 16, 16, 64} // few distinct sizes => frequent arrival ties
@@ -50,7 +49,7 @@ func TestMergeMatchesReferenceSort(t *testing.T) {
 		}
 	}
 	if len(want) == 0 {
-		t.Fatal("no deferred mail generated")
+		t.Fatal("no mail parked")
 	}
 	sort.Slice(want, func(i, j int) bool {
 		if want[i].at != want[j].at {
@@ -96,7 +95,6 @@ func TestMergeSteadyStateAllocs(t *testing.T) {
 	}
 	const nodes = 4
 	b, _ := rig(nodes)
-	b.SetDeferred(true)
 
 	payload := make([]byte, 32)
 	pkts := make([]*Packet, 64)
@@ -130,6 +128,7 @@ func TestDupSnapshotsPayloadBeforeCorrupt(t *testing.T) {
 	orig := []byte{0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02, 0x03, 0x04}
 	pkt := &Packet{Src: 0, Dst: 1, Kind: PktData, Seq: 1, Payload: append([]byte(nil), orig...)}
 	b.Send(pkt)
+	b.Flush()
 	eps[1].clock.Advance(1 << 20)
 
 	if len(eps[1].got) != 2 {
@@ -168,7 +167,6 @@ func TestDupSnapshotsPayloadBeforeCorrupt(t *testing.T) {
 func TestLinkLookaheadBounds(t *testing.T) {
 	const nodes = 16
 	b, eps := rig(nodes)
-	b.SetDeferred(true)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 300; i++ {
 		src := rng.Intn(nodes)

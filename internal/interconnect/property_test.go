@@ -32,6 +32,7 @@ func TestInOrderDeliveryProperty(t *testing.T) {
 			// Interleave sender activity between launches.
 			src.clock.Advance(sim.Cycles(s))
 		}
+		b.Flush()
 		dst.clock.RunUntilIdle()
 		if len(dst.got) != len(sizes) {
 			return false
@@ -78,6 +79,7 @@ func TestByteAccountingProperty(t *testing.T) {
 			return false
 		}
 		// Everything eventually delivers.
+		b.Flush()
 		var delivered int
 		for _, ep := range eps {
 			ep.clock.RunUntilIdle()

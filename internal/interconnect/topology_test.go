@@ -148,46 +148,41 @@ func TestSendBeforeFullyWiredPanics(t *testing.T) {
 // coordinates in the 2x2 mesh: 0=(0,0) 1=(1,0) 2=(0,1) 3=(1,1); routes
 // 2->0 and 3->0 (X first: 3->2) both cross the column link 2->0.
 func TestLinkContentionSerializes(t *testing.T) {
-	for _, deferred := range []bool{false, true} {
-		b, eps := rig(4)
-		b.SetDeferred(deferred)
-		b.Send(&Packet{Src: 2, Dst: 0, Payload: make([]byte, 100)})
-		b.Send(&Packet{Src: 3, Dst: 0, Payload: make([]byte, 100)})
-		if deferred {
-			if !b.MailPending() {
-				t.Fatal("deferred sends did not park mail")
-			}
-			b.Flush()
-			if b.MailPending() {
-				t.Fatal("Flush left mail parked")
-			}
+	b, eps := rig(4)
+	b.Send(&Packet{Src: 2, Dst: 0, Payload: make([]byte, 100)})
+	b.Send(&Packet{Src: 3, Dst: 0, Payload: make([]byte, 100)})
+	if !b.MailPending() {
+		t.Fatal("cross-node sends did not park mail")
+	}
+	b.Flush()
+	if b.MailPending() {
+		t.Fatal("Flush left mail parked")
+	}
+	eps[0].clock.RunUntilIdle()
+	if len(eps[0].got) != 2 {
+		t.Fatalf("delivered %d packets, want 2", len(eps[0].got))
+	}
+	// Zero-load: 2->0 arrives at 10+50=60; 3->0 at 20+50=70. The
+	// shared link 2->0 is busy until 100 serving the first packet
+	// (wire=50), so the second starts there: 50+10+50 = 110.
+	if at := eps[0].got[0].ArrivedAt; at != 60 {
+		t.Fatalf("first arrival %d, want 60", at)
+	}
+	if at := eps[0].got[1].ArrivedAt; at != 110 {
+		t.Fatalf("contended arrival %d, want 110 (zero-load 70 + 40 queued)", at)
+	}
+	var shared *LinkStat
+	for _, ls := range b.LinkStats() {
+		ls := ls
+		if ls.From == 2 && ls.To == 0 {
+			shared = &ls
 		}
-		eps[0].clock.RunUntilIdle()
-		if len(eps[0].got) != 2 {
-			t.Fatalf("deferred=%v: delivered %d packets, want 2", deferred, len(eps[0].got))
-		}
-		// Zero-load: 2->0 arrives at 10+50=60; 3->0 at 20+50=70. The
-		// shared link 2->0 is busy until 100 serving the first packet
-		// (wire=50), so the second starts there: 50+10+50 = 110.
-		if at := eps[0].got[0].ArrivedAt; at != 60 {
-			t.Fatalf("deferred=%v: first arrival %d, want 60", deferred, at)
-		}
-		if at := eps[0].got[1].ArrivedAt; at != 110 {
-			t.Fatalf("deferred=%v: contended arrival %d, want 110 (zero-load 70 + 40 queued)", deferred, at)
-		}
-		var shared *LinkStat
-		for _, ls := range b.LinkStats() {
-			ls := ls
-			if ls.From == 2 && ls.To == 0 {
-				shared = &ls
-			}
-		}
-		if shared == nil {
-			t.Fatal("shared link 2->0 has no stats")
-		}
-		if shared.Packets != 2 || shared.BusyCycles != 100 || shared.WaitCycles != 40 || shared.PeakQueue != 1 {
-			t.Fatalf("shared link ledger %+v, want pkts=2 busy=100 wait=40 peak=1", *shared)
-		}
+	}
+	if shared == nil {
+		t.Fatal("shared link 2->0 has no stats")
+	}
+	if shared.Packets != 2 || shared.BusyCycles != 100 || shared.WaitCycles != 40 || shared.PeakQueue != 1 {
+		t.Fatalf("shared link ledger %+v, want pkts=2 busy=100 wait=40 peak=1", *shared)
 	}
 }
 
@@ -205,6 +200,7 @@ func TestThrottledFabricSlowsWire(t *testing.T) {
 	if free != 50 {
 		t.Fatalf("inject FIFO free at %d, want 50 (host-interface rate)", free)
 	}
+	b.Flush()
 	eps[1].clock.RunUntilIdle()
 	// Flight = 1 link * 10 latency + 100/1 fabric wire = 110.
 	if at := eps[1].got[0].ArrivedAt; at != 110 {
@@ -219,7 +215,6 @@ func TestThrottledFabricSlowsWire(t *testing.T) {
 // every worker count.
 func TestMergeTieBreakAcrossShards(t *testing.T) {
 	b, _ := rig(4)
-	b.SetDeferred(true)
 	// Equal arrivals at cycle 60: senders 1 and 2 are one link from 0
 	// (flight 10+wire), sender 3 is two links (flight 20+wire), so give
 	// 3 a payload whose wire time is 10 cycles shorter.
@@ -261,7 +256,6 @@ func TestMergeTieBreakAcrossShards(t *testing.T) {
 // Flush, and Flush schedules it with the contention-adjusted arrival.
 func TestMailPendingAcrossFlush(t *testing.T) {
 	b, eps := rig(2)
-	b.SetDeferred(true)
 	if b.MailPending() {
 		t.Fatal("MailPending true on an idle backplane")
 	}

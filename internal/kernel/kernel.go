@@ -329,11 +329,6 @@ func (k *Kernel) Run(limit sim.Cycles) error {
 	}
 }
 
-// RunFor is Run with a relative limit.
-func (k *Kernel) RunFor(d sim.Cycles) error {
-	return k.Run(k.clock.Now() + d)
-}
-
 // Shutdown kills every live process (for tests and harness cleanup so
 // no goroutines outlive the simulation).
 func (k *Kernel) Shutdown() {
@@ -551,8 +546,3 @@ func (k *Kernel) drainParked() {
 	}
 	k.parkedFrames = keep
 }
-
-// EngineWaiters reports how many processes are blocked waiting for a
-// DMA engine completion (diagnostic; simcheck's liveness reporting
-// reads it).
-func (k *Kernel) EngineWaiters() int { return len(k.engineWaiters) }

@@ -871,7 +871,7 @@ func TestShutdownKillsBlockedProcesses(t *testing.T) {
 			p.Compute(1000)
 		}
 	})
-	n.Kernel.RunFor(10_000)
+	n.Kernel.Run(n.Clock.Now() + 10_000)
 	n.Kernel.Shutdown() // must not hang; Cleanup will call it again
 }
 

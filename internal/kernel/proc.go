@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"shrimp/internal/addr"
-	"shrimp/internal/core"
 	"shrimp/internal/mmu"
 	"shrimp/internal/sim"
 	"shrimp/internal/trace"
@@ -247,9 +246,6 @@ func (p *Proc) Store(va addr.VAddr, v uint32) error {
 		return p.segfault(va, mmu.Write, mmu.FaultUnmapped)
 	}
 }
-
-// UDMAStatus decodes a proxy LOAD result.
-func UDMAStatus(v uint32) core.Status { return core.Status(v) }
 
 // WriteBuf places data into the process's memory without charging
 // simulated time for the byte movement — the benchmarks use it to model

@@ -1,10 +1,7 @@
 package loadgen
 
 import (
-	"fmt"
-
 	"shrimp/internal/cluster"
-	"shrimp/internal/nic"
 	"shrimp/internal/sim"
 )
 
@@ -49,23 +46,6 @@ func (dr *Driver) inDown(at sim.Cycles) bool {
 		}
 	}
 	return false
-}
-
-// republishFlowEntries rewrites the churn-mode NIPT entries aimed at
-// node r's freshly exported window after a reboot. Runs at a barrier in
-// flow order, like the initial publishFlowEntries.
-func (dr *Driver) republishFlowEntries(r int) error {
-	pfns := dr.windows[r]
-	for f, fl := range dr.Plan.Flows {
-		if fl.Dst != r {
-			continue
-		}
-		e := nic.NIPTEntry{Valid: true, DestNode: fl.Dst, DestPFN: pfns[f%len(pfns)]}
-		if err := dr.cl.NICs[fl.Src].SetNIPT(uint32(f), e); err != nil {
-			return fmt.Errorf("loadgen: republish flow %d entry on node %d: %w", f, fl.Src, err)
-		}
-	}
-	return nil
 }
 
 // Dip is one crash's availability signature in the delivery time

@@ -432,7 +432,7 @@ func (dr *Driver) PublishControl() {
 				// Post-reboot republication: the flow population was
 				// already installed once, so only the entries aimed at
 				// this node's (fresh) window need rewriting.
-				if err := dr.republishFlowEntries(r); err != nil {
+				if err := dr.publishFlowEntries(r); err != nil {
 					dr.ctlErr = err
 					dr.stopRecv = true
 					return
@@ -455,7 +455,7 @@ func (dr *Driver) PublishControl() {
 	}
 	if allPublished {
 		if dr.Plan.Cfg.Churn && !dr.flowsPublished {
-			if err := dr.publishFlowEntries(); err != nil {
+			if err := dr.publishFlowEntries(-1); err != nil {
 				dr.ctlErr = err
 				dr.stopRecv = true
 				return
@@ -473,10 +473,16 @@ func (dr *Driver) PublishControl() {
 // NIC — entry index == flow id, pointing at one frame of the
 // destination's exported window. The backing table thus spans the whole
 // flow population (thousands of short-lived mappings under churn) while
-// a bounded NIPT cache chases only the live working set. Runs once, at
-// a barrier, in flow order: identical at every worker count.
-func (dr *Driver) publishFlowEntries() error {
+// a bounded NIPT cache chases only the live working set. dst < 0
+// installs every flow's entry (once, when the last window is exported);
+// dst >= 0 rewrites only the entries aimed at that node's freshly
+// exported window after a reboot. Runs at a barrier, in flow order:
+// identical at every worker count.
+func (dr *Driver) publishFlowEntries(dst int) error {
 	for f, fl := range dr.Plan.Flows {
+		if dst >= 0 && fl.Dst != dst {
+			continue
+		}
 		pfns := dr.windows[fl.Dst]
 		e := nic.NIPTEntry{Valid: true, DestNode: fl.Dst, DestPFN: pfns[f%len(pfns)]}
 		if err := dr.cl.NICs[fl.Src].SetNIPT(uint32(f), e); err != nil {

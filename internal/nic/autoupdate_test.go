@@ -15,7 +15,9 @@ func auPair(t *testing.T) *pair {
 }
 
 func drain(p *pair) {
+	p.net.Flush()
 	p.clocks[0].RunUntilIdle()
+	p.net.Flush()
 	p.clocks[1].RunUntilIdle()
 }
 
@@ -101,6 +103,7 @@ func TestAutoUpdateTimeoutFlush(t *testing.T) {
 	if !p.nics[0].AutoUpdatePending() {
 		t.Fatal("word not pending")
 	}
+	p.net.Flush()
 	p.clocks[0].Advance(autoUpdateFlushDelay + 1)
 	if p.nics[0].AutoUpdatePending() {
 		t.Fatal("timeout did not flush")

@@ -85,6 +85,7 @@ func TestPeerCrashRebootResequencesNextEpoch(t *testing.T) {
 	// survived the crash in host memory, so it is dropped, not delivered.
 	before := p.nics[1].Stats()
 	p.nics[1].DeliverPacket(mkData(0, 1, 0, 1, addr.PAddr(5*addr.PageSize), pay1))
+	p.net.Flush()
 	p.clocks[1].RunUntilIdle()
 	after := p.nics[1].Stats()
 	if after.PacketsReceived != before.PacketsReceived || after.DupDropped != before.DupDropped+1 {
@@ -112,6 +113,7 @@ func TestCrashLedgersVolatileBytes(t *testing.T) {
 	// reseq). Crash before they complete: the generation bump must
 	// invalidate them both.
 	rx.Crash()
+	p.net.Flush()
 	p.clocks[1].RunUntilIdle()
 	s := rx.Stats()
 	if s.Crashes != 1 {
@@ -218,7 +220,9 @@ func TestReclaimedThenCrashedNoDoublePop(t *testing.T) {
 		t.Fatal(err)
 	}
 	drainPair(p)
+	p.net.Flush()
 	p.clocks[0].Advance(50_000)
+	p.net.Flush()
 	p.clocks[1].Advance(50_000)
 	if p.nics[0].ReclaimIdle() != 1 || p.nics[1].ReclaimIdle() != 1 {
 		t.Fatal("idle link not reclaimed on both sides")

@@ -69,6 +69,7 @@ func FuzzNIPTLookup(f *testing.F) {
 			}
 			// Drain the flight and receive DMA; the packet must either
 			// land in an installed frame or be dropped — exactly one.
+			p.net.Flush()
 			p.clocks[1].Advance(10_000_000)
 			recv := p.nics[1].Stats()
 			if recv.PacketsReceived+recv.RecvDrops != 1 {
@@ -89,6 +90,7 @@ func FuzzNIPTLookup(f *testing.F) {
 		sender.PIOStore(device.DevAddr{Page: pioDA.Page, Off: PIORegLaunch}, 1)
 		// A cache miss defers the launch until the refill lands; run the
 		// sender's clock past any refill before counting.
+		p.net.Flush()
 		p.clocks[0].Advance(10_000)
 		launched := sender.Stats().PacketsSent - pioBefore
 		if legal := index < niptPages && valid; (launched == 1) != legal {
@@ -97,6 +99,7 @@ func FuzzNIPTLookup(f *testing.F) {
 		if sender.PIOLoad(device.DevAddr{Page: pioDA.Page, Off: PIORegStatus}) != 1 {
 			t.Fatal("PIO status register not ready")
 		}
+		p.net.Flush()
 		p.clocks[1].Advance(10_000_000)
 
 		// Interleaved SetNIPT / lookup / eviction pressure derived from
@@ -136,7 +139,9 @@ func FuzzNIPTLookup(f *testing.F) {
 					t.Fatal("pin survived the completion write")
 				}
 			}
+			p.net.Flush()
 			p.clocks[0].Advance(10_000)
+			p.net.Flush()
 			p.clocks[1].Advance(10_000_000)
 		}
 		s := sender.Stats()

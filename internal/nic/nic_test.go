@@ -44,6 +44,7 @@ func TestDeliberateUpdateEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drain both clocks: flight then receive DMA.
+	p.net.Flush()
 	p.clocks[1].Advance(1_000_000)
 	want := addr.PAddr(7*addr.PageSize + 256)
 	got, err := p.rams[1].Read(want, len(payload))
@@ -131,6 +132,7 @@ func TestBadDestinationDropped(t *testing.T) {
 	// Entry names a frame beyond the receiver's 64-frame RAM.
 	p.nics[0].SetNIPT(0, NIPTEntry{Valid: true, DestNode: 1, DestPFN: 1000})
 	p.nics[0].Write(device.DevAddr{Page: 0, Off: 0}, []byte{1, 2, 3, 4}, 0)
+	p.net.Flush()
 	p.clocks[1].Advance(1_000_000)
 	if p.nics[1].Stats().RecvDrops != 1 {
 		t.Fatalf("drops = %d, want 1", p.nics[1].Stats().RecvDrops)
@@ -147,6 +149,7 @@ func TestReceiveSerializesOnBus(t *testing.T) {
 	big := make([]byte, 4096)
 	p.nics[0].Write(device.DevAddr{Page: 0}, big, 0)
 	p.nics[0].Write(device.DevAddr{Page: 1}, big, 0)
+	p.net.Flush()
 	p.clocks[1].Advance(100_000_000)
 	if p.nics[1].Stats().PacketsReceived != 2 {
 		t.Fatalf("received %d", p.nics[1].Stats().PacketsReceived)
@@ -191,6 +194,7 @@ func TestPIOSend(t *testing.T) {
 	}
 	n.PIOStore(device.DevAddr{Page: 8, Off: PIORegLaunch}, 0)
 
+	p.net.Flush()
 	p.clocks[1].Advance(1_000_000)
 	got, _ := p.rams[1].Read(addr.PAddr(5*addr.PageSize+64), len(payload))
 	if !bytes.Equal(got, payload) {

@@ -93,6 +93,7 @@ func runNIPTOps(t *testing.T, seed uint64, capacity int) (statsSig, ramSig strin
 				t.Fatalf("seed %d op %d: CheckTransfer bits %v", seed, k, bits)
 			}
 			lat := n0.TransferLatency(da, 64)
+			p.net.Flush()
 			p.clocks[0].Advance(lat)
 			if err := n0.Write(da, patternBytesT(uint64(k)+1, 64), p.clocks[0].Now()); err != nil {
 				t.Fatalf("seed %d op %d: %v", seed, k, err)
@@ -111,6 +112,7 @@ func runNIPTOps(t *testing.T, seed uint64, capacity int) (statsSig, ramSig strin
 			}
 			n0.PIOStore(device.DevAddr{Page: 16, Off: PIORegLaunch}, 0)
 		case 5: // idle time on the sender
+			p.net.Flush()
 			p.clocks[0].Advance(sim.Cycles(rng.Intn(500)))
 		}
 	}

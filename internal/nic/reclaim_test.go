@@ -31,7 +31,9 @@ func TestIdleReclaimAndResurrection(t *testing.T) {
 	if got := p.nics[0].ReclaimIdle(); got != 0 {
 		t.Fatalf("reclaimed %d links before the idle age", got)
 	}
+	p.net.Flush()
 	p.clocks[0].Advance(20_000)
+	p.net.Flush()
 	p.clocks[1].Advance(20_000)
 	if got := p.nics[0].ReclaimIdle(); got != 1 {
 		t.Fatalf("sender reclaim = %d, want 1", got)
@@ -95,6 +97,7 @@ func TestReclaimRefusedWhileRetransmitPending(t *testing.T) {
 	}
 	// The packet was dropped on the wire; the unacked buffer holds it
 	// and the (far-future) retransmit timer is armed.
+	p.net.Flush()
 	p.clocks[0].Advance(50_000)
 	if got := p.nics[0].ReclaimIdle(); got != 0 {
 		t.Fatalf("reclaimed a link with a retransmit pending")
@@ -118,6 +121,7 @@ func TestReclaimRefusedWhileBrokenLatched(t *testing.T) {
 	if s := p.nics[0].Stats(); s.DeliveryFailures != 1 {
 		t.Fatalf("link did not break: %+v", s)
 	}
+	p.net.Flush()
 	p.clocks[0].Advance(100_000)
 	if got := p.nics[0].ReclaimIdle(); got != 0 {
 		t.Fatalf("reclaimed a link with a latched delivery error")
@@ -139,6 +143,7 @@ func TestReclaimRefusedWhileBrokenLatched(t *testing.T) {
 		t.Fatalf("next-epoch delivery failed: %+v", s)
 	}
 	// Now fully quiescent: reclamation proceeds.
+	p.net.Flush()
 	p.clocks[0].Advance(100_000)
 	if got := p.nics[0].ReclaimIdle(); got != 1 {
 		t.Fatalf("healed idle link not reclaimed (got %d)", got)
@@ -152,6 +157,7 @@ func TestReceiverReclaimRefusedWithReseqHeld(t *testing.T) {
 	rx := p.nics[1]
 	// Seq 2 with seq 1 missing parks in the resequencing buffer.
 	rx.DeliverPacket(mkData(0, 1, 0, 2, addr.PAddr(7)<<addr.PageShift, patternBytesT(9, 64)))
+	p.net.Flush()
 	p.clocks[1].Advance(50_000)
 	if got := rx.ReclaimIdle(); got != 0 {
 		t.Fatalf("reclaimed a receiver holding reseq bytes")
@@ -170,10 +176,12 @@ func TestReceiverResurrectionDedupesStaleDuplicate(t *testing.T) {
 	rx := p.nics[1]
 	pkt := mkData(0, 1, 0, 1, addr.PAddr(7)<<addr.PageShift, patternBytesT(6, 64))
 	rx.DeliverPacket(pkt)
+	p.net.Flush()
 	p.clocks[1].Advance(10_000)
 	if s := rx.Stats(); s.PacketsReceived != 1 {
 		t.Fatalf("first delivery failed: %+v", s)
 	}
+	p.net.Flush()
 	p.clocks[1].Advance(50_000)
 	if got := rx.ReclaimIdle(); got != 1 {
 		t.Fatalf("idle receiver not reclaimed")
@@ -181,6 +189,7 @@ func TestReceiverResurrectionDedupesStaleDuplicate(t *testing.T) {
 	// A duplicate of the already-delivered packet (same epoch, same
 	// seq) arrives after the reclaim.
 	rx.DeliverPacket(mkData(0, 1, 0, 1, addr.PAddr(7)<<addr.PageShift, patternBytesT(6, 64)))
+	p.net.Flush()
 	p.clocks[1].Advance(10_000)
 	s := rx.Stats()
 	if s.PacketsReceived != 1 || s.DupDropped != 1 || s.Resurrections != 1 {

@@ -52,6 +52,7 @@ func runBytePartition(t *testing.T, seed uint64) {
 			t.Fatalf("seed %d: Write returned untyped error %v", seed, err)
 		}
 		msgs = append(msgs, msg{page: i, pay: pay})
+		p.net.Flush()
 		p.clocks[0].Advance(sim.Cycles(rng.Intn(4000)))
 	}
 	drainPair(p)
@@ -113,6 +114,7 @@ func runBytePartition(t *testing.T, seed uint64) {
 					t.Fatalf("seed %d replay: %v", seed, err)
 				}
 			}
+			q.net.Flush()
 			q.clocks[0].Advance(sim.Cycles(rng2.Intn(4000)))
 		}
 		drainPair(q)

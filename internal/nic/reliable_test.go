@@ -17,11 +17,13 @@ func relConfig(rc ReliabilityConfig) Config {
 }
 
 // drainPair runs both node clocks as one merged event loop: each round
-// advances every clock to the globally-earliest pending event, so
-// cross-node ordering (data arrival vs. retransmit timer vs. ACK
-// arrival) is honored exactly as a shared clock would.
+// flushes the backplane mailboxes, then advances every clock to the
+// globally-earliest pending event, so cross-node ordering (data arrival
+// vs. retransmit timer vs. ACK arrival) is honored exactly as a shared
+// clock would. It is cluster.DrainHardware's loop over a bare pair.
 func drainPair(p *pair) {
 	for {
+		p.net.Flush()
 		next := sim.Forever
 		for _, c := range p.clocks {
 			if at, ok := c.NextEventAt(); ok && at < next {
@@ -90,6 +92,7 @@ func TestAckLostRetransmitDedupe(t *testing.T) {
 	}
 	// Deliver the data; the ACK is now in flight toward node 0 but we
 	// model it lost by firing the sender's timeout by hand first.
+	p.net.Flush()
 	p.clocks[1].RunUntilIdle()
 	if p.nics[1].Stats().PacketsReceived != 1 {
 		t.Fatal("original not delivered")
@@ -141,7 +144,8 @@ func TestRetransmitRacesLateOriginal(t *testing.T) {
 		t.Fatal("gap should trigger a dup-ACK")
 	}
 	rx.recvData(mkData(0, 1, 0, 1, d1, pay1)) // fills the gap, drains reseq
-	p.clocks[1].RunUntilIdle()                // receive DMAs
+	p.net.Flush()
+	p.clocks[1].RunUntilIdle() // receive DMAs
 	if got := rx.Stats().PacketsReceived; got != 2 {
 		t.Fatalf("received %d packets, want 2", got)
 	}
@@ -149,6 +153,7 @@ func TestRetransmitRacesLateOriginal(t *testing.T) {
 		t.Fatal("reseq buffer not drained")
 	}
 	rx.recvData(mkData(0, 1, 0, 2, d2, pay2)) // the late original of #2
+	p.net.Flush()
 	p.clocks[1].RunUntilIdle()
 	s := rx.Stats()
 	if s.PacketsReceived != 2 || s.DupDropped != 1 {
@@ -174,6 +179,7 @@ func TestCorruptionNeverDelivered(t *testing.T) {
 	pkt := mkData(0, 1, 0, 1, addr.PAddr(5*addr.PageSize), payload)
 	pkt.Payload[17] ^= 0x40 // in-flight bit flip; CRC now stale
 	rx.recvData(pkt)
+	p.net.Flush()
 	p.clocks[1].RunUntilIdle()
 	s := rx.Stats()
 	if s.CorruptDropped != 1 || s.CorruptBytes != 64 {
@@ -252,6 +258,7 @@ func TestLinkFlapRecovery(t *testing.T) {
 		if err := p.nics[0].Write(device.DevAddr{Page: 0, Off: 0}, pay, 0); err != nil {
 			t.Fatal(err)
 		}
+		p.net.Flush()
 		p.clocks[0].Advance(1500) // spread launches across flap phases
 	}
 	drainPair(p)

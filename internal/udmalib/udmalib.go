@@ -182,32 +182,7 @@ func (d *Dev) SendRetry(va addr.VAddr, devOff uint32, n int, pol RetryPolicy) er
 // On a queue-full status it re-issues the pending LOAD until the queue
 // drains (the STORE half stays latched).
 func (d *Dev) QueuedSend(va addr.VAddr, devOff uint32, n int) error {
-	d.stats.Sends++
-	d.p.Compute(setupCycles)
-	var lastBase addr.VAddr
-	for n > 0 {
-		d.p.Compute(CheckCycles)
-		srcProxy := addr.VProxy(va)
-		st, err := d.initiateQueued(d.base+addr.VAddr(devOff), srcProxy, n)
-		if err != nil {
-			return err
-		}
-		accepted := st.Remaining()
-		if accepted <= 0 || accepted > n {
-			return fmt.Errorf("udmalib: hardware accepted %d of %d bytes", accepted, n)
-		}
-		if accepted < n {
-			d.stats.SplitPages++
-		}
-		lastBase = srcProxy
-		va += addr.VAddr(accepted)
-		devOff += uint32(accepted)
-		n -= accepted
-	}
-	if lastBase != 0 {
-		return d.Wait(lastBase)
-	}
-	return nil
+	return d.SendGather([]Segment{{va, devOff, n}})
 }
 
 // Segment is one piece of a gather/scatter transfer: N bytes from

@@ -260,16 +260,20 @@ func TestQueuedSendFasterThanSerialSend(t *testing.T) {
 
 func TestSendRejectsBadSizes(t *testing.T) {
 	n, buf := newNode(t, machine.Config{})
-	var e1, e2 error
+	var e1, e2, e3 error
 	n.Kernel.Spawn("p", func(p *kernel.Proc) {
 		d, _ := udmalib.Open(p, buf, true)
 		va, _ := p.Alloc(4096)
 		e1 = d.Send(va, 0, 0)
 		e2 = d.Send(va, 0, -4)
+		e3 = d.QueuedSend(va, 0, 0)
 	})
 	run(t, n)
 	if e1 == nil || e2 == nil {
 		t.Fatal("zero/negative sizes accepted")
+	}
+	if e3 == nil {
+		t.Fatal("QueuedSend accepted a zero-byte message")
 	}
 }
 
