@@ -345,6 +345,27 @@ func (c *Controller) Load(pa addr.PAddr) Status {
 	return makeStatus(true, true, false, false, false, req.count, 0)
 }
 
+// PollWouldMatch reports whether a Load of pa now would be a pure
+// status poll that sees MATCH: no latched STORE half for it to consume,
+// and a transfer based at pa still pending, so it consumes no latched
+// error bits either. Until the controller's state changes, every such
+// Load has the same effect.
+func (c *Controller) PollWouldMatch(pa addr.PAddr) bool {
+	return c.state != DestLoaded && c.matchAny(pa)
+}
+
+// RepeatPolls accounts n Loads of pa that PollWouldMatch allowed, the
+// first now and then one every step cycles, exactly as the n Loads
+// would: their counters and their trace events. The caller advances
+// the clock, and must fire no event before the last of them.
+func (c *Controller) RepeatPolls(pa addr.PAddr, n uint64, step sim.Cycles) {
+	c.stats.Loads += n
+	if c.busy() {
+		c.stats.Busy += n
+	}
+	c.tracer.RecordEvery(trace.EvLoad, uint64(pa), 0, c.clock.Now(), step, n)
+}
+
 // pollStatus builds the status word for a LOAD that does not initiate.
 // If a transfer based at pa failed after its initiation succeeded, the
 // latched error bits are reported and cleared.

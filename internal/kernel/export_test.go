@@ -1,0 +1,14 @@
+package kernel
+
+import "shrimp/internal/sim"
+
+// Quantum returns what is left of the process's time slice.
+func (p *Proc) Quantum() sim.Cycles { return p.quantum }
+
+// AsKernel runs fn as kernel code of p, as a syscall body runs: not
+// preemptible.
+func (p *Proc) AsKernel(fn func()) {
+	p.inKernel++
+	defer func() { p.inKernel-- }()
+	fn()
+}

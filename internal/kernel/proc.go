@@ -217,6 +217,58 @@ func (p *Proc) Load(va addr.VAddr) (uint32, error) {
 	}
 }
 
+// SpinPolls fast-forwards a completion poll loop — repeat a LOAD of va,
+// then compute for gap cycles — after a LOAD of va that saw MATCH. It
+// accounts, in one step, every further poll certain to see MATCH again
+// and returns how many it took, or 0 when it cannot prove one. Each
+// poll's counters, trace event, TLB tick and cycles are exactly those
+// of the one-poll loop, because the batch fires no clock event (only an
+// event can change the controller's answer or kill the process while
+// this one runs), crosses no run limit and exhausts no quantum.
+func (p *Proc) SpinPolls(va addr.VAddr, gap sim.Cycles) uint64 {
+	k := p.kernel
+	if p.killed || p.inKernel > 0 || k.udma == nil {
+		return 0
+	}
+	now := k.clock.Now()
+	if now > k.runLimit {
+		return 0
+	}
+	room := k.runLimit - now // cycles the batch may span
+	if at, ok := k.clock.NextEventAt(); ok {
+		if at <= now {
+			return 0
+		}
+		room = min(room, at-now-1)
+	}
+	if k.cfg.Quantum != 0 {
+		if p.quantum == 0 {
+			return 0
+		}
+		room = min(room, p.quantum-1)
+	}
+	per := k.costs.UncachedRef + gap
+	n := uint64(room / per)
+	if n == 0 {
+		return 0
+	}
+	tr, hit := k.mmu.PeekRead(p.as, va)
+	if !hit || !addr.RegionOf(tr.PA).IsProxy() {
+		return 0
+	}
+	if _, _, pio := k.pioResolve(tr.PA); pio || !k.udma.PollWouldMatch(tr.PA) {
+		return 0
+	}
+	k.mmu.RepeatReadHits(p.as, va, n)
+	k.udma.RepeatPolls(tr.PA, n, per)
+	span := sim.Cycles(n) * per
+	k.clock.Advance(span)
+	if k.cfg.Quantum != 0 {
+		p.quantum -= span
+	}
+	return n
+}
+
 // Store performs one 32-bit user-level store. A store to a proxy
 // address is the STORE half of the initiation sequence (or an Inval
 // when v's sign bit is set).
@@ -321,13 +373,6 @@ func (p *Proc) segfault(va addr.VAddr, access mmu.Access, kind mmu.FaultKind) er
 	p.kernel.stats.Segfaults++
 	p.kernel.tracer.Record(trace.EvSegfault, uint64(va), uint64(p.pid), kind.String())
 	return &SegfaultError{VA: va, Access: access, Kind: kind}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Blocked reports whether the process is blocked in the kernel

@@ -67,11 +67,7 @@ func (m *MMU) Translate(as *AddressSpace, va addr.VAddr, access Access) (Transla
 					pte.Dirty = true
 				}
 			}
-			return Translation{
-				PA:       addr.PAddr(e.ppn<<addr.PageShift | addr.PageOff(va)),
-				Uncached: e.uncached,
-				TLBHit:   true,
-			}, nil
+			return e.translation(va), nil
 		}
 	}
 
@@ -95,6 +91,32 @@ func (m *MMU) Translate(as *AddressSpace, va addr.VAddr, access Access) (Transla
 	}
 	m.tlb.insert(as.ASID, vpn, pte.PPN, pte.Writable, pte.Uncached)
 	return Translation{PA: pte.PAddr(va), Uncached: pte.Uncached}, nil
+}
+
+// PeekRead returns the translation a read of va would take from the
+// TLB, and whether it would hit, without counting the hit, ticking the
+// LRU clock or setting the Referenced bit.
+func (m *MMU) PeekRead(as *AddressSpace, va addr.VAddr) (Translation, bool) {
+	e := m.tlb.peek(as.ASID, addr.VPN(va))
+	if e == nil {
+		return Translation{}, false
+	}
+	return e.translation(va), true
+}
+
+// RepeatReadHits accounts n reads of va that PeekRead showed would hit,
+// exactly as n Translate calls would: n TLB hits and LRU ticks, and the
+// PTE's Referenced bit. It charges no time, as a hit charges none.
+func (m *MMU) RepeatReadHits(as *AddressSpace, va addr.VAddr, n uint64) {
+	vpn := addr.VPN(va)
+	e := m.tlb.peek(as.ASID, vpn)
+	if e == nil {
+		panic("mmu: RepeatReadHits on a TLB miss")
+	}
+	m.tlb.hit(e, n)
+	if pte := as.Lookup(vpn); pte != nil {
+		pte.Referenced = true
+	}
 }
 
 // Probe translates without charging time, touching reference bits, or

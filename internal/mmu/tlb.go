@@ -1,5 +1,7 @@
 package mmu
 
+import "shrimp/internal/addr"
+
 // tlbEntry caches one translation, tagged by (ASID, VPN).
 type tlbEntry struct {
 	asid     int
@@ -9,6 +11,15 @@ type tlbEntry struct {
 	uncached bool
 	lastUse  uint64
 	valid    bool
+}
+
+// translation is the TLB-hit translation of va through e.
+func (e *tlbEntry) translation(va addr.VAddr) Translation {
+	return Translation{
+		PA:       addr.PAddr(e.ppn<<addr.PageShift | addr.PageOff(va)),
+		Uncached: e.uncached,
+		TLBHit:   true,
+	}
 }
 
 // TLB is a fully-associative translation lookaside buffer with LRU
@@ -43,19 +54,36 @@ func (t *TLB) Size() int { return len(t.entries) }
 // Stats returns cumulative hit and miss counts.
 func (t *TLB) Stats() (hits, misses uint64) { return t.hits, t.misses }
 
-// lookup returns the cached entry or nil.
+// lookup returns the cached entry, counting a hit, or nil, counting a
+// miss.
 func (t *TLB) lookup(asid int, vpn uint32) *tlbEntry {
+	e := t.peek(asid, vpn)
+	if e == nil {
+		t.misses++
+		return nil
+	}
+	t.hit(e, 1)
+	return e
+}
+
+// peek returns the cached entry or nil, touching no counter or LRU
+// tick.
+func (t *TLB) peek(asid int, vpn uint32) *tlbEntry {
 	for i := range t.entries {
 		e := &t.entries[i]
 		if e.valid && e.asid == asid && e.vpn == vpn {
-			t.tick++
-			e.lastUse = t.tick
-			t.hits++
 			return e
 		}
 	}
-	t.misses++
 	return nil
+}
+
+// hit accounts n consecutive hits on e: n LRU ticks, the last of which
+// is e's.
+func (t *TLB) hit(e *tlbEntry, n uint64) {
+	t.tick += n
+	e.lastUse = t.tick
+	t.hits += n
 }
 
 // insert fills an entry, evicting the LRU one if needed.

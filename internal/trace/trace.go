@@ -175,6 +175,18 @@ func (t *Tracer) Record(kind Kind, a, b uint64, note string) {
 	t.add(Event{At: t.clock.Now(), Kind: kind, A: a, B: b, Note: note})
 }
 
+// RecordEvery appends n instant events, the first at start and then
+// one every step cycles: what n Record calls made at those times would
+// append. Safe to call on a nil tracer.
+func (t *Tracer) RecordEvery(kind Kind, a, b uint64, start, step sim.Cycles, n uint64) {
+	if t == nil {
+		return
+	}
+	for i := uint64(0); i < n; i++ {
+		t.add(Event{At: start + sim.Cycles(i)*step, Kind: kind, A: a, B: b})
+	}
+}
+
 // Span appends an interval event that began at start and ends now.
 // Safe to call on a nil tracer.
 func (t *Tracer) Span(kind Kind, start sim.Cycles, a, b uint64, note string) {

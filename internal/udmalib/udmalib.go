@@ -275,6 +275,12 @@ func (d *Dev) initiateQueued(destVA, srcVA addr.VAddr, n int) (core.Status, erro
 // failed (completion fault, dequeue rejection, kernel Terminate)
 // surfaces here: the poll that observes the cleared MATCH flag carries
 // the controller's latched error bits, and Wait returns a HardError.
+//
+// The loop is one LOAD plus pollGapCycles of work per poll. After a
+// poll that sees MATCH, the kernel's SpinPolls accounts in one step the
+// run of further polls that are certain to see MATCH too (none of them
+// can fire a clock event), so simulated time, counters and the trace
+// are those of polling one LOAD at a time.
 func (d *Dev) Wait(proxyVA addr.VAddr) error {
 	for {
 		d.stats.Polls++
@@ -291,6 +297,7 @@ func (d *Dev) Wait(proxyVA addr.VAddr) error {
 			return nil
 		}
 		d.p.Compute(pollGapCycles)
+		d.stats.Polls += d.p.SpinPolls(proxyVA, pollGapCycles)
 	}
 }
 
