@@ -26,6 +26,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 
 	"shrimp/internal/device"
@@ -392,6 +393,12 @@ func (c *Cluster) Rounds() uint64 { return c.rounds }
 // than by calling Step themselves.
 func (c *Cluster) Step(horizon sim.Cycles) (progress bool, err error) {
 	c.rounds++
+	// A host scheduling point, outside all simulated state. Process
+	// handoffs are coroutine switches that never enter the Go
+	// scheduler, so at GOMAXPROCS 1 a serial run would otherwise never
+	// give the GC's background mark worker a turn: mutator assists
+	// would finish each cycle slowly and the heap would overshoot.
+	runtime.Gosched()
 	c.Backplane.Flush()
 	// Crash and reboot nodes at the barrier, after the flush (so mail
 	// already launched toward the victim still merges onto its clock,

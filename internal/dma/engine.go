@@ -130,7 +130,7 @@ type Engine struct {
 	dir       Direction
 	startAt   sim.Cycles
 	doneAt    sim.Cycles
-	doneEvent *sim.Event
+	doneEvent sim.Handle
 
 	// onComplete is the interrupt line: every registered listener fires
 	// at completion time (UDMA state machine, kernel interrupt handler).
@@ -310,7 +310,7 @@ func (e *Engine) complete(dev device.Device, da device.DevAddr, dir Direction, m
 		}
 	}
 	e.busy = false
-	e.doneEvent = nil
+	e.doneEvent = sim.NoEvent
 	if err == nil {
 		e.transfers++
 		e.bytes += uint64(count)
@@ -337,6 +337,6 @@ func (e *Engine) Abort() {
 		return
 	}
 	e.clock.Cancel(e.doneEvent)
-	e.doneEvent = nil
+	e.doneEvent = sim.NoEvent
 	e.busy = false
 }

@@ -280,14 +280,13 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 		kernel: k,
 		as:     mmu.NewAddressSpace(k.nextPID),
 		state:  procReady,
-		resume: make(chan resumeMsg),
-		yield:  make(chan yieldReason),
 		// User heap starts above the first page, well inside the real
 		// memory region.
 		heapNext: 0x0001_0000 >> addr.PageShift,
 		fn:       fn,
 	}
-	go p.main()
+	p.start()
+	p.wakeFn = func() { k.wake(p) }
 	k.procs = append(k.procs, p)
 	return p
 }

@@ -155,3 +155,53 @@ func TestKillDefersUDMAHeldFrames(t *testing.T) {
 		}
 	}
 }
+
+// TestKillInsideStoreChargeStartsNoTransfer lands a kill event inside
+// the charge of the STORE half of an initiation sequence. The process
+// must unwind at the end of that charge: the initiating LOAD after it
+// never reaches the controller, so no transfer starts.
+func TestKillInsideStoreChargeStartsNoTransfer(t *testing.T) {
+	n, buf := newNode(t, machine.Config{})
+	var initiations uint64
+	after := false
+	p := n.Kernel.Spawn("sender", func(p *kernel.Proc) {
+		d, err := udmalib.Open(p, buf, true)
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return
+		}
+		va, err := p.Alloc(addr.PageSize)
+		if err != nil {
+			t.Errorf("alloc: %v", err)
+			return
+		}
+		if err := p.WriteBuf(va, make([]byte, addr.PageSize)); err != nil {
+			t.Errorf("write: %v", err)
+			return
+		}
+		// A first send warms both proxy mappings, so the STORE below
+		// hits the TLB and its one charge is the uncached reference.
+		if err := d.Send(va, 0, addr.PageSize); err != nil {
+			t.Errorf("warm-up send: %v", err)
+			return
+		}
+		initiations = n.UDMA.Stats().Initiations
+		n.Clock.Schedule(p.Now()+1, "kill", func() { n.Kernel.Kill(p) })
+		p.Store(d.Base(), addr.PageSize)
+		after = true // the kill must stop the process before this
+		p.Load(addr.VProxy(va))
+	})
+	run(t, n)
+	if !p.Exited() {
+		t.Fatal("killed process did not exit")
+	}
+	if after {
+		t.Fatal("the process ran past the charge in which the kill fired")
+	}
+	if got := n.UDMA.Stats().Initiations; got != initiations {
+		t.Fatalf("initiations %d after the kill, want the %d of before", got, initiations)
+	}
+	if n.Engine.Busy() {
+		t.Fatal("a transfer started after the kill")
+	}
+}

@@ -26,10 +26,8 @@ const (
 	yieldExit
 )
 
-type resumeMsg struct{}
-
 // killedPanic is the sentinel used to unwind a killed process's
-// goroutine.
+// coroutine.
 type killedPanic struct{}
 
 // SegfaultError reports an illegal access; the paper's kernel would
@@ -56,10 +54,16 @@ type Proc struct {
 	kernel *Kernel
 	as     *mmu.AddressSpace
 
-	state  procState
-	resume chan resumeMsg
-	yield  chan yieldReason
-	fn     func(p *Proc)
+	state procState
+	fn    func(p *Proc)
+	// next resumes the coroutine until it yields a reason (true) or
+	// its body returns (false); yield is the body's half of the same
+	// iter.Pull handoff, saved when the body starts.
+	next  func() (yieldReason, bool)
+	yield func(yieldReason) bool
+	// wakeFn is the prebuilt sleep-wake event callback, so Sleep
+	// schedules without allocating a closure.
+	wakeFn func()
 
 	quantum  sim.Cycles
 	inKernel int // >0 while executing kernel code: no preemption
@@ -99,54 +103,24 @@ func (p *Proc) Exited() bool { return p.state == procExited }
 // AddressSpace exposes the page table for tests and kernel-side tools.
 func (p *Proc) AddressSpace() *mmu.AddressSpace { return p.as }
 
-// main is the coroutine body.
-func (p *Proc) main() {
-	<-p.resume
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killedPanic); !ok {
-				panic(r)
-			}
-		}
-		p.state = procExited
-		p.yield <- yieldExit
-	}()
-	p.state = procRunning
-	p.fn(p)
-}
-
-// runSlice resumes the process and waits for it to yield. Called by
-// the scheduler only.
-func (p *Proc) runSlice() yieldReason {
-	p.state = procRunning
-	p.resume <- resumeMsg{}
-	return <-p.yield
-}
-
-// doYield parks the process with the given reason and state, returning
-// when the scheduler resumes it.
-func (p *Proc) doYield(reason yieldReason, state procState) {
-	p.state = state
-	p.yield <- reason
-	<-p.resume
-	p.state = procRunning
-	if p.killed {
-		panic(killedPanic{})
-	}
-}
-
 // block parks the process until some kernel event calls wake.
 func (p *Proc) block() {
 	p.doYield(yieldBlock, procBlocked)
 }
 
 // charge consumes simulated CPU time and honors preemption. Kernel
-// code (inKernel > 0) is not preemptible.
+// code (inKernel > 0) is not preemptible. A kill that an event fires
+// inside the charge unwinds the process at its end, before the
+// instruction after it (say the initiating LOAD after a STORE half)
+// can reach the hardware.
 func (p *Proc) charge(c sim.Cycles) {
 	if p.killed {
 		panic(killedPanic{})
 	}
 	p.kernel.clock.Advance(c)
+	if p.killed {
+		panic(killedPanic{})
+	}
 	// A run-limit yield lets Run(limit) regain control from processes
 	// that never block (busy loops with preemption disabled).
 	if p.kernel.clock.Now() > p.kernel.runLimit {
@@ -166,8 +140,7 @@ func (p *Proc) charge(c sim.Cycles) {
 
 // Sleep blocks the process for d cycles of simulated time.
 func (p *Proc) Sleep(d sim.Cycles) {
-	k := p.kernel
-	k.clock.ScheduleAfter(d, "sleep-wake", func() { k.wake(p) })
+	p.kernel.clock.ScheduleAfter(d, "sleep-wake", p.wakeFn)
 	p.block()
 }
 

@@ -30,7 +30,7 @@ type autoUpdateState struct {
 	entry    uint32 // NIPT index the burst goes through
 	startOff uint32 // page offset of the first combined word
 	data     []byte
-	flushEv  *sim.Event
+	flushEv  sim.Handle
 }
 
 // SnoopWrite delivers one 32-bit store snooped from the memory bus to
@@ -57,7 +57,7 @@ func (n *Interface) SnoopWrite(entry uint32, off uint32, v uint32) {
 		au.data = au.data[:0]
 		// Arm the timeout flush.
 		au.flushEv = n.clock.ScheduleAfter(autoUpdateFlushDelay, "auto-update-flush", func() {
-			au.flushEv = nil
+			au.flushEv = sim.NoEvent
 			n.FlushAutoUpdate()
 		})
 	}
@@ -76,10 +76,8 @@ func (n *Interface) FlushAutoUpdate() {
 		au.active = false
 		return
 	}
-	if au.flushEv != nil {
-		n.clock.Cancel(au.flushEv)
-		au.flushEv = nil
-	}
+	n.clock.Cancel(au.flushEv)
+	au.flushEv = sim.NoEvent
 	e := n.nipt[au.entry]
 	entry := au.entry
 	startOff := au.startOff

@@ -33,6 +33,8 @@ package nic
 //     (alongside arrivals while down and receive DMAs invalidated by
 //     the generation bump — see DeliverPacket and deliverData).
 
+import "shrimp/internal/sim"
+
 // Crash powers the board off. Packets already in flight toward it are
 // swallowed by the backplane's down-node guard or the DeliverPacket
 // down guard; events the pre-crash board scheduled observe the
@@ -45,10 +47,8 @@ func (n *Interface) Crash() {
 	if n.rel != nil {
 		for _, dest := range sortedKeys(n.rel.senders) {
 			s := n.rel.senders[dest]
-			if s.timer != nil {
-				n.clock.Cancel(s.timer)
-				s.timer = nil
-			}
+			n.clock.Cancel(s.timer)
+			s.timer = sim.NoEvent
 			for _, p := range s.pending {
 				n.stats.CrashAbandonedPkts++
 				n.stats.CrashAbandonedBytes += uint64(len(p.payload))
@@ -90,10 +90,8 @@ func (n *Interface) Crash() {
 	// The PIO FIFO and the automatic-update combining buffer die with
 	// the board.
 	n.pio = pioState{}
-	if n.auto.flushEv != nil {
-		n.clock.Cancel(n.auto.flushEv)
-		n.auto.flushEv = nil
-	}
+	n.clock.Cancel(n.auto.flushEv)
+	n.auto.flushEv = sim.NoEvent
 	n.auto.active = false
 	n.auto.data = n.auto.data[:0]
 

@@ -2,6 +2,8 @@ package nic
 
 import (
 	"sort"
+
+	"shrimp/internal/sim"
 )
 
 // Reliability-state reclamation: the second half of the bounded-NIC
@@ -72,7 +74,7 @@ func (n *Interface) ReclaimIdle() int {
 // consumed by the next Write, and reclaiming it would silently eat a
 // delivery failure.
 func senderQuiescent(s *relSender) bool {
-	return len(s.pending) == 0 && len(s.unacked) == 0 && s.timer == nil && s.broken == nil
+	return len(s.pending) == 0 && len(s.unacked) == 0 && s.timer == sim.NoEvent && s.broken == nil
 }
 
 func sortedKeys[V any](m map[int]V) []int {

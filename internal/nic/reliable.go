@@ -116,7 +116,7 @@ type relSender struct {
 	advWindow int    // receiver's advertised credits
 	pending   []*relPkt
 	unacked   []*relPkt
-	timer     *sim.Event
+	timer     sim.Handle
 	retries   int
 	broken    error // latched DeliveryError, consumed by the next Write
 	// lastActive is the last cycle this link moved (send, retransmit or
@@ -322,13 +322,11 @@ func (n *Interface) transmitData(s *relSender, p *relPkt, retrans bool) {
 // current backoff, or cancels it when nothing is outstanding.
 func (n *Interface) armTimer(s *relSender) {
 	if len(s.unacked) == 0 {
-		if s.timer != nil {
-			n.clock.Cancel(s.timer)
-			s.timer = nil
-		}
+		n.clock.Cancel(s.timer)
+		s.timer = sim.NoEvent
 		return
 	}
-	if s.timer != nil {
+	if s.timer != sim.NoEvent {
 		return
 	}
 	shift := s.retries
@@ -337,7 +335,7 @@ func (n *Interface) armTimer(s *relSender) {
 	}
 	d := n.rel.cfg.RetxTimeout << uint(shift)
 	s.timer = n.clock.ScheduleAfter(d, "nic-retx", func() {
-		s.timer = nil
+		s.timer = sim.NoEvent
 		n.onRetxTimeout(s)
 	})
 }
@@ -374,10 +372,8 @@ func (n *Interface) breakLink(s *relSender) {
 	s.broken = &DeliveryError{Dest: s.dest, Epoch: s.epoch, Lost: lost}
 	n.stats.DeliveryFailures++
 	n.tracer.Record(trace.EvDeliveryFail, uint64(s.dest), uint64(lost), "retry cap")
-	if s.timer != nil {
-		n.clock.Cancel(s.timer)
-		s.timer = nil
-	}
+	n.clock.Cancel(s.timer)
+	s.timer = sim.NoEvent
 	s.epoch++
 	s.nextSeq = 1
 	s.ackedTo = 0
@@ -411,10 +407,8 @@ func (n *Interface) handleAck(pkt *interconnect.Packet) {
 		}
 		s.ackedTo = pkt.Ack
 		s.retries = 0
-		if s.timer != nil { // restart the timer for what remains
-			n.clock.Cancel(s.timer)
-			s.timer = nil
-		}
+		n.clock.Cancel(s.timer) // restart the timer for what remains
+		s.timer = sim.NoEvent
 	} else {
 		n.stats.DupAcks++
 	}

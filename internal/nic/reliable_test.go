@@ -75,7 +75,7 @@ func TestReliableBasicDelivery(t *testing.T) {
 	if s1.PacketsReceived != 1 || s1.AcksSent != 1 {
 		t.Fatalf("receiver stats %+v", s1)
 	}
-	if s := p.nics[0].rel.senders[1]; len(s.unacked) != 0 || s.timer != nil {
+	if s := p.nics[0].rel.senders[1]; len(s.unacked) != 0 || s.timer != sim.NoEvent {
 		t.Fatal("window not cleared after cumulative ACK")
 	}
 }
@@ -117,7 +117,7 @@ func TestAckLostRetransmitDedupe(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("payload corrupted by retransmission")
 	}
-	if len(s.unacked) != 0 || s.timer != nil {
+	if len(s.unacked) != 0 || s.timer != sim.NoEvent {
 		t.Fatal("sender window not cleared")
 	}
 	if p.nics[0].Stats().DupAcks == 0 {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"container/heap"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -105,9 +107,9 @@ func TestCancelPreventsFiring(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	// Double-cancel and nil-cancel are no-ops.
+	// Double-cancel and NoEvent-cancel are no-ops.
 	c.Cancel(ev)
-	c.Cancel(nil)
+	c.Cancel(NoEvent)
 }
 
 func TestCancelOneOfMany(t *testing.T) {
@@ -219,7 +221,7 @@ func TestEventCancelsAnotherWhileFiring(t *testing.T) {
 	// A firing event may cancel a later pending event; the heap must
 	// stay consistent and the cancelled event must not fire.
 	c := NewClock()
-	var later *Event
+	var later Handle
 	fired := []string{}
 	c.Schedule(10, "first", func() {
 		fired = append(fired, "first")
@@ -256,5 +258,167 @@ func TestClockString(t *testing.T) {
 	c.Advance(3)
 	if got := c.String(); got != "clock(now=3, pending=1)" {
 		t.Fatalf("String() = %q", got)
+	}
+}
+
+// TestCancelStaleHandleIsNoOp cancels handles whose events already
+// fired or were cancelled, after their slab slots were reused by later
+// events: the later events must still fire.
+func TestCancelStaleHandleIsNoOp(t *testing.T) {
+	c := NewClock()
+	fired := c.Schedule(1, "fired", func() {})
+	c.Advance(1)
+	cancelled := c.Schedule(5, "cancelled", func() {})
+	c.Cancel(cancelled)
+	var got []string
+	for _, name := range []string{"x", "y"} {
+		c.ScheduleAfter(10, name, func() { got = append(got, name) })
+	}
+	if len(c.slots) != 2 {
+		t.Fatalf("slab holds %d slots, want the 2 the fired and cancelled events released", len(c.slots))
+	}
+	c.Cancel(fired)
+	c.Cancel(cancelled)
+	c.Cancel(cancelled)
+	if c.Pending() != 2 {
+		t.Fatalf("Pending() = %d after stale cancels, want 2", c.Pending())
+	}
+	c.Advance(100)
+	if len(got) != 2 || got[0] != "x" || got[1] != "y" {
+		t.Fatalf("fired %v, want [x y]", got)
+	}
+}
+
+// TestReleasedSlotRetainsNoCallback checks that a fired or cancelled
+// event's slot drops its callback, so the slab keeps no garbage alive.
+func TestReleasedSlotRetainsNoCallback(t *testing.T) {
+	c := NewClock()
+	c.Schedule(1, "fire", func() {})
+	c.Cancel(c.Schedule(2, "cancel", func() {}))
+	c.Advance(10)
+	for i, ev := range c.slots {
+		if ev.fire != nil || ev.pos != -1 {
+			t.Fatalf("released slot %d still holds %+v", i, ev)
+		}
+	}
+}
+
+// refEvent and refQueue are an independent reference queue on
+// container/heap, ordered by (at, seq) like the clock's.
+type refEvent struct {
+	at    Cycles
+	seq   uint64
+	id    int
+	index int
+}
+
+type refQueue []*refEvent
+
+func (q refQueue) Len() int { return len(q) }
+func (q refQueue) Less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].seq < q[j].seq
+}
+func (q refQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].index, q[j].index = i, j
+}
+func (q *refQueue) Push(x any) {
+	ev := x.(*refEvent)
+	ev.index = len(*q)
+	*q = append(*q, ev)
+}
+func (q *refQueue) Pop() any {
+	old := *q
+	ev := old[len(old)-1]
+	*q = old[:len(old)-1]
+	ev.index = -1
+	return ev
+}
+
+// TestEventSlabMatchesReferenceQueue runs random Schedule, Cancel and
+// Advance sequences on the clock and on the reference queue: the fire
+// order and the time of every firing must be identical. Cancels pick
+// any handle ever issued, so fired, cancelled and recycled ones are
+// cancelled too; some events schedule a follow-up when they fire.
+func TestEventSlabMatchesReferenceQueue(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		rng := NewRNG(seed)
+		c := NewClock()
+		var handles []Handle
+		var fired []string
+		var schedule func(at Cycles, id int)
+		schedule = func(at Cycles, id int) {
+			handles = append(handles, c.Schedule(at, "p", func() {
+				fired = append(fired, fmt.Sprintf("%d@%d", id, c.Now()))
+				if id%5 == 0 {
+					schedule(c.Now()+Cycles(id%7), -id-1)
+				}
+			}))
+		}
+
+		var ref refQueue
+		var refNow Cycles
+		var refSeq uint64
+		var refEvents []*refEvent
+		var want []string
+		refSchedule := func(at Cycles, id int) {
+			ev := &refEvent{at: at, seq: refSeq, id: id}
+			refSeq++
+			refEvents = append(refEvents, ev)
+			heap.Push(&ref, ev)
+		}
+		refAdvance := func(to Cycles) {
+			for len(ref) > 0 && ref[0].at <= to {
+				ev := heap.Pop(&ref).(*refEvent)
+				if ev.at > refNow {
+					refNow = ev.at
+				}
+				want = append(want, fmt.Sprintf("%d@%d", ev.id, refNow))
+				if ev.id%5 == 0 {
+					refSchedule(refNow+Cycles(ev.id%7), -ev.id-1)
+				}
+			}
+			if to > refNow {
+				refNow = to
+			}
+		}
+
+		for op, id := 0, 0; op < 300; op++ {
+			switch r := rng.Intn(10); {
+			case r < 5:
+				at := c.Now() + Cycles(rng.Intn(50))
+				if rng.Intn(8) == 0 {
+					at = c.Now() - min(c.Now(), Cycles(rng.Intn(5))) // already due
+				}
+				schedule(at, id)
+				refSchedule(at, id)
+				id++
+			case r < 7 && len(handles) > 0:
+				i := rng.Intn(len(handles))
+				c.Cancel(handles[i])
+				if ev := refEvents[i]; ev.index >= 0 {
+					heap.Remove(&ref, ev.index)
+				}
+			default:
+				d := Cycles(rng.Intn(40))
+				c.Advance(d)
+				refAdvance(refNow + d)
+			}
+			if c.Pending() != len(ref) || c.Now() != refNow {
+				t.Fatalf("seed %d op %d: clock at %d with %d pending, reference at %d with %d",
+					seed, op, c.Now(), c.Pending(), refNow, len(ref))
+			}
+		}
+		c.RunUntilIdle()
+		refAdvance(Forever - 1)
+		for i := range max(len(fired), len(want)) {
+			if i >= len(fired) || i >= len(want) || fired[i] != want[i] {
+				t.Fatalf("seed %d: firing %d diverges: clock %v, reference %v",
+					seed, i, fired[i:min(i+3, len(fired))], want[i:min(i+3, len(want))])
+			}
+		}
 	}
 }
