@@ -104,6 +104,11 @@ type Controller struct {
 	sysQ  []request
 
 	tracer *trace.Tracer // nil = tracing off
+	// initNote is the tracer note ("4096B") of the last initiation
+	// size, initNoteCount, so a run of equal-sized initiations formats
+	// it once.
+	initNote      string
+	initNoteCount int
 
 	// pageRefs counts, per physical frame, how many pending or
 	// in-flight requests touch it — the "reference-count register" the
@@ -339,8 +344,12 @@ func (c *Controller) Load(pa addr.PAddr) Status {
 	}
 
 	c.stats.Initiations++
-	c.tracer.Record(trace.EvInitiation, uint64(req.src), uint64(req.dst),
-		fmt.Sprintf("%dB", req.count))
+	if c.tracer != nil {
+		if c.initNote == "" || c.initNoteCount != req.count {
+			c.initNote, c.initNoteCount = fmt.Sprintf("%dB", req.count), req.count
+		}
+		c.tracer.Record(trace.EvInitiation, uint64(req.src), uint64(req.dst), c.initNote)
+	}
 	c.state = Idle // latch consumed; machine-level state is now derived
 	return makeStatus(true, true, false, false, false, req.count, 0)
 }

@@ -82,6 +82,12 @@ type Device interface {
 	// engine calls it exactly once per completed transfer. now is the
 	// completion time, letting devices timestamp or forward (the NIC
 	// launches a packet here).
+	//
+	// data is lent, not given: for a memory→device transfer it is a
+	// view of the source RAM, valid only for the duration of the call.
+	// A device that keeps any of the bytes copies them (the NIC copies
+	// the payload into its wire buffer, as a board's outgoing FIFO
+	// does), and none may write to data.
 	Write(da DevAddr, data []byte, now sim.Cycles) error
 
 	// Read extracts n bytes from the device at da (device→memory).

@@ -132,6 +132,14 @@ type Engine struct {
 	doneAt    sim.Cycles
 	doneEvent sim.Handle
 
+	// The in-flight transfer's resolved endpoints. One transfer is in
+	// flight at a time, so they live here and Start schedules the one
+	// prebuilt completeFn instead of a new closure per transfer.
+	dev        device.Device
+	da         device.DevAddr
+	memA       addr.PAddr
+	completeFn func()
+
 	// onComplete is the interrupt line: every registered listener fires
 	// at completion time (UDMA state machine, kernel interrupt handler).
 	onComplete []func(err error)
@@ -171,7 +179,9 @@ func New(clock *sim.Clock, costs *sim.CostModel, iobus *bus.Bus, ram *mem.Physic
 	if clock == nil || costs == nil || iobus == nil || ram == nil || devmap == nil {
 		panic("dma: New requires non-nil dependencies")
 	}
-	return &Engine{clock: clock, costs: costs, iobus: iobus, ram: ram, devmap: devmap}
+	e := &Engine{clock: clock, costs: costs, iobus: iobus, ram: ram, devmap: devmap}
+	e.completeFn = e.complete
+	return e
 }
 
 // OnComplete registers an interrupt listener invoked (in registration
@@ -272,6 +282,7 @@ func (e *Engine) Start(src, dst addr.PAddr, count int) error {
 	}
 
 	e.src, e.dst, e.count, e.dir = src, dst, count, dir
+	e.dev, e.da, e.memA = dev, da, memA
 	e.busy = true
 
 	devLat := dev.TransferLatency(da, count)
@@ -279,24 +290,25 @@ func (e *Engine) Start(src, dst addr.PAddr, count int) error {
 	e.startAt = start
 	e.doneAt = end + devLat
 
-	e.doneEvent = e.clock.Schedule(e.doneAt, "dma-complete", func() {
-		e.complete(dev, da, dir, memA, count)
-	})
+	e.doneEvent = e.clock.Schedule(e.doneAt, "dma-complete", e.completeFn)
 	return nil
 }
 
 // complete moves the data and fires the interrupt. Runs at doneAt.
-func (e *Engine) complete(dev device.Device, da device.DevAddr, dir Direction, memA addr.PAddr, count int) {
+// A memory→device transfer lends the device a view of the source RAM
+// (see device.Device.Write), so the engine itself copies nothing.
+func (e *Engine) complete() {
+	dev, da, memA, count := e.dev, e.da, e.memA, e.count
 	// A completion-time failure is classified by which side of the bus
 	// refused: RAM errors are bus errors, device errors are device
 	// faults. Both are wrapped as a TransferError so listeners see one
 	// typed shape on the interrupt line.
 	var err error
 	kind := FaultNone
-	switch dir {
+	switch e.dir {
 	case MemToDev:
 		var data []byte
-		if data, err = e.ram.Read(memA, count); err != nil {
+		if data, err = e.ram.View(memA, count); err != nil {
 			kind = FaultBusError
 		} else if err = dev.Write(da, data, e.clock.Now()); err != nil {
 			kind = FaultDevice
@@ -322,7 +334,7 @@ func (e *Engine) complete(dev device.Device, da device.DevAddr, dir Direction, m
 	}
 	e.m.bytes.Observe(uint64(count))
 	e.m.cycles.Observe(uint64(e.clock.Now() - e.startAt))
-	e.tracer.Span(trace.EvDMA, e.startAt, uint64(e.src), uint64(e.dst), dir.String())
+	e.tracer.Span(trace.EvDMA, e.startAt, uint64(e.src), uint64(e.dst), e.dir.String())
 	for _, fn := range e.onComplete {
 		fn(err)
 	}

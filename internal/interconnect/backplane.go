@@ -80,6 +80,12 @@ type Packet struct {
 	// network; ArrivedAt is filled in (receiver clock) at delivery.
 	LaunchedAt sim.Cycles
 	ArrivedAt  sim.Cycles
+
+	// Buf, when non-nil, is the recycled wire buffer that backed Payload
+	// at launch (internal/nic's raw path sets it); the receiving board
+	// returns it once the payload is in memory. It belongs to this one
+	// packet, so a copy of the packet must not carry it.
+	Buf *[addr.PageSize]byte
 }
 
 // Endpoint is a network interface attached to the backplane.
@@ -387,6 +393,7 @@ func (b *Backplane) Send(pkt *Packet) sim.Cycles {
 		d := *pkt
 		d.Dup = true
 		d.Payload = append([]byte(nil), pkt.Payload...)
+		d.Buf = nil // the original alone returns the wire buffer
 		dupPkt = &d
 	}
 	if out.corrupt {

@@ -86,6 +86,28 @@ func TestOutOfRangeAccessIsBusError(t *testing.T) {
 	if _, err := p.Read(0, -1); err == nil {
 		t.Fatal("negative-length read succeeded")
 	}
+	if _, err := p.View(addr.PAddr(addr.PageSize-2), 4); err == nil {
+		t.Fatal("view spanning end of RAM succeeded")
+	}
+	if _, err := p.View(addr.PAddr(addr.MemProxyBase), 4); err == nil {
+		t.Fatal("view of proxy-region address through RAM succeeded")
+	}
+}
+
+func TestViewAliasesMemory(t *testing.T) {
+	p := NewPhysical(1)
+	p.Write(8, []byte{1, 2, 3, 4})
+	v, err := p.View(8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(v, []byte{1, 2, 3, 4}) || cap(v) != 4 {
+		t.Fatalf("View = %v (cap %d), want [1 2 3 4] with capacity 4", v, cap(v))
+	}
+	p.Write(8, []byte{9})
+	if v[0] != 9 {
+		t.Fatal("View returned a copy, want a view into memory")
+	}
 }
 
 func TestContains(t *testing.T) {

@@ -61,6 +61,18 @@ func (p *Physical) Read(a addr.PAddr, n int) ([]byte, error) {
 	return out, nil
 }
 
+// View returns the n bytes of RAM starting at a as a slice that aliases
+// memory, range-checked like Read. It copies nothing, so the caller
+// must be done with it before RAM is written again; its capacity ends
+// at n, so an append cannot reach past the range.
+func (p *Physical) View(a addr.PAddr, n int) ([]byte, error) {
+	if err := p.check(a, n); err != nil {
+		return nil, err
+	}
+	end := uint64(a) + uint64(n)
+	return p.data[a:end:end], nil
+}
+
 // ReadInto copies len(dst) bytes starting at a into dst.
 func (p *Physical) ReadInto(a addr.PAddr, dst []byte) error {
 	if err := p.check(a, len(dst)); err != nil {

@@ -81,8 +81,7 @@ func (n *Interface) FlushAutoUpdate() {
 	e := n.nipt[au.entry]
 	entry := au.entry
 	startOff := au.startOff
-	data := make([]byte, len(au.data))
-	copy(data, au.data)
+	data := au.data // lent to an immediate launch, which copies it
 	au.active = false
 	au.data = au.data[:0]
 	if !e.Valid {
@@ -94,7 +93,9 @@ func (n *Interface) FlushAutoUpdate() {
 		// refill lands (the snooping front of the board is already free
 		// to start the next burst). A crash before the refill lands
 		// makes the deferred launch stale — the combining buffer died
-		// with the board.
+		// with the board. The deferred launch takes a snapshot, since
+		// the combining buffer refills before it fires.
+		data = append([]byte(nil), data...)
 		gen := n.gen
 		n.clock.ScheduleAfter(delay, "nipt-refill-launch", func() {
 			if n.gen != gen {

@@ -9,6 +9,7 @@ package nic
 
 import (
 	"fmt"
+	"sync"
 
 	"shrimp/internal/addr"
 	"shrimp/internal/bus"
@@ -367,6 +368,17 @@ func (n *Interface) Read(device.DevAddr, int, sim.Cycles) ([]byte, error) {
 	return nil, fmt.Errorf("nic: %s does not support device-to-memory UDMA", n.Name())
 }
 
+// wireBufs recycles the raw path's page-sized wire buffers. A raw
+// launch copies the lent payload into one, and the receive DMA returns
+// it once the bytes are in the destination's memory; a packet lost on
+// the way leaves its buffer to the GC. One pool serves every board: a
+// buffer taken on the sender's goroutine comes back on the receiver's,
+// which sync.Pool allows (and orders for the race detector).
+var wireBufs = sync.Pool{New: func() any { return new([addr.PageSize]byte) }}
+
+// launch forms a packet from data and sends it. data is lent (a view
+// of RAM, or a staging buffer the caller reuses), so launch copies it:
+// this is the only host copy of a payload on its way to the wire.
 func (n *Interface) launch(e NIPTEntry, off uint32, data []byte) error {
 	if n.down {
 		// A crashed board launches nothing; the packet dies on the dead
@@ -377,17 +389,26 @@ func (n *Interface) launch(e NIPTEntry, off uint32, data []byte) error {
 	// "The destination page number is concatenated with the offset to
 	// form the destination physical address."
 	destAddr := addr.PAddr(e.DestPFN<<addr.PageShift | off)
-	payload := make([]byte, len(data))
-	copy(payload, data)
 	if n.rel != nil {
+		// The retransmit queue and every retransmitted wire copy share
+		// this payload, so it is never recycled.
+		payload := make([]byte, len(data))
+		copy(payload, data)
 		return n.relSend(e.DestNode, destAddr, payload)
 	}
-	n.net.Send(&interconnect.Packet{
+	pkt := &interconnect.Packet{
 		Src:      n.nodeID,
 		Dst:      e.DestNode,
 		DestAddr: destAddr,
-		Payload:  payload,
-	})
+	}
+	if len(data) <= addr.PageSize {
+		buf := wireBufs.Get().(*[addr.PageSize]byte)
+		pkt.Payload = buf[:copy(buf[:], data):len(data)]
+		pkt.Buf = buf
+	} else {
+		pkt.Payload = append([]byte(nil), data...)
+	}
+	n.net.Send(pkt)
 	n.stats.PacketsSent++
 	n.stats.BytesSent += uint64(len(data))
 	n.m.pktBytes.Observe(uint64(len(data)))
@@ -461,6 +482,10 @@ func (n *Interface) deliverData(pkt *interconnect.Packet) {
 			n.stats.RecvDropBytes += uint64(len(payload))
 			return
 		}
+		if pkt.Buf != nil {
+			wireBufs.Put(pkt.Buf)
+			pkt.Buf, pkt.Payload = nil, nil
+		}
 		n.stats.PacketsReceived++
 		n.stats.BytesReceived += uint64(len(payload))
 		n.stats.LastRecvAt = n.clock.Now()
@@ -497,18 +522,20 @@ func (n *Interface) PIOStore(da device.DevAddr, v uint32) {
 			return
 		}
 		// Header assembly still costs time on the board, but the
-		// launch is asynchronous to the CPU.
-		data := make([]byte, len(n.pio.buf))
-		copy(data, n.pio.buf)
+		// launch is asynchronous to the CPU. An immediate launch
+		// copies the FIFO contents itself, so it is lent the buffer.
+		data := n.pio.buf
 		n.pio.buf = n.pio.buf[:0]
 		e := n.nipt[idx]
 		if delay := n.lookupNIPT(idx, false); delay > 0 {
 			// The board is fetching the entry from the host table;
 			// the launch fires when the refill lands — asynchronous
-			// to the CPU, which already moved on. If the board crashes
+			// to the CPU, which already moved on — so it launches a
+			// snapshot of the FIFO. If the board crashes
 			// before the refill lands, the deferred launch is stale
 			// (the FIFO contents died with the board) and must not fire
 			// into the rebooted incarnation.
+			data = append([]byte(nil), data...)
 			gen := n.gen
 			n.clock.ScheduleAfter(delay, "nipt-refill-launch", func() {
 				if n.gen != gen {

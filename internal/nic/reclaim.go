@@ -1,7 +1,7 @@
 package nic
 
 import (
-	"sort"
+	"slices"
 
 	"shrimp/internal/sim"
 )
@@ -42,31 +42,41 @@ func (n *Interface) ReclaimIdle() int {
 	if age <= 0 {
 		return 0
 	}
+	// The checks have no side effects, so collecting the due keys first
+	// and sorting only those reclaims in the same sorted order as
+	// visiting every key; a barrier with nothing due allocates nothing.
 	now := n.clock.Now()
-	reclaimed := 0
-	for _, dest := range sortedKeys(n.rel.senders) {
-		s := n.rel.senders[dest]
-		if !senderQuiescent(s) || now < s.lastActive+age {
-			continue
+	due := n.rel.due[:0]
+	for dest, s := range n.rel.senders {
+		if senderQuiescent(s) && now >= s.lastActive+age {
+			due = append(due, dest)
 		}
+	}
+	slices.Sort(due)
+	for _, dest := range due {
+		s := n.rel.senders[dest]
 		n.rel.senderMem[dest] = s.epoch
 		delete(n.rel.senders, dest)
 		n.rel.senderPool = append(n.rel.senderPool, s)
 		n.stats.SenderReclaims++
-		reclaimed++
 	}
-	for _, src := range sortedKeys(n.rel.receivers) {
-		r := n.rel.receivers[src]
-		if len(r.reseq) != 0 || now < r.lastActive+age {
-			continue
+	reclaimed := len(due)
+	due = due[:0]
+	for src, r := range n.rel.receivers {
+		if len(r.reseq) == 0 && now >= r.lastActive+age {
+			due = append(due, src)
 		}
+	}
+	slices.Sort(due)
+	for _, src := range due {
+		r := n.rel.receivers[src]
 		n.rel.recvMem[src] = rxMemory{epoch: r.epoch, expected: r.expected}
 		delete(n.rel.receivers, src)
 		n.rel.recvPool = append(n.rel.recvPool, r)
 		n.stats.ReceiverReclaims++
-		reclaimed++
 	}
-	return reclaimed
+	n.rel.due = due
+	return reclaimed + len(due)
 }
 
 // senderQuiescent reports whether nothing at all is in flight or owed
@@ -82,7 +92,7 @@ func sortedKeys[V any](m map[int]V) []int {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Ints(keys)
+	slices.Sort(keys)
 	return keys
 }
 

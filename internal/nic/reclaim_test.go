@@ -7,6 +7,7 @@ import (
 	"shrimp/internal/addr"
 	"shrimp/internal/device"
 	"shrimp/internal/interconnect"
+	"shrimp/internal/raceflag"
 )
 
 // TestIdleReclaimAndResurrection: a quiescent link ages out into the
@@ -194,5 +195,35 @@ func TestReceiverResurrectionDedupesStaleDuplicate(t *testing.T) {
 	s := rx.Stats()
 	if s.PacketsReceived != 1 || s.DupDropped != 1 || s.Resurrections != 1 {
 		t.Fatalf("stale duplicate handling after resurrection: %+v", s)
+	}
+}
+
+// TestReclaimIdleNothingDueAllocs: a barrier at which no link is old
+// enough to reclaim costs no allocation, however many links are live.
+func TestReclaimIdleNothingDueAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	p := newPair(t, relConfig(ReliabilityConfig{IdleReclaimAge: 1_000_000}))
+	p.nics[0].SetNIPT(3, NIPTEntry{Valid: true, DestNode: 1, DestPFN: 7})
+	if err := p.nics[0].Write(device.DevAddr{Page: 3}, patternBytesT(1, 64), 0); err != nil {
+		t.Fatal(err)
+	}
+	drainPair(p)
+	if s, _ := p.nics[0].RelActive(); s != 1 {
+		t.Fatal("sender state not established")
+	}
+	if _, r := p.nics[1].RelActive(); r != 1 {
+		t.Fatal("receiver state not established")
+	}
+	for _, n := range p.nics {
+		n := n
+		if allocs := testing.AllocsPerRun(100, func() {
+			if n.ReclaimIdle() != 0 {
+				t.Fatal("reclaimed a link before its idle age")
+			}
+		}); allocs != 0 {
+			t.Fatalf("node %d: ReclaimIdle with nothing due allocates %.1f objects, want 0", n.NodeID(), allocs)
+		}
 	}
 }

@@ -154,6 +154,7 @@ type reliability struct {
 	recvMem    map[int]rxMemory
 	senderPool []*relSender
 	recvPool   []*relReceiver
+	due        []int // ReclaimIdle's scratch list of reclaimable keys
 }
 
 func newReliability(cfg ReliabilityConfig) *reliability {
@@ -225,7 +226,9 @@ func (n *Interface) receiver(src int) *relReceiver {
 
 // packetCRC computes the IEEE CRC32 over the protocol header fields and
 // payload (the CRC field itself excluded). Flipping any covered bit —
-// payload bytes, or the Ack field of an empty ACK — breaks it.
+// payload bytes, or the Ack field of an empty ACK — breaks it. It
+// allocates nothing: no hash.Hash32, and the header is folded in with
+// the IEEE table by hand because crc32.Update would move it to the heap.
 func packetCRC(p *interconnect.Packet) uint32 {
 	var hdr [45]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(p.Src))
@@ -237,10 +240,11 @@ func packetCRC(p *interconnect.Packet) uint32 {
 	binary.LittleEndian.PutUint32(hdr[29:], p.Window)
 	binary.LittleEndian.PutUint64(hdr[33:], uint64(p.DestAddr))
 	binary.LittleEndian.PutUint32(hdr[41:], uint32(len(p.Payload)))
-	h := crc32.NewIEEE()
-	h.Write(hdr[:])
-	h.Write(p.Payload)
-	return h.Sum32()
+	crc := ^uint32(0)
+	for _, b := range hdr {
+		crc = crc32.IEEETable[byte(crc)^b] ^ crc>>8
+	}
+	return crc32.Update(^crc, crc32.IEEETable, p.Payload)
 }
 
 // --- send half ---------------------------------------------------------------
