@@ -225,14 +225,14 @@ func (p *Proc) SpinPolls(va addr.VAddr, gap sim.Cycles) uint64 {
 	if n == 0 {
 		return 0
 	}
-	tr, hit := k.mmu.PeekRead(p.as, va)
+	tr, h, hit := k.mmu.PeekRead(p.as, va)
 	if !hit || !addr.RegionOf(tr.PA).IsProxy() {
 		return 0
 	}
 	if _, _, pio := k.pioResolve(tr.PA); pio || !k.udma.PollWouldMatch(tr.PA) {
 		return 0
 	}
-	k.mmu.RepeatReadHits(p.as, va, n)
+	k.mmu.RepeatReadHits(p.as, va, h, n)
 	k.udma.RepeatPolls(tr.PA, n, per)
 	span := sim.Cycles(n) * per
 	k.clock.Advance(span)

@@ -93,27 +93,32 @@ func (m *MMU) Translate(as *AddressSpace, va addr.VAddr, access Access) (Transla
 	return Translation{PA: pte.PAddr(va), Uncached: pte.Uncached}, nil
 }
 
+// ReadHit names the TLB entry a PeekRead found, so RepeatReadHits
+// accounts the batch without a second lookup.
+type ReadHit struct{ e *tlbEntry }
+
 // PeekRead returns the translation a read of va would take from the
 // TLB, and whether it would hit, without counting the hit, ticking the
-// LRU clock or setting the Referenced bit.
-func (m *MMU) PeekRead(as *AddressSpace, va addr.VAddr) (Translation, bool) {
+// LRU clock or setting the Referenced bit. On a hit it also returns the
+// entry for RepeatReadHits.
+func (m *MMU) PeekRead(as *AddressSpace, va addr.VAddr) (Translation, ReadHit, bool) {
 	e := m.tlb.peek(as.ASID, addr.VPN(va))
 	if e == nil {
-		return Translation{}, false
+		return Translation{}, ReadHit{}, false
 	}
-	return e.translation(va), true
+	return e.translation(va), ReadHit{e}, true
 }
 
-// RepeatReadHits accounts n reads of va that PeekRead showed would hit,
-// exactly as n Translate calls would: n TLB hits and LRU ticks, and the
-// PTE's Referenced bit. It charges no time, as a hit charges none.
-func (m *MMU) RepeatReadHits(as *AddressSpace, va addr.VAddr, n uint64) {
+// RepeatReadHits accounts n reads of va that PeekRead showed would hit
+// on h, exactly as n Translate calls would: n TLB hits and LRU ticks,
+// and the PTE's Referenced bit. It charges no time, as a hit charges
+// none. Nothing may change the TLB between the PeekRead and this call.
+func (m *MMU) RepeatReadHits(as *AddressSpace, va addr.VAddr, h ReadHit, n uint64) {
 	vpn := addr.VPN(va)
-	e := m.tlb.peek(as.ASID, vpn)
-	if e == nil {
+	if e := h.e; e == nil || !e.valid || e.asid != as.ASID || e.vpn != vpn {
 		panic("mmu: RepeatReadHits on a TLB miss")
 	}
-	m.tlb.hit(e, n)
+	m.tlb.hit(h.e, n)
 	if pte := as.Lookup(vpn); pte != nil {
 		pte.Referenced = true
 	}

@@ -177,13 +177,30 @@ func (t *Tracer) Record(kind Kind, a, b uint64, note string) {
 
 // RecordEvery appends n instant events, the first at start and then
 // one every step cycles: what n Record calls made at those times would
-// append. Safe to call on a nil tracer.
+// append. Only the last min(n, capacity) of them can survive in the
+// ring, so it counts all n but writes just those, after advancing the
+// ring past the rest as their writes would. Safe to call on a nil
+// tracer.
 func (t *Tracer) RecordEvery(kind Kind, a, b uint64, start, step sim.Cycles, n uint64) {
 	if t == nil {
 		return
 	}
-	for i := uint64(0); i < n; i++ {
-		t.add(Event{At: start + sim.Cycles(i)*step, Kind: kind, A: a, B: b})
+	t.counts[kind] += n
+	i := uint64(0)
+	if n > uint64(t.limit) {
+		i = n - uint64(t.limit)
+		t.skip(i)
+	}
+	for ; i < n && len(t.ring) < t.limit; i++ {
+		t.grow(len(t.ring) + 1)
+		t.ring = append(t.ring, Event{At: start + sim.Cycles(i)*step, Kind: kind, A: a, B: b})
+	}
+	// The ring is full: overwrite in place, as add would.
+	for ; i < n; i++ {
+		t.ring[t.next] = Event{At: start + sim.Cycles(i)*step, Kind: kind, A: a, B: b}
+		if t.next++; t.next == t.limit {
+			t.next = 0
+		}
 	}
 }
 
@@ -200,13 +217,7 @@ func (t *Tracer) Span(kind Kind, start sim.Cycles, a, b uint64, note string) {
 func (t *Tracer) add(e Event) {
 	t.counts[e.Kind]++
 	if len(t.ring) < t.limit {
-		if len(t.ring) == cap(t.ring) {
-			// Double, capped at the limit: append's gentler growth for
-			// large slices copies a full ring several times over.
-			grown := make([]Event, len(t.ring), min(max(2*len(t.ring), 64), t.limit))
-			copy(grown, t.ring)
-			t.ring = grown
-		}
+		t.grow(len(t.ring) + 1)
 		t.ring = append(t.ring, e)
 		return
 	}
@@ -215,6 +226,33 @@ func (t *Tracer) add(e Event) {
 	if t.next == t.limit {
 		t.next = 0
 	}
+}
+
+// grow makes room for n buffered events (n <= limit), doubling the
+// storage, capped at the limit, as often as that takes: append's
+// gentler growth for large slices copies a full ring several times
+// over.
+func (t *Tracer) grow(n int) {
+	c := cap(t.ring)
+	if n <= c {
+		return
+	}
+	for c < n {
+		c = min(max(2*c, 64), t.limit)
+	}
+	grown := make([]Event, len(t.ring), c)
+	copy(grown, t.ring)
+	t.ring = grown
+}
+
+// skip moves the ring past n writes without storing their events: it
+// fills free slots first, then advances next. The caller overwrites
+// every skipped slot before the tracer is read.
+func (t *Tracer) skip(n uint64) {
+	fill := int(min(n, uint64(t.limit-len(t.ring))))
+	t.grow(len(t.ring) + fill)
+	t.ring = t.ring[:len(t.ring)+fill]
+	t.next = int((uint64(t.next) + n - uint64(fill)) % uint64(t.limit))
 }
 
 // Events returns the *buffered* events, oldest first — at most the ring

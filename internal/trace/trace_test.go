@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -225,5 +227,73 @@ func TestSummaryIncludesFaultKinds(t *testing.T) {
 	counts := tr.Counts()
 	if counts[EvTransferFail] != 2 || counts[EvMachineCheck] != 1 {
 		t.Fatalf("counts = %v", counts)
+	}
+}
+
+// TestRecordEveryMatchesRecordLoop: RecordEvery, which writes only the
+// events that can survive in the ring, must leave the tracer exactly
+// as n Record calls at the same times would — the buffered events, the
+// ring position later records continue from, the counts and the
+// summary.
+func TestRecordEveryMatchesRecordLoop(t *testing.T) {
+	cases := []struct {
+		name           string
+		limit, before  int
+		n, step, after uint64
+	}{
+		{"n=0", 8, 3, 0, 5, 2},
+		{"below free space", 8, 3, 4, 5, 2},
+		{"exactly the free space", 8, 3, 5, 5, 2},
+		{"across a wrap", 8, 6, 5, 7, 3},
+		{"after a wrap", 8, 11, 7, 7, 3},
+		{"n=limit", 8, 5, 8, 3, 4},
+		{"n>limit", 8, 3, 21, 3, 4},
+		{"n>limit after a wrap", 8, 13, 50, 1, 9},
+		{"growing ring", 300, 10, 100, 2, 5},
+		{"growing ring, n>limit", 300, 10, 1000, 2, 5},
+		{"empty ring, n>limit", 100, 0, 777, 4, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			loopClock, batchClock := sim.NewClock(), sim.NewClock()
+			loop, batch := New(loopClock, tc.limit), New(batchClock, tc.limit)
+			for i := 0; i < tc.before; i++ {
+				loop.Record(EvStore, uint64(i), 1, "before")
+				batch.Record(EvStore, uint64(i), 1, "before")
+				loopClock.Advance(3)
+				batchClock.Advance(3)
+			}
+			start := loopClock.Now()
+			for i := uint64(0); i < tc.n; i++ {
+				loop.Record(EvLoad, 0x8000, 0, "")
+				loopClock.Advance(sim.Cycles(tc.step))
+			}
+			batch.RecordEvery(EvLoad, 0x8000, 0, start, sim.Cycles(tc.step), tc.n)
+			batchClock.AdvanceTo(loopClock.Now())
+			if got, want := batch.Events(), loop.Events(); !slices.Equal(got, want) {
+				t.Fatalf("Events after the batch:\n got %v\nwant %v", got, want)
+			}
+			for i := uint64(0); i < tc.after; i++ {
+				loop.Record(EvInitiation, i, 2, "after")
+				batch.Record(EvInitiation, i, 2, "after")
+			}
+
+			if got, want := batch.Events(), loop.Events(); !slices.Equal(got, want) {
+				t.Fatalf("Events after later records:\n got %v\nwant %v", got, want)
+			}
+			if got, want := batch.Tail(5), loop.Tail(5); !slices.Equal(got, want) {
+				t.Fatalf("Tail(5):\n got %v\nwant %v", got, want)
+			}
+			if got, want := batch.Counts(), loop.Counts(); !maps.Equal(got, want) {
+				t.Fatalf("Counts %v, want %v", got, want)
+			}
+			if got, want := batch.Summary(), loop.Summary(); got != want {
+				t.Fatalf("Summary %q, want %q", got, want)
+			}
+			if batch.next != loop.next || len(batch.ring) != len(loop.ring) || cap(batch.ring) != cap(loop.ring) {
+				t.Fatalf("ring next/len/cap %d/%d/%d, want %d/%d/%d", batch.next, len(batch.ring),
+					cap(batch.ring), loop.next, len(loop.ring), cap(loop.ring))
+			}
+		})
 	}
 }
