@@ -12,3 +12,7 @@ func (p *Proc) AsKernel(fn func()) {
 	defer func() { p.inKernel-- }()
 	fn()
 }
+
+// IdleRearms returns how many SleepWhile wakes Run re-armed without
+// resuming the process.
+func (k *Kernel) IdleRearms() uint64 { return k.idleRearms }

@@ -124,6 +124,10 @@ type Kernel struct {
 
 	hooks TestHooks
 
+	// idleRearms counts SleepWhile wakes that Run re-armed without
+	// resuming the process (host-side; tests read it).
+	idleRearms uint64
+
 	tracer *trace.Tracer // nil = tracing off
 }
 
@@ -318,6 +322,18 @@ func (k *Kernel) Run(limit sim.Cycles) error {
 			continue
 		}
 		k.switchTo(p)
+		if p.idle != nil && !p.killed && p.idle() {
+			// The process woke inside SleepWhile and is still idle: all
+			// it would do is sleep again, charging nothing and firing
+			// no event on the way, so re-arm its wake here, at the same
+			// time and with the same event sequence number, without
+			// resuming its coroutine. A killed process always resumes,
+			// so it unwinds where it would have.
+			k.clock.ScheduleAfter(p.idleFor, "sleep-wake", p.wakeFn)
+			p.state = procBlocked
+			k.idleRearms++
+			continue
+		}
 		reason := p.runSlice()
 		switch reason {
 		case yieldExit:
@@ -365,13 +381,24 @@ func (k *Kernel) allExited() bool {
 	return true
 }
 
-// nextReady picks the next runnable process round-robin.
+// nextReady picks the next runnable process round-robin: the first
+// ready one from rrIndex to the end, then from the start to rrIndex.
+// rrIndex is left just past the pick, wrapped to 0 at the end.
 func (k *Kernel) nextReady() *Proc {
-	n := len(k.procs)
-	for i := 0; i < n; i++ {
-		p := k.procs[(k.rrIndex+i)%n]
+	if p := k.readyIn(k.rrIndex, len(k.procs)); p != nil {
+		return p
+	}
+	return k.readyIn(0, k.rrIndex)
+}
+
+// readyIn returns the first ready process in procs[from:to] and moves
+// rrIndex past it, or returns nil.
+func (k *Kernel) readyIn(from, to int) *Proc {
+	for i, p := range k.procs[from:to] {
 		if p.state == procReady {
-			k.rrIndex = (k.rrIndex + i + 1) % n
+			if k.rrIndex = from + i + 1; k.rrIndex == len(k.procs) {
+				k.rrIndex = 0
+			}
 			return p
 		}
 	}

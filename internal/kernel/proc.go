@@ -9,7 +9,7 @@ import (
 	"shrimp/internal/trace"
 )
 
-type procState int
+type procState uint8
 
 const (
 	procReady procState = iota
@@ -54,8 +54,7 @@ type Proc struct {
 	kernel *Kernel
 	as     *mmu.AddressSpace
 
-	state procState
-	fn    func(p *Proc)
+	fn func(p *Proc)
 	// next resumes the coroutine until it yields a reason (true) or
 	// its body returns (false); yield is the body's half of the same
 	// iter.Pull handoff, saved when the body starts.
@@ -64,12 +63,18 @@ type Proc struct {
 	// wakeFn is the prebuilt sleep-wake event callback, so Sleep
 	// schedules without allocating a closure.
 	wakeFn func()
+	// idle and idleFor are the condition and period of the SleepWhile
+	// the process is in (idle is nil outside one); Kernel.Run reads
+	// them to re-arm an idle wake without resuming the coroutine.
+	idle    func() bool
+	idleFor sim.Cycles
 
-	quantum  sim.Cycles
-	inKernel int // >0 while executing kernel code: no preemption
-	killed   bool
-
-	heapNext uint32 // next free heap VPN
+	quantum   sim.Cycles
+	inKernel  int32 // >0 while executing kernel code: no preemption
+	segfaults int32
+	killed    bool
+	state     procState
+	heapNext  uint32 // next free heap VPN
 
 	// devGrants records device-proxy page ranges this process may map
 	// (created by the MapDevice syscall; faulted in on demand).
@@ -78,8 +83,6 @@ type Proc struct {
 	// autoRanges are the process's automatic-update exports (see
 	// autoupdate.go): stores to these pages are snooped to a sink.
 	autoRanges []autoRange
-
-	segfaults int
 }
 
 type devGrant struct {
@@ -94,7 +97,7 @@ func (p *Proc) PID() int { return p.pid }
 func (p *Proc) Name() string { return p.name }
 
 // Segfaults returns how many illegal accesses the process has made.
-func (p *Proc) Segfaults() int { return p.segfaults }
+func (p *Proc) Segfaults() int { return int(p.segfaults) }
 
 // Exited reports whether the process has finished (or been killed and
 // reaped).
@@ -142,6 +145,19 @@ func (p *Proc) charge(c sim.Cycles) {
 func (p *Proc) Sleep(d sim.Cycles) {
 	p.kernel.clock.ScheduleAfter(d, "sleep-wake", p.wakeFn)
 	p.block()
+}
+
+// SleepWhile sleeps d cycles at a time for as long as idle reports
+// true: it is exactly `for idle() { p.Sleep(d) }`. idle must read host
+// state only, and charge no simulated time. The scheduler may then
+// evaluate it in the process's place when the process wakes, and put it
+// back to sleep without resuming it (see Kernel.Run).
+func (p *Proc) SleepWhile(d sim.Cycles, idle func() bool) {
+	p.idle, p.idleFor = idle, d
+	for idle() {
+		p.Sleep(d)
+	}
+	p.idle = nil
 }
 
 // Compute charges d cycles of pure computation.

@@ -193,9 +193,7 @@ func (dr *Driver) receiverBody(node int) func(p *kernel.Proc) {
 			return
 		}
 		ns.pendingPfns = pfns
-		for !dr.stopRecv {
-			p.Sleep(2000)
-		}
+		p.SleepWhile(2000, func() bool { return !dr.stopRecv })
 	}
 }
 
@@ -274,19 +272,26 @@ func (dr *Driver) serverBody(node, dst int) func(p *kernel.Proc) {
 		}()
 
 		q := &ns.queues[dst]
+		// The two waits below poll on simulated time. Each condition is
+		// exactly the one under which the loop would take the same
+		// branch again, so SleepWhile repeats just that branch's Sleep.
+		queueEmpty := func() bool { return q.head == len(q.items) && !ns.pacerDone }
+		windowPending := func() bool {
+			return q.head != len(q.items) && !dr.windowReady && dr.ctlErr == nil
+		}
 		for {
 			if q.head == len(q.items) {
 				if ns.pacerDone {
 					return
 				}
-				p.Sleep(500)
+				p.SleepWhile(500, queueEmpty)
 				continue
 			}
 			if !dr.windowReady {
 				if dr.ctlErr != nil {
 					return
 				}
-				p.Sleep(1000)
+				p.SleepWhile(1000, windowPending)
 				continue
 			}
 			ar := q.items[q.head]

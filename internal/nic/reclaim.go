@@ -33,6 +33,11 @@ import (
 // to be consumed — and idle past the configured age; a receiver only
 // when its resequencing buffer holds nothing. No-op unless the
 // reliability sublayer is on and IdleReclaimAge is set.
+//
+// A barrier before the watermark nextDue skips the scan: nextDue is
+// the smallest lastActive+age among the links the last scan kept, and
+// is lowered whenever a link is created, so no live link can be due
+// before it. That is exact because lastActive never decreases.
 func (n *Interface) ReclaimIdle() int {
 	if n.rel == nil {
 		return 0
@@ -42,13 +47,19 @@ func (n *Interface) ReclaimIdle() int {
 	if age <= 0 {
 		return 0
 	}
+	now := n.clock.Now()
+	if now < n.rel.nextDue {
+		return 0
+	}
 	// The checks have no side effects, so collecting the due keys first
 	// and sorting only those reclaims in the same sorted order as
 	// visiting every key; a barrier with nothing due allocates nothing.
-	now := n.clock.Now()
+	next := sim.Forever
 	due := n.rel.due[:0]
 	for dest, s := range n.rel.senders {
-		if senderQuiescent(s) && now >= s.lastActive+age {
+		if at := s.lastActive + age; now < at || !senderQuiescent(s) {
+			next = min(next, at)
+		} else {
 			due = append(due, dest)
 		}
 	}
@@ -63,7 +74,9 @@ func (n *Interface) ReclaimIdle() int {
 	reclaimed := len(due)
 	due = due[:0]
 	for src, r := range n.rel.receivers {
-		if len(r.reseq) == 0 && now >= r.lastActive+age {
+		if at := r.lastActive + age; now < at || len(r.reseq) != 0 {
+			next = min(next, at)
+		} else {
 			due = append(due, src)
 		}
 	}
@@ -76,7 +89,16 @@ func (n *Interface) ReclaimIdle() int {
 		n.stats.ReceiverReclaims++
 	}
 	n.rel.due = due
+	n.rel.nextDue = next
 	return reclaimed + len(due)
+}
+
+// noteLinkCreated lowers the reclaim watermark for a link sender or
+// receiver just created or resurrected, active now.
+func (n *Interface) noteLinkCreated() {
+	if age := n.rel.cfg.IdleReclaimAge; age > 0 {
+		n.rel.nextDue = min(n.rel.nextDue, n.clock.Now()+age)
+	}
 }
 
 // senderQuiescent reports whether nothing at all is in flight or owed

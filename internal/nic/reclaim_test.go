@@ -2,12 +2,15 @@ package nic
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"shrimp/internal/addr"
 	"shrimp/internal/device"
 	"shrimp/internal/interconnect"
 	"shrimp/internal/raceflag"
+	"shrimp/internal/sim"
 )
 
 // TestIdleReclaimAndResurrection: a quiescent link ages out into the
@@ -225,5 +228,111 @@ func TestReclaimIdleNothingDueAllocs(t *testing.T) {
 		}); allocs != 0 {
 			t.Fatalf("node %d: ReclaimIdle with nothing due allocates %.1f objects, want 0", n.NodeID(), allocs)
 		}
+	}
+}
+
+// reclaimByFullScan is ReclaimIdle without the watermark: it visits
+// every live link at every call, in sorted key order.
+func reclaimByFullScan(n *Interface) int {
+	age, now := n.rel.cfg.IdleReclaimAge, n.clock.Now()
+	reclaimed := 0
+	for _, dest := range sortedKeys(n.rel.senders) {
+		if s := n.rel.senders[dest]; senderQuiescent(s) && now >= s.lastActive+age {
+			n.rel.senderMem[dest] = s.epoch
+			delete(n.rel.senders, dest)
+			n.rel.senderPool = append(n.rel.senderPool, s)
+			n.stats.SenderReclaims++
+			reclaimed++
+		}
+	}
+	for _, src := range sortedKeys(n.rel.receivers) {
+		if r := n.rel.receivers[src]; len(r.reseq) == 0 && now >= r.lastActive+age {
+			n.rel.recvMem[src] = rxMemory{epoch: r.epoch, expected: r.expected}
+			delete(n.rel.receivers, src)
+			n.rel.recvPool = append(n.rel.recvPool, r)
+			n.stats.ReceiverReclaims++
+			reclaimed++
+		}
+	}
+	return reclaimed
+}
+
+// relState renders a board's reliability state, live links in key
+// order, for comparing two boards.
+func relState(n *Interface) string {
+	var b strings.Builder
+	for _, dest := range sortedKeys(n.rel.senders) {
+		s := n.rel.senders[dest]
+		fmt.Fprintf(&b, "s%d:e%d,a%d,p%d ", dest, s.epoch, s.lastActive, len(s.pending))
+	}
+	for _, src := range sortedKeys(n.rel.receivers) {
+		r := n.rel.receivers[src]
+		fmt.Fprintf(&b, "r%d:e%d,x%d,a%d,q%d ", src, r.epoch, r.expected, r.lastActive, len(r.reseq))
+	}
+	fmt.Fprintf(&b, "mem %v %v pools %d %d %+v",
+		n.rel.senderMem, n.rel.recvMem, len(n.rel.senderPool), len(n.rel.recvPool), n.stats)
+	return b.String()
+}
+
+// TestReclaimWatermarkMatchesFullScan: ReclaimIdle with its watermark
+// reclaims exactly what a scan of every link would, call for call, on
+// random histories of link creation, resurrection, activity, and
+// quiescence changes that move no lastActive.
+func TestReclaimWatermarkMatchesFullScan(t *testing.T) {
+	rng := sim.NewRNG(13)
+	skipped := 0
+	for trial := 0; trial < 20; trial++ {
+		// Times and ages are multiples of 100, so links often fall due
+		// exactly at a barrier.
+		cfg := relConfig(ReliabilityConfig{IdleReclaimAge: sim.Cycles(100 * (5 + rng.Intn(40)))})
+		got, want := newPair(t, cfg), newPair(t, cfg)
+		a, b := got.nics[0], want.nics[0]
+		for step := 0; step < 300; step++ {
+			dt := sim.Cycles(100 * rng.Intn(12))
+			got.clocks[0].Advance(dt)
+			want.clocks[0].Advance(dt)
+			key := rng.Intn(8)
+			switch op := rng.Intn(8); op {
+			case 0, 1: // traffic to a destination
+				a.sender(key).lastActive = a.clock.Now()
+				b.sender(key).lastActive = b.clock.Now()
+			case 2, 3: // traffic from a source
+				a.receiver(key).lastActive = a.clock.Now()
+				b.receiver(key).lastActive = b.clock.Now()
+			case 4: // a sender gains or drains a queued packet
+				for _, n := range []*Interface{a, b} {
+					if s, ok := n.rel.senders[key]; ok {
+						if len(s.pending) == 0 {
+							s.pending = append(s.pending, &relPkt{})
+						} else {
+							s.pending = s.pending[:0]
+						}
+					}
+				}
+			case 5: // a receiver parks or releases an out-of-order packet
+				for _, n := range []*Interface{a, b} {
+					if r, ok := n.rel.receivers[key]; ok {
+						if len(r.reseq) == 0 {
+							r.reseq[9] = &interconnect.Packet{}
+						} else {
+							clear(r.reseq)
+						}
+					}
+				}
+			default: // a barrier
+				if a.clock.Now() < a.rel.nextDue {
+					skipped++
+				}
+				if g, w := a.ReclaimIdle(), reclaimByFullScan(b); g != w {
+					t.Fatalf("trial %d step %d: ReclaimIdle reclaimed %d links, the full scan %d", trial, step, g, w)
+				}
+			}
+			if g, w := relState(a), relState(b); g != w {
+				t.Fatalf("trial %d step %d: state differs\nReclaimIdle: %s\nfull scan:   %s", trial, step, g, w)
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no barrier fell below the watermark; the comparison never covered a skipped scan")
 	}
 }

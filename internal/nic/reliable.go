@@ -117,6 +117,7 @@ type relSender struct {
 	pending   []*relPkt
 	unacked   []*relPkt
 	timer     sim.Handle
+	retxFn    func() // the timer's callback, built once per sender
 	retries   int
 	broken    error // latched DeliveryError, consumed by the next Write
 	// lastActive is the last cycle this link moved (send, retransmit or
@@ -155,6 +156,11 @@ type reliability struct {
 	senderPool []*relSender
 	recvPool   []*relReceiver
 	due        []int // ReclaimIdle's scratch list of reclaimable keys
+	// nextDue is at or below the earliest cycle at which any live link
+	// can become old enough to reclaim (see ReclaimIdle).
+	nextDue sim.Cycles
+
+	crcHdr [crcHeaderLen]byte // packetCRC's header scratch
 }
 
 func newReliability(cfg ReliabilityConfig) *reliability {
@@ -175,15 +181,19 @@ func (n *Interface) sender(dest int) *relSender {
 	if k := len(n.rel.senderPool); k > 0 {
 		s = n.rel.senderPool[k-1]
 		n.rel.senderPool = n.rel.senderPool[:k-1]
-		pending, unacked := s.pending[:0], s.unacked[:0]
-		*s = relSender{pending: pending, unacked: unacked}
+		*s = relSender{pending: s.pending[:0], unacked: s.unacked[:0], retxFn: s.retxFn}
 	} else {
 		s = &relSender{}
+		s.retxFn = func() {
+			s.timer = sim.NoEvent
+			n.onRetxTimeout(s)
+		}
 	}
 	s.dest = dest
 	s.nextSeq = 1
 	s.advWindow = n.rel.cfg.Window
 	s.lastActive = n.clock.Now()
+	n.noteLinkCreated()
 	if mem, ok := n.rel.senderMem[dest]; ok {
 		// Resurrection: the reclaimed incarnation's epoch was kept in
 		// host memory; the new one starts one past it, so the receiver
@@ -212,6 +222,7 @@ func (n *Interface) receiver(src int) *relReceiver {
 	r.epoch = 0
 	r.expected = 1
 	r.lastActive = n.clock.Now()
+	n.noteLinkCreated()
 	if mem, ok := n.rel.recvMem[src]; ok {
 		// Restore the dedupe horizon, so a stale duplicate of a packet
 		// delivered before the reclaim can never be delivered twice.
@@ -224,13 +235,15 @@ func (n *Interface) receiver(src int) *relReceiver {
 	return r
 }
 
+// crcHeaderLen is the length of the header packetCRC covers.
+const crcHeaderLen = 45
+
 // packetCRC computes the IEEE CRC32 over the protocol header fields and
 // payload (the CRC field itself excluded). Flipping any covered bit —
 // payload bytes, or the Ack field of an empty ACK — breaks it. It
-// allocates nothing: no hash.Hash32, and the header is folded in with
-// the IEEE table by hand because crc32.Update would move it to the heap.
-func packetCRC(p *interconnect.Packet) uint32 {
-	var hdr [45]byte
+// allocates nothing: no hash.Hash32, and the header is laid out in the
+// caller's scratch, which crc32.Update may keep on the heap.
+func packetCRC(hdr *[crcHeaderLen]byte, p *interconnect.Packet) uint32 {
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(p.Src))
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(p.Dst))
 	hdr[8] = byte(p.Kind)
@@ -240,11 +253,7 @@ func packetCRC(p *interconnect.Packet) uint32 {
 	binary.LittleEndian.PutUint32(hdr[29:], p.Window)
 	binary.LittleEndian.PutUint64(hdr[33:], uint64(p.DestAddr))
 	binary.LittleEndian.PutUint32(hdr[41:], uint32(len(p.Payload)))
-	crc := ^uint32(0)
-	for _, b := range hdr {
-		crc = crc32.IEEETable[byte(crc)^b] ^ crc>>8
-	}
-	return crc32.Update(^crc, crc32.IEEETable, p.Payload)
+	return crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, p.Payload)
 }
 
 // --- send half ---------------------------------------------------------------
@@ -286,7 +295,7 @@ func (n *Interface) effWindow(s *relSender) int {
 func (n *Interface) pump(s *relSender) {
 	for len(s.pending) > 0 && len(s.unacked) < n.effWindow(s) {
 		p := s.pending[0]
-		s.pending = s.pending[1:]
+		dropFront(&s.pending, 1)
 		s.unacked = append(s.unacked, p)
 		n.transmitData(s, p, false)
 	}
@@ -305,7 +314,7 @@ func (n *Interface) transmitData(s *relSender, p *relPkt, retrans bool) {
 		Retrans:  retrans,
 	}
 	s.lastActive = n.clock.Now()
-	pkt.CRC = packetCRC(pkt)
+	pkt.CRC = packetCRC(&n.rel.crcHdr, pkt)
 	if !p.sent {
 		p.sent = true
 		p.firstSent = n.clock.Now()
@@ -338,10 +347,7 @@ func (n *Interface) armTimer(s *relSender) {
 		shift = 10
 	}
 	d := n.rel.cfg.RetxTimeout << uint(shift)
-	s.timer = n.clock.ScheduleAfter(d, "nic-retx", func() {
-		s.timer = sim.NoEvent
-		n.onRetxTimeout(s)
-	})
+	s.timer = n.clock.ScheduleAfter(d, "nic-retx", s.retxFn)
 }
 
 func (n *Interface) onRetxTimeout(s *relSender) {
@@ -382,14 +388,24 @@ func (n *Interface) breakLink(s *relSender) {
 	s.nextSeq = 1
 	s.ackedTo = 0
 	s.advWindow = n.rel.cfg.Window
-	s.unacked = nil
-	s.pending = nil
+	clear(s.unacked)
+	clear(s.pending)
+	s.unacked = s.unacked[:0]
+	s.pending = s.pending[:0]
 	s.retries = 0
+}
+
+// dropFront removes the first k packets of a link queue, moving the
+// rest down so the queue keeps its backing array.
+func dropFront(q *[]*relPkt, k int) {
+	m := copy(*q, (*q)[k:])
+	clear((*q)[m:])
+	*q = (*q)[:m]
 }
 
 // handleAck processes a cumulative ACK arriving back at the sender.
 func (n *Interface) handleAck(pkt *interconnect.Packet) {
-	if packetCRC(pkt) != pkt.CRC {
+	if packetCRC(&n.rel.crcHdr, pkt) != pkt.CRC {
 		n.stats.CorruptDropped++
 		n.tracer.Record(trace.EvCrcDrop, uint64(pkt.Src), pkt.Ack, "ack")
 		return
@@ -402,13 +418,17 @@ func (n *Interface) handleAck(pkt *interconnect.Packet) {
 	}
 	if pkt.Ack > s.ackedTo {
 		now := n.clock.Now()
-		for len(s.unacked) > 0 && s.unacked[0].seq <= pkt.Ack {
-			p := s.unacked[0]
-			s.unacked = s.unacked[1:]
+		acked := 0
+		for _, p := range s.unacked {
+			if p.seq > pkt.Ack {
+				break
+			}
+			acked++
 			if !p.retx {
 				n.m.ackRTT.Observe(uint64(now - p.firstSent))
 			}
 		}
+		dropFront(&s.unacked, acked)
 		s.ackedTo = pkt.Ack
 		s.retries = 0
 		n.clock.Cancel(s.timer) // restart the timer for what remains
@@ -425,7 +445,7 @@ func (n *Interface) handleAck(pkt *interconnect.Packet) {
 // recvData runs the receiver half of the protocol for an arriving data
 // packet. Only in-order, CRC-clean packets ever reach the memory path.
 func (n *Interface) recvData(pkt *interconnect.Packet) {
-	if packetCRC(pkt) != pkt.CRC {
+	if packetCRC(&n.rel.crcHdr, pkt) != pkt.CRC {
 		n.stats.CorruptDropped++
 		n.stats.CorruptBytes += uint64(len(pkt.Payload))
 		n.tracer.Record(trace.EvCrcDrop, uint64(pkt.Src), pkt.Seq, "data")
@@ -440,7 +460,7 @@ func (n *Interface) recvData(pkt *interconnect.Packet) {
 			n.stats.ReseqDropped++
 			n.stats.ReseqBytes += uint64(len(q.Payload))
 		}
-		r.reseq = make(map[uint64]*interconnect.Packet)
+		clear(r.reseq)
 		r.epoch = pkt.Epoch
 		r.expected = 1
 	} else if pkt.Epoch < r.epoch {
@@ -500,7 +520,7 @@ func (n *Interface) sendAck(r *relReceiver) {
 		Ack:    r.expected - 1,
 		Window: uint32(credits),
 	}
-	ack.CRC = packetCRC(ack)
+	ack.CRC = packetCRC(&n.rel.crcHdr, ack)
 	n.stats.AcksSent++
 	n.net.Send(ack)
 }

@@ -8,6 +8,7 @@ import (
 	"shrimp/internal/addr"
 	"shrimp/internal/device"
 	"shrimp/internal/interconnect"
+	"shrimp/internal/raceflag"
 	"shrimp/internal/sim"
 )
 
@@ -47,7 +48,7 @@ func mkData(src, dst int, epoch uint32, seq uint64, dest addr.PAddr, payload []b
 		Epoch: epoch, Seq: seq, DestAddr: dest,
 		Payload: append([]byte(nil), payload...),
 	}
-	pkt.CRC = packetCRC(pkt)
+	pkt.CRC = packetCRC(new([crcHeaderLen]byte), pkt)
 	return pkt
 }
 
@@ -333,4 +334,34 @@ func patternBytesT(tag uint64, n int) []byte {
 		out[i] = byte(x >> 56)
 	}
 	return out
+}
+
+// TestReliableSendAckAllocs: once a link is established, a reliable
+// send and its ACK allocate only what each message owns: the payload
+// copy kept for retransmission, its relPkt record, the data and ACK
+// packets, the backplane's two delivery events and the receive DMA's
+// completion. The link's queues keep their backing arrays and its
+// retransmit timer reuses one callback.
+func TestReliableSendAckAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	p := newPair(t, relConfig(ReliabilityConfig{}))
+	p.nics[0].SetNIPT(3, NIPTEntry{Valid: true, DestNode: 1, DestPFN: 7})
+	payload := patternBytesT(1, 256)
+	send := func() {
+		if err := p.nics[0].Write(device.DevAddr{Page: 3}, payload, p.clocks[0].Now()); err != nil {
+			t.Fatal(err)
+		}
+		drainPair(p)
+	}
+	for i := 0; i < 20; i++ {
+		send()
+	}
+	if allocs := testing.AllocsPerRun(200, send); allocs > 7 {
+		t.Fatalf("a steady-state reliable send and ACK allocate %.1f objects, want at most 7", allocs)
+	}
+	if s := p.nics[0].Stats(); s.AcksReceived != s.PacketsSent || s.Retransmits != 0 {
+		t.Fatalf("sends were not each acknowledged once: %+v", s)
+	}
 }
