@@ -20,14 +20,17 @@ fmt:
 test:
 	$(GO) test ./...
 
+# race runs the suite twice under the race detector, so a race that
+# shows on one pass in two is still caught.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=2 ./...
 
-# check is the CI gate: everything must compile, vet and gofmt clean,
-# and pass the test suite under the race detector; then the benchmark
-# module must build, vet and test clean against this tree and match its
-# fingerprint pins (benchcheck, CI's benchmark-module step).
-check: build vet fmt race benchcheck
+# check is the CI gate: everything must compile, vet and gofmt clean;
+# the suite must pass once without the race detector (cover, the only
+# pass where the allocation guards run: they skip under -race) and
+# twice with it; then the benchmark module must build, vet and test
+# clean against this tree and match its fingerprint pins (benchcheck).
+check: build vet fmt cover race benchcheck
 
 benchcheck:
 	$(GO) -C bench vet ./... && $(GO) -C bench test ./... && bash bench/run.sh -check

@@ -317,7 +317,6 @@ type obs struct {
 	metricsOut string
 	traceOut   string
 	reg        *telemetry.Registry
-	costs      *sim.CostModel
 }
 
 func newObs(metrics, withTrace bool, metricsOut, traceOut string) *obs {
@@ -327,14 +326,6 @@ func newObs(metrics, withTrace bool, metricsOut, traceOut string) *obs {
 	}
 	return o
 }
-
-// registry returns the shared registry (nil when observation is off —
-// every SetMetrics consumer treats that as "instruments disabled").
-func (o *obs) registry() *telemetry.Registry { return o.reg }
-
-// setCosts records the cost model used to convert cycles to trace
-// timestamps (the last scenario machine wins; scenarios share one model).
-func (o *obs) setCosts(c *sim.CostModel) { o.costs = c }
 
 // finish renders whatever the flags asked for.
 func (o *obs) finish(w io.Writer) error {
@@ -361,15 +352,12 @@ func (o *obs) finish(w io.Writer) error {
 		fmt.Fprintf(w, "telemetry snapshot written to %s\n", o.metricsOut)
 	}
 	if o.traceOut != "" {
-		costs := o.costs
-		if costs == nil {
-			costs = machine.SHRIMP1996()
-		}
 		f, err := os.Create(o.traceOut)
 		if err != nil {
 			return err
 		}
-		if err := telemetry.WriteChromeTrace(f, costs, o.reg); err != nil {
+		// Every scenario machine runs on the SHRIMP1996 cost model.
+		if err := telemetry.WriteChromeTrace(f, machine.SHRIMP1996(), o.reg); err != nil {
 			f.Close()
 			return err
 		}
@@ -383,8 +371,7 @@ func (o *obs) finish(w io.Writer) error {
 
 func scenarioSend(size int, withTrace bool, o *obs) error {
 	fmt.Printf("# one-node UDMA send of %d bytes to a buffer device\n", size)
-	n := machine.New(0, machine.Config{Metrics: o.registry()})
-	o.setCosts(n.Costs)
+	n := machine.New(0, machine.Config{Metrics: o.reg})
 	buf := device.NewBuffer("buf", uint32(size/addr.PageSize+2), 4, 0)
 	n.AttachDevice(buf, 0)
 	defer n.Kernel.Shutdown()
@@ -424,9 +411,8 @@ func scenarioCluster(nodes, size, workers int, o *obs) error {
 		Workers: workers,
 		Machine: machine.Config{RAMFrames: 128},
 		NIC:     nic.Config{NIPTPages: clusterWindowPages},
-		Metrics: o.registry(),
+		Metrics: o.reg,
 	})
-	o.setCosts(c.Nodes[0].Costs)
 	defer c.Shutdown()
 
 	pages := (size + addr.PageSize - 1) / addr.PageSize
@@ -485,9 +471,8 @@ func scenarioShare(senders, size int, o *obs) error {
 func shareDevice(senders, size, messages int, o *obs) (*machine.Node, *device.Buffer, []uint64, error) {
 	n := machine.New(0, machine.Config{
 		Kernel:  kernel.Config{Quantum: 2000},
-		Metrics: o.registry(),
+		Metrics: o.reg,
 	})
-	o.setCosts(n.Costs)
 	buf := device.NewBuffer("buf", uint32(senders+1), 4, 0)
 	n.AttachDevice(buf, 0)
 	defer n.Kernel.Shutdown()
@@ -516,8 +501,7 @@ func shareDevice(senders, size, messages int, o *obs) (*machine.Node, *device.Bu
 
 func scenarioAutoUpdate(o *obs) error {
 	fmt.Println("# automatic update: plain stores propagate to a remote page, no initiation at all")
-	c := cluster.New(cluster.Config{Nodes: 2, NIC: nic.Config{NIPTPages: 8}, Metrics: o.registry()})
-	o.setCosts(c.Nodes[0].Costs)
+	c := cluster.New(cluster.Config{Nodes: 2, NIC: nic.Config{NIPTPages: 8}, Metrics: o.reg})
 	defer c.Shutdown()
 
 	var sendErr error
@@ -622,7 +606,6 @@ func scenarioIncast(nodes int, topology string, workers int, o *obs) error {
 		return err
 	}
 	const messages = 6
-	o.setCosts(machine.SHRIMP1996())
 	fmt.Printf("# incast on a routed %d-node %s: %d senders × %d × 4096 B into node 0\n",
 		nodes, kind, nodes-1, messages)
 
@@ -630,7 +613,7 @@ func scenarioIncast(nodes int, topology string, workers int, o *obs) error {
 	return prove(func(w int) (string, error) {
 		var reg *telemetry.Registry
 		if !shown {
-			reg = o.registry()
+			reg = o.reg
 		}
 		limited, err := experiments.RunIncast(nodes, kind, experiments.ScaleLimitedBPC, messages, w, reg)
 		if err != nil {
@@ -668,13 +651,12 @@ func scenarioIncast(nodes int, topology string, workers int, o *obs) error {
 func scenarioTrial(tc loadgen.TrialConfig, workers int, o *obs,
 	title func(*loadgen.Result) string, extras func(*loadgen.Result) error) error {
 	costs := machine.SHRIMP1996()
-	o.setCosts(costs)
 	shown := false
 	return prove(func(w int) (string, error) {
 		tc := tc
 		tc.Workers = w
 		if !shown {
-			tc.Metrics = o.registry()
+			tc.Metrics = o.reg
 		}
 		res, err := loadgen.RunTrial(tc)
 		if err != nil {
@@ -803,8 +785,7 @@ const pagingDevPages = 8
 
 func scenarioPaging(size int, o *obs) error {
 	fmt.Printf("# UDMA sends while a pager thrashes memory (I2/I4 at work)\n")
-	n := machine.New(0, machine.Config{RAMFrames: 48, Metrics: o.registry()})
-	o.setCosts(n.Costs)
+	n := machine.New(0, machine.Config{RAMFrames: 48, Metrics: o.reg})
 	buf := device.NewBuffer("buf", pagingDevPages, 4, 0)
 	n.AttachDevice(buf, 0)
 	defer n.Kernel.Shutdown()
@@ -848,7 +829,7 @@ func scenarioContention(senders, size int, o *obs) error {
 	fmt.Printf("%d transfers completed in %.0f µs: %d retries, %d context switches, %d Invals\n",
 		us.Completions, n.Micros(n.Clock.Now()), totalRetries,
 		ks.ContextSwitches, ks.Invals)
-	if o.registry() == nil {
+	if o.reg == nil {
 		fmt.Println("(rerun with -metrics to see the latency distribution)")
 	}
 	return nil

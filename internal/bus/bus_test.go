@@ -116,7 +116,7 @@ func TestPIODoesNotOverlapBurstReservedDuringWait(t *testing.T) {
 	// Mid-wait, a device completion grabs the bus for another burst the
 	// moment the first one ends: busy through [60,120].
 	var start2, end2 sim.Cycles
-	clock.Schedule(30, "competing DMA", func() {
+	clock.Schedule(30, func() {
 		start2, end2 = b.ReserveBurst(clock.Now(), 100)
 	})
 	b.PIOWord()

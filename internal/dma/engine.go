@@ -290,7 +290,7 @@ func (e *Engine) Start(src, dst addr.PAddr, count int) error {
 	e.startAt = start
 	e.doneAt = end + devLat
 
-	e.doneEvent = e.clock.Schedule(e.doneAt, "dma-complete", e.completeFn)
+	e.doneEvent = e.clock.Schedule(e.doneAt, e.completeFn)
 	return nil
 }
 

@@ -171,7 +171,7 @@ type Backplane struct {
 	down []bool
 
 	plan    FaultPlan
-	tracers map[int]*trace.Tracer // per-sender wire anomaly tracers
+	tracers []*trace.Tracer // per-sender wire anomaly tracers, indexed like eps
 
 	shards  []*outbox        // scratch: mail-bearing shards for one Flush merge
 	schedFn func(*mailEntry) // prebuilt Flush callback, so Flush allocates nothing
@@ -193,7 +193,7 @@ func New(costs *sim.CostModel, topo Topology) *Backplane {
 		eps:     make([]Endpoint, topo.Nodes),
 		out:     make([]*outbox, topo.Nodes),
 		down:    make([]bool, topo.Nodes),
-		tracers: make(map[int]*trace.Tracer),
+		tracers: make([]*trace.Tracer, topo.Nodes),
 	}
 	// The Flush visit callback charges link contention in merged order
 	// — the (arrive, src, seq) merge is the one deterministic total
@@ -245,10 +245,6 @@ func (b *Backplane) NodeDown(node int) bool {
 // corruptions, delays, flaps) for packets *sent by* the given node, on
 // that node's clock. nil detaches.
 func (b *Backplane) SetTracer(node int, tr *trace.Tracer) {
-	if tr == nil {
-		delete(b.tracers, node)
-		return
-	}
 	b.tracers[node] = tr
 }
 
@@ -264,9 +260,7 @@ func (b *Backplane) FaultStats() FaultStats {
 
 // Attach registers an endpoint at its declared router. Attaching two
 // endpoints with the same node ID, or an ID outside the declared
-// topology, is a wiring bug. (Attach used to recompute the mesh width
-// as ceil(sqrt(n)) on every call, silently reshaping hop distances as
-// endpoints joined; the grid is now fixed by the Topology at New.)
+// topology, is a wiring bug.
 func (b *Backplane) Attach(ep Endpoint) {
 	id := ep.NodeID()
 	if id < 0 || id >= b.topo.Nodes {
@@ -439,7 +433,7 @@ func (b *Backplane) schedule(dst Endpoint, pkt *Packet, arriveSender sim.Cycles)
 	if rnow := rclock.Now(); at < rnow {
 		at = rnow
 	}
-	rclock.Schedule(at, "packet-arrival", func() {
+	rclock.Schedule(at, func() {
 		pkt.ArrivedAt = rclock.Now()
 		dst.DeliverPacket(pkt)
 	})
@@ -461,9 +455,7 @@ func (b *Backplane) Flush() { b.mergeMail(b.schedFn) }
 // k-way merge: repeatedly take the earliest head, scanning the active
 // shards in ascending node order so equal arrivals resolve to the
 // lowest sender. The merge reuses the backplane's scratch slice and a
-// prebuilt visit callback, so a steady-state flush allocates nothing
-// (the former sort.Slice allocated a closure and a reflection swapper
-// per window, and re-copied every entry into a shared slab).
+// prebuilt visit callback, so a steady-state flush allocates nothing.
 func (b *Backplane) mergeMail(visit func(*mailEntry)) {
 	shards := b.shards[:0]
 	for _, id := range b.ids {

@@ -142,7 +142,7 @@ func (b *Backplane) LinkDown(src, dst int, at sim.Cycles) bool {
 		return false
 	}
 	for cur := src; cur != dst; {
-		next := b.topo.NextHop(cur, dst)
+		next, _ := b.topo.hop(cur, dst)
 		if (at+b.plan.flapPhase(cur, next))%b.plan.FlapPeriod < b.plan.FlapDown {
 			return true
 		}

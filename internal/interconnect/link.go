@@ -1,10 +1,6 @@
 package interconnect
 
-import (
-	"fmt"
-
-	"shrimp/internal/sim"
-)
+import "shrimp/internal/sim"
 
 // A link is one directed fabric channel between adjacent routers. It
 // is a busy-until reservation, exactly like the per-sender inject
@@ -27,29 +23,6 @@ const (
 	dirPosY = 2
 	dirNegY = 3
 )
-
-// linkIndex maps a (router, adjacent router) pair to its slot in the
-// Backplane's link array. Torus wrap crossings count as motion in the
-// direction of travel, so a 2-wide ring keeps its two opposite links
-// distinct.
-func (t Topology) linkIndex(cur, next int) int {
-	cx, cy := t.Coord(cur)
-	nx, ny := t.Coord(next)
-	var dir int
-	switch {
-	case ny == cy && (nx-cx == 1 || (cx == t.Width-1 && nx == 0)):
-		dir = dirPosX
-	case ny == cy && (cx-nx == 1 || (nx == t.Width-1 && cx == 0)):
-		dir = dirNegX
-	case nx == cx && (ny-cy == 1 || (cy == t.Height()-1 && ny == 0)):
-		dir = dirPosY
-	case nx == cx && (cy-ny == 1 || (ny == t.Height()-1 && cy == 0)):
-		dir = dirNegY
-	default:
-		panic(fmt.Sprintf("interconnect: routers %d and %d are not adjacent", cur, next))
-	}
-	return cur*4 + dir
-}
 
 // linkPeer returns the router a link slot points at.
 func (t Topology) linkPeer(slot int) int {
@@ -106,8 +79,8 @@ func (b *Backplane) chargeArrival(pkt *Packet, at sim.Cycles) sim.Cycles {
 	t := pkt.LaunchedAt
 	cur := src
 	for cur != dst {
-		next := b.topo.NextHop(cur, dst)
-		l := &b.links[b.topo.linkIndex(cur, next)]
+		next, slot := b.topo.hop(cur, dst)
+		l := &b.links[slot]
 		start := t
 		if l.free > start {
 			start = l.free

@@ -40,8 +40,7 @@ func ParseKind(s string) (Kind, error) {
 
 // Topology declares the routed fabric a Backplane is built over: the
 // shape, how many nodes will attach, the router-grid width, and the
-// per-link capacity. It is fixed at construction — Attach no longer
-// infers or reshapes the grid as endpoints join.
+// per-link capacity. It is fixed at construction.
 //
 // Node i sits at router (i%Width, i/Width). The router grid is always
 // a full Width×Height rectangle even when Nodes does not fill the last
@@ -130,10 +129,13 @@ func meshStep(c, d int) int {
 	}
 }
 
-// NextHop returns the router after cur on the dimension-order (XY)
-// route to dst: correct the X coordinate fully, then Y. cur == dst is
-// a caller bug.
-func (t Topology) NextHop(cur, dst int) int {
+// hop takes one step from cur on the dimension-order (XY) route to
+// dst — correct the X coordinate fully, then Y — and returns the next
+// router and the slot of the link it crosses in the Backplane's link
+// array. The slot is the +X (+Y) link whenever that link leads to
+// next, so on a dimension of size 2, where both ways lead to the same
+// router, a hop takes the +X (+Y) link. cur == dst is a caller bug.
+func (t Topology) hop(cur, dst int) (next, slot int) {
 	cx, cy := t.Coord(cur)
 	dx, dy := t.Coord(dst)
 	w, h := t.Width, t.Height()
@@ -144,12 +146,22 @@ func (t Topology) NextHop(cur, dst int) int {
 		sx, sy = meshStep(cx, dx), meshStep(cy, dy)
 	}
 	if sx != 0 {
-		return cy*w + (cx+sx+w)%w
+		nx := (cx + sx + w) % w
+		dir := dirNegX
+		if nx == (cx+1)%w {
+			dir = dirPosX
+		}
+		return cy*w + nx, cur*4 + dir
 	}
 	if sy != 0 {
-		return ((cy+sy+h)%h)*w + cx
+		ny := (cy + sy + h) % h
+		dir := dirNegY
+		if ny == (cy+1)%h {
+			dir = dirPosY
+		}
+		return ny*w + cx, cur*4 + dir
 	}
-	panic(fmt.Sprintf("interconnect: NextHop(%d, %d) with cur == dst", cur, dst))
+	panic(fmt.Sprintf("interconnect: hop(%d, %d) with cur == dst", cur, dst))
 }
 
 // PathLen returns the number of directed links on the XY route from

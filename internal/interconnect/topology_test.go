@@ -1,14 +1,39 @@
 package interconnect
 
 import (
+	"fmt"
 	"testing"
 
 	"shrimp/internal/sim"
 )
 
-// walkPath follows NextHop from src to dst and returns the router
-// sequence (excluding src), bounded so a routing loop fails the test
-// instead of hanging it.
+// linkIndex is the reference for hop's link slot: it maps a (router,
+// adjacent router) pair to its slot in the Backplane's link array from
+// their coordinates alone. Torus wrap crossings count as motion in the
+// direction of travel.
+func (t Topology) linkIndex(cur, next int) int {
+	cx, cy := t.Coord(cur)
+	nx, ny := t.Coord(next)
+	var dir int
+	switch {
+	case ny == cy && (nx-cx == 1 || (cx == t.Width-1 && nx == 0)):
+		dir = dirPosX
+	case ny == cy && (cx-nx == 1 || (nx == t.Width-1 && cx == 0)):
+		dir = dirNegX
+	case nx == cx && (ny-cy == 1 || (cy == t.Height()-1 && ny == 0)):
+		dir = dirPosY
+	case nx == cx && (cy-ny == 1 || (ny == t.Height()-1 && cy == 0)):
+		dir = dirNegY
+	default:
+		panic(fmt.Sprintf("interconnect: routers %d and %d are not adjacent", cur, next))
+	}
+	return cur*4 + dir
+}
+
+// walkPath follows hop from src to dst and returns the router sequence
+// (excluding src), bounded so a routing loop fails the test instead of
+// hanging it. Every step's slot must be the reference linkIndex of the
+// step and lead, through linkPeer, to the next router.
 func walkPath(t *testing.T, topo Topology, src, dst int) []int {
 	t.Helper()
 	var path []int
@@ -17,9 +42,12 @@ func walkPath(t *testing.T, topo Topology, src, dst int) []int {
 		if len(path) > topo.Routers() {
 			t.Fatalf("route %d->%d does not converge: %v", src, dst, path)
 		}
-		next := topo.NextHop(cur, dst)
-		if got := topo.linkPeer(topo.linkIndex(cur, next)); got != next {
-			t.Fatalf("linkIndex/linkPeer roundtrip %d->%d: got %d", cur, next, got)
+		next, slot := topo.hop(cur, dst)
+		if want := topo.linkIndex(cur, next); slot != want {
+			t.Fatalf("%s width %d: hop(%d, %d) slot %d, linkIndex %d", topo.Kind, topo.Width, cur, dst, slot, want)
+		}
+		if got := topo.linkPeer(slot); got != next {
+			t.Fatalf("%s width %d: hop(%d, %d) = %d, linkPeer(%d) = %d", topo.Kind, topo.Width, cur, dst, next, slot, got)
 		}
 		path = append(path, next)
 		cur = next
@@ -27,19 +55,29 @@ func walkPath(t *testing.T, topo Topology, src, dst int) []int {
 	return path
 }
 
-// TestRoutingWalkMatchesPathLen: for every pair in a ragged mesh and a
-// ragged torus, the NextHop walk terminates in exactly PathLen links,
+// TestRoutingWalkMatchesPathLen: for every router pair in meshes and
+// tori of widths 1, 2, 3, 4 and 8 and heights 2 to 8, most with a
+// ragged last row, the hop walk terminates in exactly PathLen links,
 // and the X dimension is fully corrected before Y moves (dimension
 // order).
 func TestRoutingWalkMatchesPathLen(t *testing.T) {
-	for _, topo := range []Topology{
-		Mesh(7).normalized(),  // 3x3 router grid, ragged last row
-		Torus(8).normalized(), // 3x3 router grid, ragged last row
-		Mesh(16).normalized(), // full 4x4
-		Torus(16).normalized(),
-	} {
-		for src := 0; src < topo.Nodes; src++ {
-			for dst := 0; dst < topo.Nodes; dst++ {
+	var topos []Topology
+	for _, kind := range []Kind{KindMesh, KindTorus} {
+		for _, shape := range []struct{ nodes, width int }{
+			{5, 1},  // a 1x5 column
+			{3, 0},  // 2x2, ragged last row
+			{5, 2},  // 2x3, ragged last row
+			{7, 0},  // 3x3, ragged last row
+			{8, 0},  // 3x3, ragged last row
+			{16, 0}, // full 4x4
+			{61, 8}, // 8x8, ragged last row
+		} {
+			topos = append(topos, Topology{Kind: kind, Nodes: shape.nodes, Width: shape.width}.normalized())
+		}
+	}
+	for _, topo := range topos {
+		for src := 0; src < topo.Routers(); src++ {
+			for dst := 0; dst < topo.Routers(); dst++ {
 				if src == dst {
 					continue
 				}
@@ -76,12 +114,12 @@ func TestTorusTakesShortRing(t *testing.T) {
 	if got := topo.PathLen(0, 3); got != 1 {
 		t.Fatalf("torus PathLen(0,3) = %d, want 1 (wrap)", got)
 	}
-	if next := topo.NextHop(0, 3); next != 3 {
-		t.Fatalf("torus NextHop(0,3) = %d, want 3 (backward wrap)", next)
+	if next, _ := topo.hop(0, 3); next != 3 {
+		t.Fatalf("torus hop(0,3) = %d, want 3 (backward wrap)", next)
 	}
 	// 0 -> 2 on a 4-ring: distance 2 both ways; tie goes forward.
-	if next := topo.NextHop(0, 2); next != 1 {
-		t.Fatalf("torus NextHop(0,2) = %d, want 1 (tie forward)", next)
+	if next, _ := topo.hop(0, 2); next != 1 {
+		t.Fatalf("torus hop(0,2) = %d, want 1 (tie forward)", next)
 	}
 	// Mesh never wraps: 0 -> 3 is 3 links.
 	mesh := Mesh(16).normalized()

@@ -255,20 +255,11 @@ func (k *Kernel) MachineCheck(reason error) int {
 // SetTracer attaches an event tracer (nil disables tracing).
 func (k *Kernel) SetTracer(t *trace.Tracer) { k.tracer = t }
 
-// Clock exposes the node clock (read-mostly; tests and experiments).
-func (k *Kernel) Clock() *sim.Clock { return k.clock }
-
-// Costs exposes the cost model.
-func (k *Kernel) Costs() *sim.CostModel { return k.costs }
-
 // Stats returns a copy of the kernel counters.
 func (k *Kernel) Stats() Stats { return k.stats }
 
 // UDMA returns the node's UDMA controller, or nil.
 func (k *Kernel) UDMA() *core.Controller { return k.udma }
-
-// Engine returns the node's DMA engine.
-func (k *Kernel) Engine() *dma.Engine { return k.engine }
 
 // FreeFrames returns the number of unallocated frames.
 func (k *Kernel) FreeFrames() int { return len(k.freeList) }
@@ -306,7 +297,7 @@ func (k *Kernel) Run(limit sim.Cycles) error {
 		}
 		p := k.nextReady()
 		if p == nil {
-			if k.allExited() {
+			if k.AllExited() {
 				return nil
 			}
 			// Everyone is blocked: let simulated time move to the next
@@ -329,7 +320,7 @@ func (k *Kernel) Run(limit sim.Cycles) error {
 			// time and with the same event sequence number, without
 			// resuming its coroutine. A killed process always resumes,
 			// so it unwinds where it would have.
-			k.clock.ScheduleAfter(p.idleFor, "sleep-wake", p.wakeFn)
+			k.clock.ScheduleAfter(p.idleFor, p.wakeFn)
 			p.state = procBlocked
 			k.idleRearms++
 			continue
@@ -370,9 +361,7 @@ func (k *Kernel) Shutdown() {
 }
 
 // AllExited reports whether every spawned process has exited.
-func (k *Kernel) AllExited() bool { return k.allExited() }
-
-func (k *Kernel) allExited() bool {
+func (k *Kernel) AllExited() bool {
 	for _, p := range k.procs {
 		if p.state != procExited {
 			return false

@@ -186,7 +186,7 @@ func TestKillInsideStoreChargeStartsNoTransfer(t *testing.T) {
 			return
 		}
 		initiations = n.UDMA.Stats().Initiations
-		n.Clock.Schedule(p.Now()+1, "kill", func() { n.Kernel.Kill(p) })
+		n.Clock.Schedule(p.Now()+1, func() { n.Kernel.Kill(p) })
 		p.Store(d.Base(), addr.PageSize)
 		after = true // the kill must stop the process before this
 		p.Load(addr.VProxy(va))

@@ -47,9 +47,9 @@ func TestMachineCheckAbortsBlockedDMA(t *testing.T) {
 					discarded = n.Kernel.MachineCheck(errors.New("injected parity error"))
 					return
 				}
-				n.Clock.ScheduleAfter(100, "mc-watch", watch)
+				n.Clock.ScheduleAfter(100, watch)
 			}
-			n.Clock.ScheduleAfter(100, "mc-watch", watch)
+			n.Clock.ScheduleAfter(100, watch)
 
 			payload := workload.Payload(2*addr.PageSize, 9)
 			var first, second error

@@ -69,12 +69,11 @@ type Proc struct {
 	idle    func() bool
 	idleFor sim.Cycles
 
-	quantum   sim.Cycles
-	inKernel  int32 // >0 while executing kernel code: no preemption
-	segfaults int32
-	killed    bool
-	state     procState
-	heapNext  uint32 // next free heap VPN
+	quantum  sim.Cycles
+	inKernel int32 // >0 while executing kernel code: no preemption
+	killed   bool
+	state    procState
+	heapNext uint32 // next free heap VPN
 
 	// devGrants records device-proxy page ranges this process may map
 	// (created by the MapDevice syscall; faulted in on demand).
@@ -95,9 +94,6 @@ func (p *Proc) PID() int { return p.pid }
 
 // Name returns the spawn name.
 func (p *Proc) Name() string { return p.name }
-
-// Segfaults returns how many illegal accesses the process has made.
-func (p *Proc) Segfaults() int { return int(p.segfaults) }
 
 // Exited reports whether the process has finished (or been killed and
 // reaped).
@@ -143,7 +139,7 @@ func (p *Proc) charge(c sim.Cycles) {
 
 // Sleep blocks the process for d cycles of simulated time.
 func (p *Proc) Sleep(d sim.Cycles) {
-	p.kernel.clock.ScheduleAfter(d, "sleep-wake", p.wakeFn)
+	p.kernel.clock.ScheduleAfter(d, p.wakeFn)
 	p.block()
 }
 
@@ -358,7 +354,6 @@ func (p *Proc) translate(va addr.VAddr, access mmu.Access) (addr.PAddr, bool, er
 }
 
 func (p *Proc) segfault(va addr.VAddr, access mmu.Access, kind mmu.FaultKind) error {
-	p.segfaults++
 	p.kernel.stats.Segfaults++
 	p.kernel.tracer.Record(trace.EvSegfault, uint64(va), uint64(p.pid), kind.String())
 	return &SegfaultError{VA: va, Access: access, Kind: kind}

@@ -49,10 +49,10 @@ func sleepWhileProgram(t *testing.T, literal bool) (string, uint64) {
 	flip = func() {
 		flipped = !flipped
 		if n.Clock.Now() < 40_000 {
-			n.Clock.ScheduleAfter(97, "flip", flip)
+			n.Clock.ScheduleAfter(97, flip)
 		}
 	}
-	n.Clock.ScheduleAfter(97, "flip", flip)
+	n.Clock.ScheduleAfter(97, flip)
 
 	ready, stop := false, false
 	n.Kernel.Spawn("worker", func(p *kernel.Proc) {
@@ -100,7 +100,7 @@ func sleepWhileProgram(t *testing.T, literal bool) (string, uint64) {
 		p.Sleep(53_000 - p.Now())
 		wait(p, 250, func() bool { return true })
 	})
-	n.Clock.Schedule(54_900, "kill", func() { n.Kernel.Kill(eventVictim) })
+	n.Clock.Schedule(54_900, func() { n.Kernel.Kill(eventVictim) })
 	n.Kernel.Spawn("on-harness", func(p *kernel.Proc) {
 		wait(p, 2000, func() bool { return !stop })
 		note(p, "stopped")

@@ -72,13 +72,13 @@ func TestSpinPollsRefuses(t *testing.T) {
 		want  uint64
 	}{
 		{name: "event-within-one-poll", want: 0, prep: func(t *testing.T, c spinCtx) {
-			c.n.Clock.Schedule(c.p.Now()+c.per, "tick", func() {})
+			c.n.Clock.Schedule(c.p.Now()+c.per, func() {})
 		}},
 		{name: "event-due", want: 0, prep: func(t *testing.T, c spinCtx) {
-			c.n.Clock.Schedule(c.p.Now(), "tick", func() {})
+			c.n.Clock.Schedule(c.p.Now(), func() {})
 		}},
 		{name: "event-past-one-poll", want: 1, prep: func(t *testing.T, c spinCtx) {
-			c.n.Clock.Schedule(c.p.Now()+c.per+1, "tick", func() {})
+			c.n.Clock.Schedule(c.p.Now()+c.per+1, func() {})
 		}},
 		{name: "quantum-one-poll", want: 0, cfg: machine.Config{Kernel: kernel.Config{Quantum: 3000}},
 			prep: func(t *testing.T, c spinCtx) { c.p.Compute(c.p.Quantum() - c.per) }},

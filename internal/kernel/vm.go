@@ -469,7 +469,7 @@ func (k *Kernel) StartCleaner(period sim.Cycles) (stop func()) {
 		// The daemon dies with the last process — otherwise the
 		// self-rescheduling tick would keep the event queue non-empty
 		// forever and cluster drains could never finish.
-		if stopped || k.allExited() {
+		if stopped || k.AllExited() {
 			return
 		}
 		for _, p := range k.procs {
@@ -480,9 +480,9 @@ func (k *Kernel) StartCleaner(period sim.Cycles) (stop func()) {
 			// transfer) just stays dirty for the next pass.
 			_ = k.CleanAllDirty(p)
 		}
-		k.clock.ScheduleAfter(period, "page-cleaner", tick)
+		k.clock.ScheduleAfter(period, tick)
 	}
-	k.clock.ScheduleAfter(period, "page-cleaner", tick)
+	k.clock.ScheduleAfter(period, tick)
 	return func() { stopped = true }
 }
 

@@ -33,8 +33,6 @@ type fifo struct {
 	head  int
 }
 
-func (q *fifo) depth() int { return len(q.items) - q.head }
-
 // nodeState is everything node-local: mid-window, only processes of
 // that node touch it, which is what makes the driver safe (and
 // bit-exact) at any cluster worker count.

@@ -46,21 +46,6 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadIntoMatchesRead(t *testing.T) {
-	p := NewPhysical(2)
-	if err := p.Write(100, []byte{1, 2, 3, 4, 5}); err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]byte, 5)
-	if err := p.ReadInto(100, dst); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := p.Read(100, 5)
-	if !bytes.Equal(dst, want) {
-		t.Fatalf("ReadInto = %v, Read = %v", dst, want)
-	}
-}
-
 func TestReadReturnsCopy(t *testing.T) {
 	p := NewPhysical(1)
 	p.Write(0, []byte{9})

@@ -73,15 +73,6 @@ func (p *Physical) View(a addr.PAddr, n int) ([]byte, error) {
 	return p.data[a:end:end], nil
 }
 
-// ReadInto copies len(dst) bytes starting at a into dst.
-func (p *Physical) ReadInto(a addr.PAddr, dst []byte) error {
-	if err := p.check(a, len(dst)); err != nil {
-		return err
-	}
-	copy(dst, p.data[a:uint64(a)+uint64(len(dst))])
-	return nil
-}
-
 // Write copies src into memory starting at physical address a.
 func (p *Physical) Write(a addr.PAddr, src []byte) error {
 	if err := p.check(a, len(src)); err != nil {

@@ -56,7 +56,7 @@ func (n *Interface) SnoopWrite(entry uint32, off uint32, v uint32) {
 		au.startOff = off
 		au.data = au.data[:0]
 		// Arm the timeout flush.
-		au.flushEv = n.clock.ScheduleAfter(autoUpdateFlushDelay, "auto-update-flush", func() {
+		au.flushEv = n.clock.ScheduleAfter(autoUpdateFlushDelay, func() {
 			au.flushEv = sim.NoEvent
 			n.FlushAutoUpdate()
 		})
@@ -97,7 +97,7 @@ func (n *Interface) FlushAutoUpdate() {
 		// the combining buffer refills before it fires.
 		data = append([]byte(nil), data...)
 		gen := n.gen
-		n.clock.ScheduleAfter(delay, "nipt-refill-launch", func() {
+		n.clock.ScheduleAfter(delay, func() {
 			if n.gen != gen {
 				return
 			}

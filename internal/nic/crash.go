@@ -98,9 +98,10 @@ func (n *Interface) Crash() {
 	// NIPT cache lines (and any transfer pin) are volatile; the backing
 	// table in host memory stays authoritative.
 	if n.cache != nil {
-		for idx := range n.cache.lines {
-			delete(n.cache.lines, idx)
+		for _, idx := range n.cache.resident {
+			n.cache.used[idx] = 0
 		}
+		n.cache.resident = n.cache.resident[:0]
 		n.cache.hasPin = false
 	}
 }

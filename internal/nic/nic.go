@@ -206,10 +206,11 @@ func New(nodeID int, clock *sim.Clock, costs *sim.CostModel, ram *mem.Physical,
 	}
 	if cfg.NIPTCapacity > 0 {
 		nic.cache = &niptCache{
-			cap:    cfg.NIPTCapacity,
-			lines:  make(map[uint32]niptLine, cfg.NIPTCapacity),
-			jitter: cfg.NIPTRefillJitter,
-			rng:    sim.NewRNG(cfg.NIPTSeed ^ uint64(nodeID+1)*0x9E3779B97F4A7C15),
+			cap:      cfg.NIPTCapacity,
+			used:     make([]uint64, pages),
+			resident: make([]uint32, 0, cfg.NIPTCapacity),
+			jitter:   cfg.NIPTRefillJitter,
+			rng:      sim.NewRNG(cfg.NIPTSeed ^ uint64(nodeID+1)*0x9E3779B97F4A7C15),
 		}
 	}
 	if cfg.Reliability.Enabled {
@@ -218,9 +219,6 @@ func New(nodeID int, clock *sim.Clock, costs *sim.CostModel, ram *mem.Physical,
 	net.Attach(nic)
 	return nic
 }
-
-// Reliable reports whether the reliable-delivery sublayer is active.
-func (n *Interface) Reliable() bool { return n.rel != nil }
 
 // --- NIPT management (privileged: called by kernel-level mapping code) ---
 
@@ -468,7 +466,7 @@ func (n *Interface) deliverData(pkt *interconnect.Packet) {
 	dest := pkt.DestAddr
 	payload := pkt.Payload
 	gen := n.gen
-	n.clock.Schedule(end, "recv-dma-complete", func() {
+	n.clock.Schedule(end, func() {
 		if n.gen != gen {
 			// The board crashed between packet arrival and DMA
 			// completion: the data never reached memory. It was
@@ -537,7 +535,7 @@ func (n *Interface) PIOStore(da device.DevAddr, v uint32) {
 			// into the rebooted incarnation.
 			data = append([]byte(nil), data...)
 			gen := n.gen
-			n.clock.ScheduleAfter(delay, "nipt-refill-launch", func() {
+			n.clock.ScheduleAfter(delay, func() {
 				if n.gen != gen {
 					return
 				}

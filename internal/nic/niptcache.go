@@ -1,6 +1,8 @@
 package nic
 
 import (
+	"slices"
+
 	"shrimp/internal/sim"
 )
 
@@ -30,19 +32,18 @@ import (
 // SHRIMP clock.
 const niptRefill sim.Cycles = 240
 
-// niptLine is one resident cache line. Only residency is tracked; the
-// entry value stays in the backing table.
-type niptLine struct {
-	used uint64 // monotonic access tick — unique, so LRU has no ties
-}
-
-// niptCache is the board's bounded NIPT residency tracker.
+// niptCache is the board's bounded NIPT residency tracker. Only
+// residency is tracked; entry values stay in the backing table.
 type niptCache struct {
-	cap    int
-	lines  map[uint32]niptLine
-	tick   uint64
-	jitter sim.Cycles // per-miss refill jitter bound (0 = fixed cost)
-	rng    *sim.RNG   // drawn ONLY on a miss, so all-hit runs never touch it
+	cap int
+	// used is each entry's last access tick while it is resident and 0
+	// while it is not. Ticks are monotonic and unique, so LRU has no
+	// ties.
+	used     []uint64
+	resident []uint32 // the resident entries, in no particular order
+	tick     uint64
+	jitter   sim.Cycles // per-miss refill jitter bound (0 = fixed cost)
+	rng      *sim.RNG   // drawn ONLY on a miss, so all-hit runs never touch it
 
 	// The DMA engine runs one transfer at a time; its entry is pinned
 	// from TransferLatency until the matching Write so capacity
@@ -69,22 +70,18 @@ func (n *Interface) lookupNIPT(idx uint32, pin bool) sim.Cycles {
 	if pin {
 		c.hasPin = false
 	}
-	if line, ok := c.lines[idx]; ok {
-		c.tick++
-		line.used = c.tick
-		c.lines[idx] = line
+	var cost sim.Cycles
+	if c.used[idx] != 0 {
 		n.stats.NIPTHits++
-		if pin {
-			c.pinned, c.hasPin = idx, true
+	} else {
+		n.stats.NIPTMisses++
+		cost = niptRefill
+		if c.jitter > 0 {
+			cost += sim.Cycles(c.rng.Intn(int(c.jitter)))
 		}
-		return 0
+		n.stats.NIPTRefillCycles += uint64(cost)
 	}
-	n.stats.NIPTMisses++
-	cost := niptRefill
-	if c.jitter > 0 {
-		cost += sim.Cycles(c.rng.Intn(int(c.jitter)))
-	}
-	n.stats.NIPTRefillCycles += uint64(cost)
+	// A hit only refreshes the entry's tick.
 	if n.installLine(idx) && pin {
 		c.pinned, c.hasPin = idx, true
 	}
@@ -98,43 +95,47 @@ func (n *Interface) lookupNIPT(idx uint32, pin bool) sim.Cycles {
 // cache — charged, but not installed.
 func (n *Interface) installLine(idx uint32) bool {
 	c := n.cache
-	if line, ok := c.lines[idx]; ok {
-		c.tick++
-		line.used = c.tick
-		c.lines[idx] = line
-		return true
-	}
-	if len(c.lines) >= c.cap && !n.evictLine() {
-		return false
+	if c.used[idx] == 0 {
+		if len(c.resident) >= c.cap && !n.evictLine() {
+			return false
+		}
+		c.resident = append(c.resident, idx)
 	}
 	c.tick++
-	c.lines[idx] = niptLine{used: c.tick}
+	c.used[idx] = c.tick
 	return true
 }
 
 // evictLine drops the least-recently-used unpinned line. Access ticks
 // are unique, so the victim — and therefore the whole eviction
-// sequence — is the same at any map iteration order and any worker
+// sequence — is the same at any resident-list order and any worker
 // count.
 func (n *Interface) evictLine() bool {
 	c := n.cache
-	var victim uint32
-	var best uint64
-	found := false
-	for idx, line := range c.lines {
+	victim := -1
+	for i, idx := range c.resident {
 		if c.hasPin && idx == c.pinned {
 			continue
 		}
-		if !found || line.used < best {
-			victim, best, found = idx, line.used, true
+		if victim < 0 || c.used[idx] < c.used[c.resident[victim]] {
+			victim = i
 		}
 	}
-	if !found {
+	if victim < 0 {
 		return false
 	}
-	delete(c.lines, victim)
+	c.drop(victim)
 	n.stats.NIPTEvictions++
 	return true
+}
+
+// drop makes resident[i] non-resident; the last resident entry takes
+// its place in the list.
+func (c *niptCache) drop(i int) {
+	c.used[c.resident[i]] = 0
+	last := len(c.resident) - 1
+	c.resident[i] = c.resident[last]
+	c.resident = c.resident[:last]
 }
 
 // invalidateLine drops residency when software tears an entry down.
@@ -144,7 +145,9 @@ func (n *Interface) evictLine() bool {
 // invalid entry fails — so the pin is released too.
 func (n *Interface) invalidateLine(idx uint32) {
 	c := n.cache
-	delete(c.lines, idx)
+	if c.used[idx] != 0 {
+		c.drop(slices.Index(c.resident, idx))
+	}
 	if c.hasPin && c.pinned == idx {
 		c.hasPin = false
 	}
@@ -166,8 +169,7 @@ func (n *Interface) NIPTResident(idx uint32) bool {
 	if n.cache == nil {
 		return true
 	}
-	_, ok := n.cache.lines[idx]
-	return ok
+	return int(idx) < len(n.cache.used) && n.cache.used[idx] != 0
 }
 
 // NIPTResidentCount returns the number of resident cache lines, or -1
@@ -176,7 +178,7 @@ func (n *Interface) NIPTResidentCount() int {
 	if n.cache == nil {
 		return -1
 	}
-	return len(n.cache.lines)
+	return len(n.cache.resident)
 }
 
 // NIPTPinned returns the entry pinned by an in-flight transfer, if any.

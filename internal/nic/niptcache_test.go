@@ -1,9 +1,11 @@
 package nic
 
 import (
+	"fmt"
 	"testing"
 
 	"shrimp/internal/device"
+	"shrimp/internal/sim"
 )
 
 // base TransferLatency without any cache effect (SHRIMP1996 costs).
@@ -134,5 +136,135 @@ func TestNIPTCapacityZeroIsUnbounded(t *testing.T) {
 	}
 	if n.NIPTResidentCount() != -1 || !n.NIPTResident(9) {
 		t.Fatalf("unbounded board should report the whole table resident")
+	}
+}
+
+// refNIPTCache is the map-based residency tracker: every resident entry
+// maps to its last access tick, and an eviction walks the whole map for
+// the lowest unpinned tick. TestNIPTCacheMatchesMapReference runs the
+// board's cache against it.
+type refNIPTCache struct {
+	cap    int
+	lines  map[uint32]uint64
+	tick   uint64
+	jitter sim.Cycles
+	rng    *sim.RNG
+	pinned uint32
+	hasPin bool
+	stats  Stats
+}
+
+func (c *refNIPTCache) lookup(idx uint32, pin bool) sim.Cycles {
+	c.stats.NIPTLookups++
+	if pin {
+		c.hasPin = false
+	}
+	if _, ok := c.lines[idx]; ok {
+		c.tick++
+		c.lines[idx] = c.tick
+		c.stats.NIPTHits++
+		if pin {
+			c.pinned, c.hasPin = idx, true
+		}
+		return 0
+	}
+	c.stats.NIPTMisses++
+	cost := niptRefill
+	if c.jitter > 0 {
+		cost += sim.Cycles(c.rng.Intn(int(c.jitter)))
+	}
+	c.stats.NIPTRefillCycles += uint64(cost)
+	if c.install(idx) && pin {
+		c.pinned, c.hasPin = idx, true
+	}
+	return cost
+}
+
+func (c *refNIPTCache) install(idx uint32) bool {
+	if _, ok := c.lines[idx]; !ok && len(c.lines) >= c.cap {
+		victim, found := uint32(0), false
+		for i, used := range c.lines {
+			if (!c.hasPin || i != c.pinned) && (!found || used < c.lines[victim]) {
+				victim, found = i, true
+			}
+		}
+		if !found {
+			return false
+		}
+		delete(c.lines, victim)
+		c.stats.NIPTEvictions++
+	}
+	c.tick++
+	c.lines[idx] = c.tick
+	return true
+}
+
+func (c *refNIPTCache) invalidate(idx uint32) {
+	delete(c.lines, idx)
+	if c.hasPin && c.pinned == idx {
+		c.hasPin = false
+	}
+}
+
+// TestNIPTCacheMatchesMapReference runs random lookup (pinned and not),
+// install, invalidate and pin-release sequences on the board's cache
+// and on the map-based reference, at capacities 1, 2, 8 and 24 with
+// refill jitter, and wants the same refill costs, install results,
+// Stats, resident set and pin after every step.
+func TestNIPTCacheMatchesMapReference(t *testing.T) {
+	for _, capacity := range []int{1, 2, 8, 24} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			pages := uint32(2*capacity + 3)
+			cfg := Config{NIPTPages: pages, NIPTCapacity: capacity, NIPTRefillJitter: 16, NIPTSeed: seed}
+			n := newPair(t, cfg).nics[0]
+			ref := &refNIPTCache{cap: capacity, lines: map[uint32]uint64{}, jitter: cfg.NIPTRefillJitter,
+				rng: sim.NewRNG(cfg.NIPTSeed ^ 0x9E3779B97F4A7C15)}
+			ops := sim.NewRNG(seed * 977)
+			for step := 0; step < 3000; step++ {
+				idx := uint32(ops.Intn(int(pages)))
+				var op string
+				switch k := ops.Intn(10); {
+				case k < 5:
+					pin := k < 2
+					op = fmt.Sprintf("lookup(%d, pin=%v)", idx, pin)
+					if got, want := n.lookupNIPT(idx, pin), ref.lookup(idx, pin); got != want {
+						t.Fatalf("cap %d seed %d step %d %s: cost %d, want %d", capacity, seed, step, op, got, want)
+					}
+				case k < 7:
+					op = fmt.Sprintf("install(%d)", idx)
+					if got, want := n.installLine(idx), ref.install(idx); got != want {
+						t.Fatalf("cap %d seed %d step %d %s = %v, want %v", capacity, seed, step, op, got, want)
+					}
+				case k < 8:
+					op = fmt.Sprintf("invalidate(%d)", idx)
+					n.invalidateLine(idx)
+					ref.invalidate(idx)
+				default:
+					if ref.hasPin && ops.Bool() {
+						idx = ref.pinned // release the pin itself half the time
+					}
+					op = fmt.Sprintf("releasePin(%d)", idx)
+					n.releasePin(idx)
+					if ref.hasPin && ref.pinned == idx {
+						ref.hasPin = false
+					}
+				}
+				if got := n.Stats(); got != ref.stats {
+					t.Fatalf("cap %d seed %d step %d %s: Stats %+v, want %+v", capacity, seed, step, op, got, ref.stats)
+				}
+				if got := n.NIPTResidentCount(); got != len(ref.lines) {
+					t.Fatalf("cap %d seed %d step %d %s: %d resident, want %d", capacity, seed, step, op, got, len(ref.lines))
+				}
+				for i := uint32(0); i < pages; i++ {
+					if _, want := ref.lines[i]; n.NIPTResident(i) != want {
+						t.Fatalf("cap %d seed %d step %d %s: entry %d resident %v, want %v", capacity, seed, step, op, i, !want, want)
+					}
+				}
+				pinIdx, pinned := n.NIPTPinned()
+				if pinned != ref.hasPin || (pinned && pinIdx != ref.pinned) {
+					t.Fatalf("cap %d seed %d step %d %s: pin (%d, %v), want (%d, %v)", capacity, seed, step, op, pinIdx, pinned, ref.pinned, ref.hasPin)
+				}
+			}
+		}
 	}
 }

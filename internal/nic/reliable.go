@@ -347,7 +347,7 @@ func (n *Interface) armTimer(s *relSender) {
 		shift = 10
 	}
 	d := n.rel.cfg.RetxTimeout << uint(shift)
-	s.timer = n.clock.ScheduleAfter(d, "nic-retx", s.retxFn)
+	s.timer = n.clock.ScheduleAfter(d, s.retxFn)
 }
 
 func (n *Interface) onRetxTimeout(s *relSender) {

@@ -81,9 +81,8 @@ func (c *Clock) Now() Cycles { return c.now }
 
 // Schedule registers fn to run when the clock reaches 'at'. If 'at' is
 // in the past it fires on the next Advance (time never moves backward).
-// The name labels the event for the reader of the call site; the clock
-// does not keep it. The returned handle may be passed to Cancel.
-func (c *Clock) Schedule(at Cycles, name string, fn func()) Handle {
+// The returned handle may be passed to Cancel.
+func (c *Clock) Schedule(at Cycles, fn func()) Handle {
 	if fn == nil {
 		panic("sim: Schedule with nil func")
 	}
@@ -106,12 +105,12 @@ func (c *Clock) Schedule(at Cycles, name string, fn func()) Handle {
 
 // ScheduleAfter registers fn to run delta cycles from now, saturating
 // at Forever rather than wrapping around.
-func (c *Clock) ScheduleAfter(delta Cycles, name string, fn func()) Handle {
+func (c *Clock) ScheduleAfter(delta Cycles, fn func()) Handle {
 	at := c.now + delta
 	if at < c.now { // overflow
 		at = Forever
 	}
-	return c.Schedule(at, name, fn)
+	return c.Schedule(at, fn)
 }
 
 // Cancel removes a pending event. Cancelling NoEvent, or a handle whose

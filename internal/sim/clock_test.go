@@ -41,7 +41,7 @@ func TestAdvanceToNeverMovesBackward(t *testing.T) {
 func TestEventFiresAtScheduledTime(t *testing.T) {
 	c := NewClock()
 	var firedAt Cycles
-	c.Schedule(42, "tick", func() { firedAt = c.Now() })
+	c.Schedule(42, func() { firedAt = c.Now() })
 
 	c.Advance(41)
 	if firedAt != 0 {
@@ -56,9 +56,9 @@ func TestEventFiresAtScheduledTime(t *testing.T) {
 func TestEventsFireInTimeOrder(t *testing.T) {
 	c := NewClock()
 	var order []string
-	c.Schedule(30, "c", func() { order = append(order, "c") })
-	c.Schedule(10, "a", func() { order = append(order, "a") })
-	c.Schedule(20, "b", func() { order = append(order, "b") })
+	c.Schedule(30, func() { order = append(order, "c") })
+	c.Schedule(10, func() { order = append(order, "a") })
+	c.Schedule(20, func() { order = append(order, "b") })
 	c.Advance(100)
 	if got := len(order); got != 3 {
 		t.Fatalf("fired %d events, want 3", got)
@@ -73,7 +73,7 @@ func TestEqualTimeEventsFireFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		c.Schedule(5, "e", func() { order = append(order, i) })
+		c.Schedule(5, func() { order = append(order, i) })
 	}
 	c.Advance(5)
 	for i, v := range order {
@@ -87,7 +87,7 @@ func TestScheduleAfterIsRelative(t *testing.T) {
 	c := NewClock()
 	c.Advance(100)
 	fired := false
-	c.ScheduleAfter(10, "rel", func() { fired = true })
+	c.ScheduleAfter(10, func() { fired = true })
 	c.Advance(9)
 	if fired {
 		t.Fatal("relative event fired early")
@@ -101,7 +101,7 @@ func TestScheduleAfterIsRelative(t *testing.T) {
 func TestCancelPreventsFiring(t *testing.T) {
 	c := NewClock()
 	fired := false
-	ev := c.Schedule(10, "x", func() { fired = true })
+	ev := c.Schedule(10, func() { fired = true })
 	c.Cancel(ev)
 	c.Advance(100)
 	if fired {
@@ -115,9 +115,9 @@ func TestCancelPreventsFiring(t *testing.T) {
 func TestCancelOneOfMany(t *testing.T) {
 	c := NewClock()
 	var order []string
-	a := c.Schedule(10, "a", func() { order = append(order, "a") })
-	c.Schedule(20, "b", func() { order = append(order, "b") })
-	c.Schedule(30, "c", func() { order = append(order, "c") })
+	a := c.Schedule(10, func() { order = append(order, "a") })
+	c.Schedule(20, func() { order = append(order, "b") })
+	c.Schedule(30, func() { order = append(order, "c") })
 	c.Cancel(a)
 	c.Advance(100)
 	if len(order) != 2 || order[0] != "b" || order[1] != "c" {
@@ -128,9 +128,9 @@ func TestCancelOneOfMany(t *testing.T) {
 func TestEventFiringSchedulesEvent(t *testing.T) {
 	c := NewClock()
 	var times []Cycles
-	c.Schedule(10, "first", func() {
+	c.Schedule(10, func() {
 		times = append(times, c.Now())
-		c.ScheduleAfter(5, "second", func() {
+		c.ScheduleAfter(5, func() {
 			times = append(times, c.Now())
 		})
 	})
@@ -143,7 +143,7 @@ func TestEventFiringSchedulesEvent(t *testing.T) {
 func TestClockAdvancesToEventTimeBeforeFiring(t *testing.T) {
 	c := NewClock()
 	var seen Cycles
-	c.Schedule(25, "e", func() { seen = c.Now() })
+	c.Schedule(25, func() { seen = c.Now() })
 	c.Advance(100)
 	if seen != 25 {
 		t.Fatalf("event observed Now()=%d, want 25", seen)
@@ -156,10 +156,10 @@ func TestClockAdvancesToEventTimeBeforeFiring(t *testing.T) {
 func TestRunUntilIdle(t *testing.T) {
 	c := NewClock()
 	count := 0
-	c.Schedule(10, "a", func() { count++ })
-	c.Schedule(1000, "b", func() {
+	c.Schedule(10, func() { count++ })
+	c.Schedule(1000, func() {
 		count++
-		c.ScheduleAfter(1, "c", func() { count++ })
+		c.ScheduleAfter(1, func() { count++ })
 	})
 	n := c.RunUntilIdle()
 	if n != 3 || count != 3 {
@@ -175,7 +175,7 @@ func TestNextEventAt(t *testing.T) {
 	if _, ok := c.NextEventAt(); ok {
 		t.Fatal("NextEventAt on empty clock returned ok")
 	}
-	c.Schedule(77, "e", func() {})
+	c.Schedule(77, func() {})
 	at, ok := c.NextEventAt()
 	if !ok || at != 77 {
 		t.Fatalf("NextEventAt = (%d,%v), want (77,true)", at, ok)
@@ -188,7 +188,7 @@ func TestScheduleNilFuncPanics(t *testing.T) {
 			t.Fatal("Schedule(nil) did not panic")
 		}
 	}()
-	NewClock().Schedule(1, "bad", nil)
+	NewClock().Schedule(1, nil)
 }
 
 // Property: for any set of scheduled times, events fire in nondecreasing
@@ -199,7 +199,7 @@ func TestEventOrderProperty(t *testing.T) {
 		var fired []Cycles
 		for _, d := range deltas {
 			at := Cycles(d)
-			c.Schedule(at, "p", func() { fired = append(fired, c.Now()) })
+			c.Schedule(at, func() { fired = append(fired, c.Now()) })
 		}
 		c.RunUntilIdle()
 		if len(fired) != len(deltas) {
@@ -223,12 +223,12 @@ func TestEventCancelsAnotherWhileFiring(t *testing.T) {
 	c := NewClock()
 	var later Handle
 	fired := []string{}
-	c.Schedule(10, "first", func() {
+	c.Schedule(10, func() {
 		fired = append(fired, "first")
 		c.Cancel(later)
 	})
-	later = c.Schedule(20, "later", func() { fired = append(fired, "later") })
-	c.Schedule(30, "third", func() { fired = append(fired, "third") })
+	later = c.Schedule(20, func() { fired = append(fired, "later") })
+	c.Schedule(30, func() { fired = append(fired, "third") })
 	c.RunUntilIdle()
 	if len(fired) != 2 || fired[0] != "first" || fired[1] != "third" {
 		t.Fatalf("fired %v, want [first third]", fired)
@@ -242,10 +242,10 @@ func TestEventReschedulesItselfBounded(t *testing.T) {
 	tick = func() {
 		count++
 		if count < 5 {
-			c.ScheduleAfter(10, "tick", tick)
+			c.ScheduleAfter(10, tick)
 		}
 	}
-	c.ScheduleAfter(10, "tick", tick)
+	c.ScheduleAfter(10, tick)
 	c.RunUntilIdle()
 	if count != 5 || c.Now() != 50 {
 		t.Fatalf("count=%d now=%d, want 5 at 50", count, c.Now())
@@ -254,7 +254,7 @@ func TestEventReschedulesItselfBounded(t *testing.T) {
 
 func TestClockString(t *testing.T) {
 	c := NewClock()
-	c.Schedule(5, "e", func() {})
+	c.Schedule(5, func() {})
 	c.Advance(3)
 	if got := c.String(); got != "clock(now=3, pending=1)" {
 		t.Fatalf("String() = %q", got)
@@ -266,13 +266,13 @@ func TestClockString(t *testing.T) {
 // events: the later events must still fire.
 func TestCancelStaleHandleIsNoOp(t *testing.T) {
 	c := NewClock()
-	fired := c.Schedule(1, "fired", func() {})
+	fired := c.Schedule(1, func() {})
 	c.Advance(1)
-	cancelled := c.Schedule(5, "cancelled", func() {})
+	cancelled := c.Schedule(5, func() {})
 	c.Cancel(cancelled)
 	var got []string
 	for _, name := range []string{"x", "y"} {
-		c.ScheduleAfter(10, name, func() { got = append(got, name) })
+		c.ScheduleAfter(10, func() { got = append(got, name) })
 	}
 	if len(c.slots) != 2 {
 		t.Fatalf("slab holds %d slots, want the 2 the fired and cancelled events released", len(c.slots))
@@ -293,8 +293,8 @@ func TestCancelStaleHandleIsNoOp(t *testing.T) {
 // event's slot drops its callback, so the slab keeps no garbage alive.
 func TestReleasedSlotRetainsNoCallback(t *testing.T) {
 	c := NewClock()
-	c.Schedule(1, "fire", func() {})
-	c.Cancel(c.Schedule(2, "cancel", func() {}))
+	c.Schedule(1, func() {})
+	c.Cancel(c.Schedule(2, func() {}))
 	c.Advance(10)
 	for i, ev := range c.slots {
 		if ev.fire != nil || ev.pos != -1 {
@@ -351,7 +351,7 @@ func TestEventSlabMatchesReferenceQueue(t *testing.T) {
 		var fired []string
 		var schedule func(at Cycles, id int)
 		schedule = func(at Cycles, id int) {
-			handles = append(handles, c.Schedule(at, "p", func() {
+			handles = append(handles, c.Schedule(at, func() {
 				fired = append(fired, fmt.Sprintf("%d@%d", id, c.Now()))
 				if id%5 == 0 {
 					schedule(c.Now()+Cycles(id%7), -id-1)

@@ -81,12 +81,6 @@ func (m *CostModel) Micros(c Cycles) float64 {
 	return m.Seconds(c) * 1e6
 }
 
-// CyclesFromMicros converts microseconds to cycles (rounding up).
-func (m *CostModel) CyclesFromMicros(us float64) Cycles {
-	c := us * 1e-6 * m.CPUHz
-	return Cycles(c + 0.999999)
-}
-
 // DMACycles returns the burst-mode bus occupancy for n bytes, excluding
 // engine startup.
 func (m *CostModel) DMACycles(n int) Cycles {

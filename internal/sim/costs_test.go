@@ -50,17 +50,6 @@ func TestSecondsAndMicros(t *testing.T) {
 	}
 }
 
-func TestCyclesFromMicrosRoundTrip(t *testing.T) {
-	m := testModel()
-	c := m.CyclesFromMicros(2.8)
-	if c != 168 { // 2.8us at 60MHz
-		t.Fatalf("CyclesFromMicros(2.8) = %d, want 168", c)
-	}
-	if got := m.Micros(c); math.Abs(got-2.8) > 0.02 {
-		t.Fatalf("round trip = %gus, want ~2.8us", got)
-	}
-}
-
 func TestDMACycles(t *testing.T) {
 	m := testModel() // 0.5 bytes/cycle
 	cases := []struct {

@@ -69,18 +69,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(3)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm(50) = %v is not a permutation", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestIntnRoughlyUniform(t *testing.T) {
 	r := NewRNG(42)
 	const n, draws = 8, 80000

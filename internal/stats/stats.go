@@ -55,18 +55,6 @@ func (s *Series) MaxY() float64 {
 	return m
 }
 
-// Normalize scales all y values so the maximum becomes 'to' (e.g. 100
-// for percent-of-peak). A series with a zero maximum is left alone.
-func (s *Series) Normalize(to float64) {
-	m := s.MaxY()
-	if m == 0 {
-		return
-	}
-	for i := range s.Points {
-		s.Points[i].Y = s.Points[i].Y / m * to
-	}
-}
-
 // WriteCSV emits "x,y" lines with a header.
 func (s *Series) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "%s,%s\n", csvEscape(s.XLabel), csvEscape(s.YLabel)); err != nil {

@@ -28,21 +28,6 @@ func TestSeriesMaxYEmpty(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	s := &Series{}
-	s.Add(1, 10)
-	s.Add(2, 40)
-	s.Normalize(100)
-	if v, _ := s.Y(1); v != 25 {
-		t.Fatalf("normalized Y(1) = %v", v)
-	}
-	if v, _ := s.Y(2); v != 100 {
-		t.Fatalf("normalized Y(2) = %v", v)
-	}
-	empty := &Series{}
-	empty.Normalize(100) // must not panic or divide by zero
-}
-
 func TestSeriesCSV(t *testing.T) {
 	s := &Series{XLabel: "size,bytes", YLabel: "MB/s"}
 	s.Add(64, 1.5)

@@ -46,7 +46,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -243,14 +242,6 @@ func (r *Registry) Scope(labels ...Label) *Scope {
 	return &Scope{reg: r, labels: ls}
 }
 
-// Registry returns the underlying registry (nil for a nil scope).
-func (s *Scope) Registry() *Registry {
-	if s == nil {
-		return nil
-	}
-	return s.reg
-}
-
 // CounterFunc registers the counter name under the scope's labels as a
 // read of layer state: Snapshot calls read and reports what it returns.
 // Registering a key again replaces the earlier func. A nil scope
@@ -279,12 +270,4 @@ func (s *Scope) Histogram(name string) *Histogram {
 		return nil
 	}
 	return s.reg.Histogram(name, s.labels...)
-}
-
-// String renders a scope for diagnostics.
-func (s *Scope) String() string {
-	if s == nil {
-		return "scope(off)"
-	}
-	return fmt.Sprintf("scope(%s)", key("", s.labels))
 }

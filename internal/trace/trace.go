@@ -177,20 +177,13 @@ func (t *Tracer) Record(kind Kind, a, b uint64, note string) {
 
 // RecordEvery appends n instant events, the first at start and then
 // one every step cycles: what n Record calls made at those times would
-// append. Only the last min(n, capacity) of them can survive in the
-// ring, so it counts all n but writes just those, after advancing the
-// ring past the rest as their writes would. Safe to call on a nil
-// tracer.
+// append. Safe to call on a nil tracer.
 func (t *Tracer) RecordEvery(kind Kind, a, b uint64, start, step sim.Cycles, n uint64) {
 	if t == nil {
 		return
 	}
 	t.counts[kind] += n
 	i := uint64(0)
-	if n > uint64(t.limit) {
-		i = n - uint64(t.limit)
-		t.skip(i)
-	}
 	for ; i < n && len(t.ring) < t.limit; i++ {
 		t.grow(len(t.ring) + 1)
 		t.ring = append(t.ring, Event{At: start + sim.Cycles(i)*step, Kind: kind, A: a, B: b})
@@ -243,16 +236,6 @@ func (t *Tracer) grow(n int) {
 	grown := make([]Event, len(t.ring), c)
 	copy(grown, t.ring)
 	t.ring = grown
-}
-
-// skip moves the ring past n writes without storing their events: it
-// fills free slots first, then advances next. The caller overwrites
-// every skipped slot before the tracer is read.
-func (t *Tracer) skip(n uint64) {
-	fill := int(min(n, uint64(t.limit-len(t.ring))))
-	t.grow(len(t.ring) + fill)
-	t.ring = t.ring[:len(t.ring)+fill]
-	t.next = int((uint64(t.next) + n - uint64(fill)) % uint64(t.limit))
 }
 
 // Events returns the *buffered* events, oldest first — at most the ring

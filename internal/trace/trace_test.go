@@ -230,9 +230,8 @@ func TestSummaryIncludesFaultKinds(t *testing.T) {
 	}
 }
 
-// TestRecordEveryMatchesRecordLoop: RecordEvery, which writes only the
-// events that can survive in the ring, must leave the tracer exactly
-// as n Record calls at the same times would — the buffered events, the
+// TestRecordEveryMatchesRecordLoop: RecordEvery must leave the tracer
+// exactly as n Record calls at the same times would — the buffered events, the
 // ring position later records continue from, the counts and the
 // summary.
 func TestRecordEveryMatchesRecordLoop(t *testing.T) {

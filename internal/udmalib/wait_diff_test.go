@@ -189,7 +189,7 @@ func TestWaitMatchesOnePollLoop(t *testing.T) {
 				// cycles into poll 40's, long before the DMA completes.
 				per := e.n.Costs.UncachedRef + pollGap
 				at := p.Now() + 40*per + 30
-				e.n.Clock.Schedule(at, "kill", func() { e.n.Kernel.Kill(p) })
+				e.n.Clock.Schedule(at, func() { e.n.Kernel.Kill(p) })
 				e.wait(p, d, src)
 				e.note(fmt.Errorf("wait returned after the kill at %d", at))
 			})
