@@ -30,7 +30,6 @@ package interconnect
 
 import (
 	"fmt"
-	"sort"
 
 	"shrimp/internal/addr"
 	"shrimp/internal/sim"
@@ -122,7 +121,7 @@ type outbox struct {
 	retransPkts  uint64
 	retransBytes uint64
 
-	links  map[int]*linkFault // per-destination fault state
+	links  []*linkFault // per-destination fault state, indexed by node id
 	fstats FaultStats
 
 	// mail holds deferred deliveries awaiting Flush, kept sorted by
@@ -160,8 +159,7 @@ type Backplane struct {
 	topo  Topology   // normalized: width resolved
 	links []link     // directed fabric links, indexed router*4+direction
 	eps   []Endpoint // indexed by node id; nil when unattached
-	out   []*outbox  // per-sender shard, created at Attach; same indexing
-	ids   []int      // attached node ids, sorted: deterministic iteration
+	out   []*outbox  // per-sender shard, one per declared node; same indexing
 	n     int        // attached endpoint count
 
 	// down marks crashed nodes. It is written only by SetNodeDown at
@@ -195,6 +193,9 @@ func New(costs *sim.CostModel, topo Topology) *Backplane {
 		down:    make([]bool, topo.Nodes),
 		tracers: make([]*trace.Tracer, topo.Nodes),
 	}
+	for i := range b.out {
+		b.out[i] = &outbox{}
+	}
 	// The Flush visit callback charges link contention in merged order
 	// — the (arrive, src, seq) merge is the one deterministic total
 	// order over a window's traffic, so occupancy is a pure function of
@@ -217,8 +218,8 @@ func (b *Backplane) ep(id int) Endpoint {
 // model. Call before traffic starts: per-link RNG streams reset.
 func (b *Backplane) SetFaultPlan(plan FaultPlan) {
 	b.plan = plan
-	for _, id := range b.ids {
-		b.out[id].links = make(map[int]*linkFault)
+	for _, ob := range b.out {
+		ob.links = make([]*linkFault, len(b.out))
 	}
 }
 
@@ -230,9 +231,6 @@ func (b *Backplane) Plan() FaultPlan { return b.plan }
 // its links are dead, not lossy. Call only at a lockstep barrier
 // (cluster.CrashPlan does), never while a window is running.
 func (b *Backplane) SetNodeDown(node int, down bool) {
-	for node >= len(b.down) {
-		b.down = append(b.down, false)
-	}
 	b.down[node] = down
 }
 
@@ -252,8 +250,8 @@ func (b *Backplane) SetTracer(node int, tr *trace.Tracer) {
 // per-sender shards (node order; the fields are commutative counters).
 func (b *Backplane) FaultStats() FaultStats {
 	var fs FaultStats
-	for _, id := range b.ids {
-		fs.add(b.out[id].fstats)
+	for _, ob := range b.out {
+		fs.add(ob.fstats)
 	}
 	return fs
 }
@@ -271,9 +269,6 @@ func (b *Backplane) Attach(ep Endpoint) {
 		panic(fmt.Sprintf("interconnect: duplicate endpoint for node %d", id))
 	}
 	b.eps[id] = ep
-	b.out[id] = &outbox{links: make(map[int]*linkFault)}
-	b.ids = append(b.ids, id)
-	sort.Ints(b.ids)
 	b.n++
 }
 
@@ -458,8 +453,7 @@ func (b *Backplane) Flush() { b.mergeMail(b.schedFn) }
 // prebuilt visit callback, so a steady-state flush allocates nothing.
 func (b *Backplane) mergeMail(visit func(*mailEntry)) {
 	shards := b.shards[:0]
-	for _, id := range b.ids {
-		ob := b.out[id]
+	for _, ob := range b.out {
 		if len(ob.mail) > 0 {
 			ob.cur = 0
 			shards = append(shards, ob)
@@ -488,8 +482,8 @@ func (b *Backplane) mergeMail(visit func(*mailEntry)) {
 // MailPending reports whether any deferred delivery is waiting for a
 // Flush — in-flight traffic the cluster's idle/deadlock checks must see.
 func (b *Backplane) MailPending() bool {
-	for _, id := range b.ids {
-		if len(b.out[id].mail) > 0 {
+	for _, ob := range b.out {
+		if len(ob.mail) > 0 {
 			return true
 		}
 	}
@@ -501,8 +495,7 @@ func (b *Backplane) MailPending() bool {
 // broken out so goodput vs. wire throughput is measurable. Sums the
 // per-sender shards.
 func (b *Backplane) Stats() (packets, bytes, retransPackets, retransBytes uint64) {
-	for _, id := range b.ids {
-		ob := b.out[id]
+	for _, ob := range b.out {
 		packets += ob.packets
 		bytes += ob.bytes
 		retransPackets += ob.retransPkts
@@ -511,5 +504,5 @@ func (b *Backplane) Stats() (packets, bytes, retransPackets, retransBytes uint64
 	return
 }
 
-// Nodes returns the number of attached endpoints.
-func (b *Backplane) Nodes() int { return b.n }
+// Nodes returns the declared node count.
+func (b *Backplane) Nodes() int { return b.topo.Nodes }

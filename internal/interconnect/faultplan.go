@@ -100,7 +100,7 @@ func (s *FaultStats) add(o FaultStats) {
 
 // linkFault is the per-(src,dst) fault state: one RNG stream, a pure
 // function of (plan seed, src, dst). It lives in the *sender's* outbox
-// shard (keyed by destination), so concurrent windows on different
+// shard (indexed by destination), so concurrent windows on different
 // nodes never share an RNG. Flap phases are not stored here — they are
 // per *physical* link and computed statelessly (see flapPhase).
 type linkFault struct {
@@ -116,7 +116,7 @@ func linkSeed(seed uint64, src, dst int) uint64 {
 // link returns (creating if needed) the sender-side fault state for the
 // pair src→dst. The lazy creation touches only this outbox.
 func (ob *outbox) link(plan FaultPlan, src, dst int) *linkFault {
-	if lf, ok := ob.links[dst]; ok {
+	if lf := ob.links[dst]; lf != nil {
 		return lf
 	}
 	lf := &linkFault{rng: sim.NewRNG(linkSeed(plan.Seed, src, dst))}

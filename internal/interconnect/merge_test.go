@@ -43,8 +43,8 @@ func TestMergeMatchesReferenceSort(t *testing.T) {
 		seq uint64
 	}
 	var want []ref
-	for _, id := range b.ids {
-		for _, e := range b.out[id].mail {
+	for id, ob := range b.out {
+		for _, e := range ob.mail {
 			want = append(want, ref{pkt: e.pkt, at: e.at, src: id, seq: e.seq})
 		}
 	}

@@ -41,7 +41,6 @@ type nodeState struct {
 	pacerDone bool
 	depthNow  int
 	maxDepth  int
-	lastSeq   map[int]int // per-flow last served Seq
 
 	pendingPfns []uint32 // receiver's export awaiting barrier publication
 
@@ -111,6 +110,11 @@ type Driver struct {
 	histDown [NumClasses]*telemetry.Histogram // sojourns of crash-span arrivals
 
 	work []*kernel.Proc // every non-receiver process
+
+	// nextSeq is each flow's next expected Seq, indexed by flow id (0 =
+	// unseen). Only the flow's source node writes its entry, so it is
+	// node-local state like nodeState, and survives a respawn.
+	nextSeq []int
 }
 
 // NewDriver attaches a plan to a cluster and spawns the serving
@@ -123,7 +127,7 @@ func NewDriver(plan *Plan, cl *cluster.Cluster, opts DriverOptions) *Driver {
 	if opts.Retry.MaxAttempts == 0 {
 		opts.Retry = udmalib.RetryPolicy{MaxAttempts: 12, Backoff: 512}
 	}
-	dr := &Driver{Plan: plan, cl: cl, opts: opts}
+	dr := &Driver{Plan: plan, cl: cl, opts: opts, nextSeq: make([]int, len(plan.Flows))}
 	dr.published = make([]bool, plan.Cfg.Nodes)
 	dr.windows = make([][]uint32, plan.Cfg.Nodes)
 	dr.down = make([]bool, plan.Cfg.Nodes)
@@ -134,10 +138,7 @@ func NewDriver(plan *Plan, cl *cluster.Cluster, opts DriverOptions) *Driver {
 			telemetry.L("class", Class(c).String()))
 	}
 	for i := 0; i < plan.Cfg.Nodes; i++ {
-		ns := &nodeState{
-			queues:  make([]fifo, plan.Cfg.Nodes),
-			lastSeq: make(map[int]int),
-		}
+		ns := &nodeState{queues: make([]fifo, plan.Cfg.Nodes)}
 		dr.nodes = append(dr.nodes, ns)
 		if opts.Metrics != nil {
 			opts.Metrics.Scope(telemetry.L("node", fmt.Sprint(i))).CounterFunc("loadgen_arrivals",
@@ -153,9 +154,9 @@ func NewDriver(plan *Plan, cl *cluster.Cluster, opts DriverOptions) *Driver {
 // spawnNode spawns one node's full serving complement: receiver, pacer,
 // per-destination servers, sampler. Called once per node at NewDriver
 // and again by PublishControl when a crashed node reboots — all the
-// node-local progress state (queues, nextArr, lastSeq) lives in
-// nodeState, so the respawned processes resume where the killed ones
-// stopped.
+// node-local progress state (queues, nextArr, and the node's flows'
+// nextSeq entries) outlives the processes, so the respawned ones resume
+// where the killed ones stopped.
 func (dr *Driver) spawnNode(node int) {
 	k := dr.cl.Nodes[node].Kernel
 	k.Spawn(fmt.Sprintf("recv%d", node), dr.receiverBody(node))
@@ -296,10 +297,10 @@ func (dr *Driver) serverBody(node, dst int) func(p *kernel.Proc) {
 			q.head++
 			ns.depthNow--
 			fl := dr.Plan.Flows[ar.Flow]
-			if last, seen := ns.lastSeq[ar.Flow]; (seen && ar.Seq != last+1) || (!seen && ar.Seq != 0) {
+			if ar.Seq != dr.nextSeq[ar.Flow] {
 				ns.orderViol++
 			}
-			ns.lastSeq[ar.Flow] = ar.Seq
+			dr.nextSeq[ar.Flow] = ar.Seq + 1
 
 			entry := entryBase + uint32(ar.Seq%cfg.WindowPages)
 			if fl.Class == ClassLarge {

@@ -7,7 +7,7 @@ package nic
 // the automatic-update combining buffer, the NIPT cache lines — is
 // gone. The host-memory structures survive: the authoritative NIPT
 // backing table (`nipt`), and the compact epoch memories the
-// reclamation machinery already keeps (`senderMem`/`recvMem`). Reboot
+// reclamation machinery already keeps in the peer table. Reboot
 // therefore needs to restore nothing explicitly: the NIPT refaults
 // line-by-line from the backing table, and reliability state
 // resurrects from the epoch memories through the ordinary sender()/
@@ -17,8 +17,7 @@ package nic
 // Determinism: Crash and Reboot are called only by the cluster at
 // lockstep barriers (after Backplane.Flush, before any worker runs),
 // in node order — the same publication discipline as ReclaimIdle — so
-// a chaos run is bit-identical at any worker count. The teardown
-// iterates live state in sorted-key order for the same reason.
+// a chaos run is bit-identical at any worker count.
 //
 // Byte accounting across the boundary splits two ways:
 //
@@ -45,44 +44,34 @@ func (n *Interface) Crash() {
 	n.stats.Crashes++
 
 	if n.rel != nil {
-		for _, dest := range sortedKeys(n.rel.senders) {
-			s := n.rel.senders[dest]
-			n.clock.Cancel(s.timer)
-			s.timer = sim.NoEvent
-			for _, p := range s.pending {
-				n.stats.CrashAbandonedPkts++
-				n.stats.CrashAbandonedBytes += uint64(len(p.payload))
+		for i := range n.rel.peers {
+			pr := &n.rel.peers[i]
+			if s := pr.s; s != nil {
+				n.clock.Cancel(s.timer)
+				s.timer = sim.NoEvent
+				for _, p := range s.pending {
+					n.stats.CrashAbandonedPkts++
+					n.stats.CrashAbandonedBytes += uint64(len(p.payload))
+				}
+				for _, p := range s.unacked {
+					n.stats.CrashAbandonedPkts++
+					n.stats.CrashAbandonedBytes += uint64(len(p.payload))
+				}
+				// Keep the epoch in host memory, exactly like an idle
+				// reclaim: post-reboot traffic resurrects the sender at
+				// epoch+1 and the receiver resynchronizes through its
+				// ordinary higher-epoch path.
+				n.rel.retireSender(pr)
 			}
-			for _, p := range s.unacked {
-				n.stats.CrashAbandonedPkts++
-				n.stats.CrashAbandonedBytes += uint64(len(p.payload))
+			if r := pr.r; r != nil {
+				pkts, bytes := r.dropHeld()
+				n.stats.CrashDropped += pkts
+				n.stats.CrashDropBytes += bytes
+				// Keep the dedupe horizon in host memory so a peer whose
+				// link never broke during a short outage cannot replay
+				// packets delivered before the crash.
+				n.rel.retireReceiver(pr)
 			}
-			// Keep the epoch in host memory, exactly like an idle
-			// reclaim: post-reboot traffic resurrects the sender at
-			// epoch+1 and the receiver resynchronizes through its
-			// ordinary higher-epoch path.
-			n.rel.senderMem[dest] = s.epoch
-			delete(n.rel.senders, dest)
-			s.pending = s.pending[:0]
-			s.unacked = s.unacked[:0]
-			s.broken = nil
-			n.rel.senderPool = append(n.rel.senderPool, s)
-		}
-		for _, src := range sortedKeys(n.rel.receivers) {
-			r := n.rel.receivers[src]
-			for _, q := range r.reseq {
-				n.stats.CrashDropped++
-				n.stats.CrashDropBytes += uint64(len(q.Payload))
-			}
-			for k := range r.reseq {
-				delete(r.reseq, k)
-			}
-			// Keep the dedupe horizon in host memory so a peer whose
-			// link never broke during a short outage cannot replay
-			// packets delivered before the crash.
-			n.rel.recvMem[src] = rxMemory{epoch: r.epoch, expected: r.expected}
-			delete(n.rel.receivers, src)
-			n.rel.recvPool = append(n.rel.recvPool, r)
 		}
 		n.publishReclaimGauges()
 	}
@@ -98,8 +87,8 @@ func (n *Interface) Crash() {
 	// NIPT cache lines (and any transfer pin) are volatile; the backing
 	// table in host memory stays authoritative.
 	if n.cache != nil {
-		for _, idx := range n.cache.resident {
-			n.cache.used[idx] = 0
+		for _, l := range n.cache.resident {
+			n.cache.pos[l.idx] = 0
 		}
 		n.cache.resident = n.cache.resident[:0]
 		n.cache.hasPin = false

@@ -73,7 +73,7 @@ func TestPeerCrashRebootResequencesNextEpoch(t *testing.T) {
 	if s1.Resurrections != 1 {
 		t.Fatalf("receiver did not resurrect from the crash-preserved pool: %+v", s1)
 	}
-	if r := p.nics[1].rel.receivers[0]; r.epoch == 0 {
+	if r := p.nics[1].rel.peers[0].r; r.epoch == 0 {
 		t.Fatal("post-reboot flow still on the crashed epoch")
 	}
 	got, _ := p.rams[1].Read(addr.PAddr(5*addr.PageSize), 64)
@@ -169,7 +169,7 @@ func TestSenderCrashAbandonsQueuedBytes(t *testing.T) {
 	}
 	// Window 1: one packet transmitted (and dropped on the wire), two
 	// pending behind it, far-future retransmit timer armed.
-	if got := p.nics[0].PendingUnsent(1); got != 2 {
+	if got := len(p.nics[0].rel.peers[1].s.pending); got != 2 {
 		t.Fatalf("pending = %d, want 2", got)
 	}
 	p.nics[0].Crash()

@@ -9,22 +9,26 @@ import (
 
 // FuzzNIPTLookup drives the board's NIPT management, transfer
 // validation, launch and PIO paths with arbitrary indices, offsets and
-// entries — at a fuzzed cache capacity (0 = unbounded, else 1..N), so
+// entries — destination nodes in and out of the 2-node fabric — at a
+// fuzzed cache capacity (0 = unbounded, else 1..N), so
 // the miss/refill/eviction machinery runs under the same adversarial
-// inputs. The board must never panic: out-of-range indices are
-// errors, out-of-range transfer pages are ErrBounds, launches through
+// inputs. The board must never panic: out-of-range indices, and valid
+// entries naming a node outside the fabric, are errors, out-of-range
+// transfer pages are ErrBounds, launches through
 // invalid entries are refused, and packets aimed at frames the
 // receiver does not have are counted as drops — never memory writes.
 // Cache invariants checked on every input: hits+misses == lookups,
 // residency never exceeds capacity, and an entry referenced by an
 // in-flight transfer is never evicted (the I4 analogue on the board).
 func FuzzNIPTLookup(f *testing.F) {
-	f.Add(uint32(3), uint32(7), uint32(256), uint16(20), true, true, uint8(0))
-	f.Add(uint32(16), uint32(0), uint32(0), uint16(4), true, true, uint8(1))    // index == size
-	f.Add(uint32(1<<31), uint32(0), uint32(0), uint16(4), true, true, uint8(2)) // absurd index
-	f.Add(uint32(5), uint32(1<<20), uint32(4092), uint16(8), true, true, uint8(3))
-	f.Add(uint32(2), uint32(3), uint32(2), uint16(6), false, false, uint8(17)) // misaligned recv
-	f.Fuzz(func(t *testing.T, index, pfn, off uint32, nbytes uint16, toDevice, valid bool, capSel uint8) {
+	f.Add(uint32(3), uint32(7), uint32(256), uint16(20), true, true, uint8(0), uint8(0))
+	f.Add(uint32(16), uint32(0), uint32(0), uint16(4), true, true, uint8(1), uint8(0))    // index == size
+	f.Add(uint32(1<<31), uint32(0), uint32(0), uint16(4), true, true, uint8(2), uint8(0)) // absurd index
+	f.Add(uint32(5), uint32(1<<20), uint32(4092), uint16(8), true, true, uint8(3), uint8(0))
+	f.Add(uint32(2), uint32(3), uint32(2), uint16(6), false, false, uint8(17), uint8(0)) // misaligned recv
+	f.Add(uint32(3), uint32(7), uint32(0), uint16(8), true, true, uint8(2), uint8(1))    // node -1
+	f.Add(uint32(4), uint32(7), uint32(0), uint16(8), true, false, uint8(0), uint8(2))   // invalid, node 2
+	f.Fuzz(func(t *testing.T, index, pfn, off uint32, nbytes uint16, toDevice, valid bool, capSel, destSel uint8) {
 		const niptPages = 16
 		capacity := int(capSel) % (niptPages + 2) // 0 = unbounded, else 1..17
 		p := newPair(t, Config{NIPTPages: niptPages, PIOWindow: true,
@@ -32,11 +36,16 @@ func FuzzNIPTLookup(f *testing.F) {
 			NIPTSeed: uint64(index)<<8 | uint64(capSel)})
 		sender := p.nics[0]
 
-		entry := NIPTEntry{Valid: valid, DestNode: 1, DestPFN: pfn}
+		// Node 1 is the sender's one remote peer; -1 and 2 lie outside
+		// the fabric.
+		dest := [...]int{1, -1, 2}[destSel%3]
+		entry := NIPTEntry{Valid: valid, DestNode: dest, DestPFN: pfn}
 		err := sender.SetNIPT(index, entry)
-		if (err != nil) != (index >= sender.NIPTSize()) {
-			t.Fatalf("SetNIPT(%d) err=%v with %d entries", index, err, sender.NIPTSize())
+		outside := valid && dest != 1
+		if (err != nil) != (index >= sender.NIPTSize() || outside) {
+			t.Fatalf("SetNIPT(%d, %+v) err=%v with %d entries", index, entry, err, sender.NIPTSize())
 		}
+		valid = valid && !outside // a refused entry is not installed
 		if _, err := sender.NIPT(index); (err != nil) != (index >= sender.NIPTSize()) {
 			t.Fatalf("NIPT(%d) lookup err=%v with %d entries", index, err, sender.NIPTSize())
 		}

@@ -207,14 +207,14 @@ func New(nodeID int, clock *sim.Clock, costs *sim.CostModel, ram *mem.Physical,
 	if cfg.NIPTCapacity > 0 {
 		nic.cache = &niptCache{
 			cap:      cfg.NIPTCapacity,
-			used:     make([]uint64, pages),
-			resident: make([]uint32, 0, cfg.NIPTCapacity),
+			pos:      make([]uint32, pages),
+			resident: make([]residentLine, 0, cfg.NIPTCapacity),
 			jitter:   cfg.NIPTRefillJitter,
 			rng:      sim.NewRNG(cfg.NIPTSeed ^ uint64(nodeID+1)*0x9E3779B97F4A7C15),
 		}
 	}
 	if cfg.Reliability.Enabled {
-		nic.rel = newReliability(cfg.Reliability)
+		nic.rel = newReliability(cfg.Reliability, net.Nodes())
 	}
 	net.Attach(nic)
 	return nic
@@ -261,14 +261,17 @@ func (n *Interface) SetMetrics(s *telemetry.Scope) {
 	}
 }
 
-// SetNIPT installs an entry. Index range is checked; the kernel owns
-// the policy of which process may install what. With a bounded cache,
-// installing a valid entry write-allocates (installs are warm — the
-// board just walked the host table to write it), and invalidating one
-// drops its residency.
+// SetNIPT installs an entry. The index and a valid entry's destination
+// node are range-checked; the kernel owns the policy of which process
+// may install what. With a bounded cache, installing a valid entry
+// write-allocates (installs are warm — the board just walked the host
+// table to write it), and invalidating one drops its residency.
 func (n *Interface) SetNIPT(index uint32, e NIPTEntry) error {
 	if index >= uint32(len(n.nipt)) {
 		return fmt.Errorf("nic: NIPT index %d out of range (%d entries)", index, len(n.nipt))
+	}
+	if nodes := n.net.Nodes(); e.Valid && (e.DestNode < 0 || e.DestNode >= nodes) {
+		return fmt.Errorf("nic: NIPT entry %d names node %d outside the %d-node fabric", index, e.DestNode, nodes)
 	}
 	n.nipt[index] = e
 	if n.cache != nil {

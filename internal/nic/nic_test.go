@@ -117,6 +117,32 @@ func TestNIPTBounds(t *testing.T) {
 	}
 }
 
+// TestSetNIPTRejectsNodeOutsideFabric: a valid entry must name a node
+// of the declared fabric — the board indexes its per-peer state by
+// DestNode — while an invalid entry's DestNode is never read.
+func TestSetNIPTRejectsNodeOutsideFabric(t *testing.T) {
+	for _, rc := range []ReliabilityConfig{{}, {Enabled: true}} {
+		p := newPair(t, Config{NIPTPages: 4, Reliability: rc})
+		n := p.nics[0]
+		for _, dest := range []int{-1, 2, 1 << 20} {
+			if err := n.SetNIPT(1, NIPTEntry{Valid: true, DestNode: dest, DestPFN: 3}); err == nil {
+				t.Fatalf("reliable=%v: SetNIPT accepted destination node %d on a 2-node fabric", rc.Enabled, dest)
+			}
+			if e, _ := n.NIPT(1); e.Valid {
+				t.Fatalf("reliable=%v: rejected entry for node %d was installed", rc.Enabled, dest)
+			}
+			if err := n.SetNIPT(1, NIPTEntry{DestNode: dest}); err != nil {
+				t.Fatalf("reliable=%v: invalid entry naming node %d refused: %v", rc.Enabled, dest, err)
+			}
+		}
+		for _, dest := range []int{0, 1} {
+			if err := n.SetNIPT(1, NIPTEntry{Valid: true, DestNode: dest, DestPFN: 3}); err != nil {
+				t.Fatalf("reliable=%v: SetNIPT refused node %d: %v", rc.Enabled, dest, err)
+			}
+		}
+	}
+}
+
 func TestDefaultNIPTIs32K(t *testing.T) {
 	p := newPair(t, Config{})
 	if p.nics[0].NIPTSize() != 32768 {

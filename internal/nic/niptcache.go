@@ -1,10 +1,6 @@
 package nic
 
-import (
-	"slices"
-
-	"shrimp/internal/sim"
-)
+import "shrimp/internal/sim"
 
 // The SHRIMP board of the paper holds its whole 32 K-entry NIPT in
 // on-board SRAM, which is exactly the assumption OpenURMA shows modern
@@ -36,11 +32,10 @@ const niptRefill sim.Cycles = 240
 // residency is tracked; entry values stay in the backing table.
 type niptCache struct {
 	cap int
-	// used is each entry's last access tick while it is resident and 0
-	// while it is not. Ticks are monotonic and unique, so LRU has no
-	// ties.
-	used     []uint64
-	resident []uint32 // the resident entries, in no particular order
+	// pos is each entry's place in resident plus one, and 0 while it is
+	// not resident.
+	pos      []uint32
+	resident []residentLine // in no particular order
 	tick     uint64
 	jitter   sim.Cycles // per-miss refill jitter bound (0 = fixed cost)
 	rng      *sim.RNG   // drawn ONLY on a miss, so all-hit runs never touch it
@@ -51,6 +46,13 @@ type niptCache struct {
 	// transfer (the I4 analogue on the board).
 	pinned uint32
 	hasPin bool
+}
+
+// residentLine is one resident entry and its last access tick. Ticks
+// are monotonic and unique, so LRU has no ties.
+type residentLine struct {
+	idx  uint32
+	used uint64
 }
 
 // lookupNIPT charges one data-path NIPT access at index idx. A hit is
@@ -71,7 +73,7 @@ func (n *Interface) lookupNIPT(idx uint32, pin bool) sim.Cycles {
 		c.hasPin = false
 	}
 	var cost sim.Cycles
-	if c.used[idx] != 0 {
+	if c.pos[idx] != 0 {
 		n.stats.NIPTHits++
 	} else {
 		n.stats.NIPTMisses++
@@ -95,14 +97,15 @@ func (n *Interface) lookupNIPT(idx uint32, pin bool) sim.Cycles {
 // cache — charged, but not installed.
 func (n *Interface) installLine(idx uint32) bool {
 	c := n.cache
-	if c.used[idx] == 0 {
+	if c.pos[idx] == 0 {
 		if len(c.resident) >= c.cap && !n.evictLine() {
 			return false
 		}
-		c.resident = append(c.resident, idx)
+		c.resident = append(c.resident, residentLine{idx: idx})
+		c.pos[idx] = uint32(len(c.resident))
 	}
 	c.tick++
-	c.used[idx] = c.tick
+	c.resident[c.pos[idx]-1].used = c.tick
 	return true
 }
 
@@ -113,11 +116,11 @@ func (n *Interface) installLine(idx uint32) bool {
 func (n *Interface) evictLine() bool {
 	c := n.cache
 	victim := -1
-	for i, idx := range c.resident {
-		if c.hasPin && idx == c.pinned {
+	for i, l := range c.resident {
+		if c.hasPin && l.idx == c.pinned {
 			continue
 		}
-		if victim < 0 || c.used[idx] < c.used[c.resident[victim]] {
+		if victim < 0 || l.used < c.resident[victim].used {
 			victim = i
 		}
 	}
@@ -132,9 +135,11 @@ func (n *Interface) evictLine() bool {
 // drop makes resident[i] non-resident; the last resident entry takes
 // its place in the list.
 func (c *niptCache) drop(i int) {
-	c.used[c.resident[i]] = 0
+	gone := c.resident[i].idx
 	last := len(c.resident) - 1
 	c.resident[i] = c.resident[last]
+	c.pos[c.resident[i].idx] = uint32(i + 1)
+	c.pos[gone] = 0 // after the move: i may be last
 	c.resident = c.resident[:last]
 }
 
@@ -145,8 +150,8 @@ func (c *niptCache) drop(i int) {
 // invalid entry fails — so the pin is released too.
 func (n *Interface) invalidateLine(idx uint32) {
 	c := n.cache
-	if c.used[idx] != 0 {
-		c.drop(slices.Index(c.resident, idx))
+	if p := c.pos[idx]; p != 0 {
+		c.drop(int(p - 1))
 	}
 	if c.hasPin && c.pinned == idx {
 		c.hasPin = false
@@ -169,7 +174,7 @@ func (n *Interface) NIPTResident(idx uint32) bool {
 	if n.cache == nil {
 		return true
 	}
-	return int(idx) < len(n.cache.used) && n.cache.used[idx] != 0
+	return int(idx) < len(n.cache.pos) && n.cache.pos[idx] != 0
 }
 
 // NIPTResidentCount returns the number of resident cache lines, or -1

@@ -1,10 +1,6 @@
 package nic
 
-import (
-	"slices"
-
-	"shrimp/internal/sim"
-)
+import "shrimp/internal/sim"
 
 // Reliability-state reclamation: the second half of the bounded-NIC
 // story. Per-destination protocol state (epochs, sequence numbers,
@@ -22,9 +18,9 @@ import (
 // lockstep window, right after Backplane.Flush and before any worker
 // runs — the same publication point as every other cross-node control
 // action. Mid-window, workers only ever touch their own node's state,
-// so reclamation observes barrier-consistent quiescence, runs in
-// sorted-destination order, and is therefore bit-identical at any
-// worker count.
+// so reclamation observes barrier-consistent quiescence, walks the peer
+// table in node order, and is therefore bit-identical at any worker
+// count.
 
 // ReclaimIdle returns idle per-destination reliability state to the
 // board's free pools and reports how many links were reclaimed. A
@@ -51,46 +47,31 @@ func (n *Interface) ReclaimIdle() int {
 	if now < n.rel.nextDue {
 		return 0
 	}
-	// The checks have no side effects, so collecting the due keys first
-	// and sorting only those reclaims in the same sorted order as
-	// visiting every key; a barrier with nothing due allocates nothing.
 	next := sim.Forever
-	due := n.rel.due[:0]
-	for dest, s := range n.rel.senders {
-		if at := s.lastActive + age; now < at || !senderQuiescent(s) {
-			next = min(next, at)
-		} else {
-			due = append(due, dest)
+	reclaimed := 0
+	for i := range n.rel.peers {
+		pr := &n.rel.peers[i]
+		if s := pr.s; s != nil {
+			if at := s.lastActive + age; now < at || !senderQuiescent(s) {
+				next = min(next, at)
+			} else {
+				n.rel.retireSender(pr)
+				n.stats.SenderReclaims++
+				reclaimed++
+			}
+		}
+		if r := pr.r; r != nil {
+			if at := r.lastActive + age; now < at || r.held != 0 {
+				next = min(next, at)
+			} else {
+				n.rel.retireReceiver(pr)
+				n.stats.ReceiverReclaims++
+				reclaimed++
+			}
 		}
 	}
-	slices.Sort(due)
-	for _, dest := range due {
-		s := n.rel.senders[dest]
-		n.rel.senderMem[dest] = s.epoch
-		delete(n.rel.senders, dest)
-		n.rel.senderPool = append(n.rel.senderPool, s)
-		n.stats.SenderReclaims++
-	}
-	reclaimed := len(due)
-	due = due[:0]
-	for src, r := range n.rel.receivers {
-		if at := r.lastActive + age; now < at || len(r.reseq) != 0 {
-			next = min(next, at)
-		} else {
-			due = append(due, src)
-		}
-	}
-	slices.Sort(due)
-	for _, src := range due {
-		r := n.rel.receivers[src]
-		n.rel.recvMem[src] = rxMemory{epoch: r.epoch, expected: r.expected}
-		delete(n.rel.receivers, src)
-		n.rel.recvPool = append(n.rel.recvPool, r)
-		n.stats.ReceiverReclaims++
-	}
-	n.rel.due = due
 	n.rel.nextDue = next
-	return reclaimed + len(due)
+	return reclaimed
 }
 
 // noteLinkCreated lowers the reclaim watermark for a link sender or
@@ -109,18 +90,9 @@ func senderQuiescent(s *relSender) bool {
 	return len(s.pending) == 0 && len(s.unacked) == 0 && s.timer == sim.NoEvent && s.broken == nil
 }
 
-func sortedKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
 func (n *Interface) publishReclaimGauges() {
-	n.m.relSenders.Set(int64(len(n.rel.senders)))
-	n.m.relReceivers.Set(int64(len(n.rel.receivers)))
+	n.m.relSenders.Set(int64(n.rel.senders))
+	n.m.relReceivers.Set(int64(n.rel.receivers))
 	n.m.relPoolFree.Set(int64(len(n.rel.senderPool) + len(n.rel.recvPool)))
 }
 
@@ -130,7 +102,7 @@ func (n *Interface) RelActive() (senders, receivers int) {
 	if n.rel == nil {
 		return 0, 0
 	}
-	return len(n.rel.senders), len(n.rel.receivers)
+	return n.rel.senders, n.rel.receivers
 }
 
 // RelPoolFree returns the number of reclaimed structs sitting in the

@@ -7,8 +7,11 @@ import (
 	"testing"
 
 	"shrimp/internal/addr"
+	"shrimp/internal/bus"
 	"shrimp/internal/device"
 	"shrimp/internal/interconnect"
+	"shrimp/internal/machine"
+	"shrimp/internal/mem"
 	"shrimp/internal/raceflag"
 	"shrimp/internal/sim"
 )
@@ -232,24 +235,19 @@ func TestReclaimIdleNothingDueAllocs(t *testing.T) {
 }
 
 // reclaimByFullScan is ReclaimIdle without the watermark: it visits
-// every live link at every call, in sorted key order.
+// every live link at every call, in node order.
 func reclaimByFullScan(n *Interface) int {
 	age, now := n.rel.cfg.IdleReclaimAge, n.clock.Now()
 	reclaimed := 0
-	for _, dest := range sortedKeys(n.rel.senders) {
-		if s := n.rel.senders[dest]; senderQuiescent(s) && now >= s.lastActive+age {
-			n.rel.senderMem[dest] = s.epoch
-			delete(n.rel.senders, dest)
-			n.rel.senderPool = append(n.rel.senderPool, s)
+	for i := range n.rel.peers {
+		pr := &n.rel.peers[i]
+		if s := pr.s; s != nil && senderQuiescent(s) && now >= s.lastActive+age {
+			n.rel.retireSender(pr)
 			n.stats.SenderReclaims++
 			reclaimed++
 		}
-	}
-	for _, src := range sortedKeys(n.rel.receivers) {
-		if r := n.rel.receivers[src]; len(r.reseq) == 0 && now >= r.lastActive+age {
-			n.rel.recvMem[src] = rxMemory{epoch: r.epoch, expected: r.expected}
-			delete(n.rel.receivers, src)
-			n.rel.recvPool = append(n.rel.recvPool, r)
+		if r := pr.r; r != nil && r.held == 0 && now >= r.lastActive+age {
+			n.rel.retireReceiver(pr)
 			n.stats.ReceiverReclaims++
 			reclaimed++
 		}
@@ -257,21 +255,31 @@ func reclaimByFullScan(n *Interface) int {
 	return reclaimed
 }
 
-// relState renders a board's reliability state, live links in key
-// order, for comparing two boards.
+// relState renders a board's reliability state, peer by peer, for
+// comparing two boards.
 func relState(n *Interface) string {
 	var b strings.Builder
-	for _, dest := range sortedKeys(n.rel.senders) {
-		s := n.rel.senders[dest]
-		fmt.Fprintf(&b, "s%d:e%d,a%d,p%d ", dest, s.epoch, s.lastActive, len(s.pending))
+	for i, pr := range n.rel.peers {
+		if s := pr.s; s != nil {
+			fmt.Fprintf(&b, "s%d:e%d,a%d,p%d ", i, s.epoch, s.lastActive, len(s.pending))
+		}
+		if r := pr.r; r != nil {
+			fmt.Fprintf(&b, "r%d:e%d,x%d,a%d,q%d ", i, r.epoch, r.expected, r.lastActive, r.held)
+		}
+		fmt.Fprintf(&b, "mem%d:%v,e%d,%v,e%d,x%d ", i, pr.sKept, pr.sEpoch, pr.rKept, pr.rEpoch, pr.rExpected)
 	}
-	for _, src := range sortedKeys(n.rel.receivers) {
-		r := n.rel.receivers[src]
-		fmt.Fprintf(&b, "r%d:e%d,x%d,a%d,q%d ", src, r.epoch, r.expected, r.lastActive, len(r.reseq))
-	}
-	fmt.Fprintf(&b, "mem %v %v pools %d %d %+v",
-		n.rel.senderMem, n.rel.recvMem, len(n.rel.senderPool), len(n.rel.recvPool), n.stats)
+	fmt.Fprintf(&b, "live %d %d pools %d %d %+v",
+		n.rel.senders, n.rel.receivers, len(n.rel.senderPool), len(n.rel.recvPool), n.stats)
 	return b.String()
+}
+
+// newBoard builds node 0's board alone on a declared fabric of the
+// given size: enough for tests that drive its link state by hand.
+func newBoard(nodes int, cfg Config) *Interface {
+	costs := machine.SHRIMP1996()
+	clock := sim.NewClock()
+	net := interconnect.New(costs, interconnect.Mesh(nodes))
+	return New(0, clock, costs, mem.NewPhysical(64), bus.New(clock, costs), net, cfg)
 }
 
 // TestReclaimWatermarkMatchesFullScan: ReclaimIdle with its watermark
@@ -285,12 +293,11 @@ func TestReclaimWatermarkMatchesFullScan(t *testing.T) {
 		// Times and ages are multiples of 100, so links often fall due
 		// exactly at a barrier.
 		cfg := relConfig(ReliabilityConfig{IdleReclaimAge: sim.Cycles(100 * (5 + rng.Intn(40)))})
-		got, want := newPair(t, cfg), newPair(t, cfg)
-		a, b := got.nics[0], want.nics[0]
+		a, b := newBoard(8, cfg), newBoard(8, cfg)
 		for step := 0; step < 300; step++ {
 			dt := sim.Cycles(100 * rng.Intn(12))
-			got.clocks[0].Advance(dt)
-			want.clocks[0].Advance(dt)
+			a.clock.Advance(dt)
+			b.clock.Advance(dt)
 			key := rng.Intn(8)
 			switch op := rng.Intn(8); op {
 			case 0, 1: // traffic to a destination
@@ -301,7 +308,7 @@ func TestReclaimWatermarkMatchesFullScan(t *testing.T) {
 				b.receiver(key).lastActive = b.clock.Now()
 			case 4: // a sender gains or drains a queued packet
 				for _, n := range []*Interface{a, b} {
-					if s, ok := n.rel.senders[key]; ok {
+					if s := n.rel.peers[key].s; s != nil {
 						if len(s.pending) == 0 {
 							s.pending = append(s.pending, &relPkt{})
 						} else {
@@ -311,11 +318,11 @@ func TestReclaimWatermarkMatchesFullScan(t *testing.T) {
 				}
 			case 5: // a receiver parks or releases an out-of-order packet
 				for _, n := range []*Interface{a, b} {
-					if r, ok := n.rel.receivers[key]; ok {
-						if len(r.reseq) == 0 {
-							r.reseq[9] = &interconnect.Packet{}
+					if r := n.rel.peers[key].r; r != nil {
+						if r.held == 0 {
+							r.reseq[0], r.held = &interconnect.Packet{}, 1
 						} else {
-							clear(r.reseq)
+							r.reseq[0], r.held = nil, 0
 						}
 					}
 				}

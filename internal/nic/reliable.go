@@ -127,35 +127,59 @@ type relSender struct {
 
 // relReceiver is the per-source receive half.
 type relReceiver struct {
-	src        int
-	epoch      uint32
-	expected   uint64 // next in-order sequence wanted
-	reseq      map[uint64]*interconnect.Packet
+	src      int
+	epoch    uint32
+	expected uint64 // next in-order sequence wanted
+	// reseq parks out-of-order arrivals at slot seq % Window. A parked
+	// seq always lies in (expected, expected+Window], so no two parked
+	// packets share a slot; held counts them.
+	reseq      []*interconnect.Packet
+	held       int
 	lastActive sim.Cycles // last data arrival (see relSender.lastActive)
 }
 
-// rxMemory is the compact host-memory record kept for a reclaimed
-// receiver: enough to restore dedupe/ordering state exactly if the
-// source ever speaks again (see reclaim.go).
-type rxMemory struct {
-	epoch    uint32
-	expected uint64
+// dropHeld empties the resequencing ring and returns how many packets
+// and payload bytes it held.
+func (r *relReceiver) dropHeld() (pkts, bytes uint64) {
+	for i, q := range r.reseq {
+		if q != nil {
+			pkts++
+			bytes += uint64(len(q.Payload))
+			r.reseq[i] = nil
+		}
+	}
+	r.held = 0
+	return pkts, bytes
+}
+
+// peer is one remote node's slot in the board's peer table: the live
+// send and receive halves (nil when there is none), and the compact
+// host-memory records a reclaimed half leaves, valid while kept: enough
+// to restore its state exactly if the peer ever speaks again (see
+// reclaim.go).
+type peer struct {
+	s         *relSender
+	r         *relReceiver
+	sKept     bool
+	sEpoch    uint32 // the reclaimed sender's epoch
+	rKept     bool
+	rEpoch    uint32 // the reclaimed receiver's epoch and dedupe horizon
+	rExpected uint64
 }
 
 // reliability bundles both halves for one board.
 type reliability struct {
-	cfg       ReliabilityConfig
-	senders   map[int]*relSender
-	receivers map[int]*relReceiver
+	cfg ReliabilityConfig
+	// peers is indexed by node ID, sized to the fabric's declared node
+	// count; senders and receivers count its live halves.
+	peers     []peer
+	senders   int
+	receivers int
 
-	// Reclamation state (reclaim.go): epoch memories for reclaimed
-	// destinations, and free pools so churning flows reuse structs
-	// instead of growing the heap with the total flow count.
-	senderMem  map[int]uint32
-	recvMem    map[int]rxMemory
+	// Free pools (reclaim.go), so churning flows reuse structs instead
+	// of growing the heap with the total flow count.
 	senderPool []*relSender
 	recvPool   []*relReceiver
-	due        []int // ReclaimIdle's scratch list of reclaimable keys
 	// nextDue is at or below the earliest cycle at which any live link
 	// can become old enough to reclaim (see ReclaimIdle).
 	nextDue sim.Cycles
@@ -163,19 +187,14 @@ type reliability struct {
 	crcHdr [crcHeaderLen]byte // packetCRC's header scratch
 }
 
-func newReliability(cfg ReliabilityConfig) *reliability {
-	return &reliability{
-		cfg:       cfg.withDefaults(),
-		senders:   make(map[int]*relSender),
-		receivers: make(map[int]*relReceiver),
-		senderMem: make(map[int]uint32),
-		recvMem:   make(map[int]rxMemory),
-	}
+func newReliability(cfg ReliabilityConfig, nodes int) *reliability {
+	return &reliability{cfg: cfg.withDefaults(), peers: make([]peer, nodes)}
 }
 
 func (n *Interface) sender(dest int) *relSender {
-	if s, ok := n.rel.senders[dest]; ok {
-		return s
+	pr := &n.rel.peers[dest]
+	if pr.s != nil {
+		return pr.s
 	}
 	var s *relSender
 	if k := len(n.rel.senderPool); k > 0 {
@@ -194,45 +213,67 @@ func (n *Interface) sender(dest int) *relSender {
 	s.advWindow = n.rel.cfg.Window
 	s.lastActive = n.clock.Now()
 	n.noteLinkCreated()
-	if mem, ok := n.rel.senderMem[dest]; ok {
+	if pr.sKept {
 		// Resurrection: the reclaimed incarnation's epoch was kept in
 		// host memory; the new one starts one past it, so the receiver
 		// resynchronizes through its ordinary higher-epoch path exactly
 		// as after breakLink.
-		s.epoch = mem + 1
-		delete(n.rel.senderMem, dest)
+		s.epoch = pr.sEpoch + 1
+		pr.sKept = false
 		n.stats.Resurrections++
 	}
-	n.rel.senders[dest] = s
+	pr.s = s
+	n.rel.senders++
 	return s
 }
 
 func (n *Interface) receiver(src int) *relReceiver {
-	if r, ok := n.rel.receivers[src]; ok {
-		return r
+	pr := &n.rel.peers[src]
+	if pr.r != nil {
+		return pr.r
 	}
 	var r *relReceiver
 	if k := len(n.rel.recvPool); k > 0 {
 		r = n.rel.recvPool[k-1]
 		n.rel.recvPool = n.rel.recvPool[:k-1]
 	} else {
-		r = &relReceiver{reseq: make(map[uint64]*interconnect.Packet)}
+		r = &relReceiver{reseq: make([]*interconnect.Packet, n.rel.cfg.Window)}
 	}
 	r.src = src
 	r.epoch = 0
 	r.expected = 1
 	r.lastActive = n.clock.Now()
 	n.noteLinkCreated()
-	if mem, ok := n.rel.recvMem[src]; ok {
+	if pr.rKept {
 		// Restore the dedupe horizon, so a stale duplicate of a packet
 		// delivered before the reclaim can never be delivered twice.
-		r.epoch = mem.epoch
-		r.expected = mem.expected
-		delete(n.rel.recvMem, src)
+		r.epoch = pr.rEpoch
+		r.expected = pr.rExpected
+		pr.rKept = false
 		n.stats.Resurrections++
 	}
-	n.rel.receivers[src] = r
+	pr.r = r
+	n.rel.receivers++
 	return r
+}
+
+// retireSender returns a peer's live sender to the free pool, keeping
+// its epoch in host memory; sender() resets every other field on reuse.
+func (rel *reliability) retireSender(pr *peer) {
+	pr.sKept, pr.sEpoch = true, pr.s.epoch
+	rel.senderPool = append(rel.senderPool, pr.s)
+	pr.s = nil
+	rel.senders--
+}
+
+// retireReceiver returns a peer's live receiver to the free pool,
+// keeping its dedupe horizon in host memory. The caller has emptied its
+// resequencing ring.
+func (rel *reliability) retireReceiver(pr *peer) {
+	pr.rKept, pr.rEpoch, pr.rExpected = true, pr.r.epoch, pr.r.expected
+	rel.recvPool = append(rel.recvPool, pr.r)
+	pr.r = nil
+	rel.receivers--
 }
 
 // crcHeaderLen is the length of the header packetCRC covers.
@@ -456,11 +497,9 @@ func (n *Interface) recvData(pkt *interconnect.Packet) {
 	if pkt.Epoch > r.epoch {
 		// The sender gave up and restarted; anything parked from the
 		// old incarnation can never complete a window.
-		for _, q := range r.reseq {
-			n.stats.ReseqDropped++
-			n.stats.ReseqBytes += uint64(len(q.Payload))
-		}
-		clear(r.reseq)
+		pkts, bytes := r.dropHeld()
+		n.stats.ReseqDropped += pkts
+		n.stats.ReseqBytes += bytes
 		r.epoch = pkt.Epoch
 		r.expected = 1
 	} else if pkt.Epoch < r.epoch {
@@ -468,6 +507,7 @@ func (n *Interface) recvData(pkt *interconnect.Packet) {
 		n.stats.DupBytes += uint64(len(pkt.Payload))
 		return
 	}
+	w := uint64(n.rel.cfg.Window)
 	switch {
 	case pkt.Seq < r.expected:
 		// Duplicate (fabric copy, or a retransmit whose original made
@@ -479,28 +519,31 @@ func (n *Interface) recvData(pkt *interconnect.Packet) {
 	case pkt.Seq == r.expected:
 		n.deliverData(pkt)
 		r.expected++
-		for {
-			q, ok := r.reseq[r.expected]
-			if !ok {
+		for r.held > 0 {
+			slot := &r.reseq[r.expected%w]
+			q := *slot
+			if q == nil {
 				break
 			}
-			delete(r.reseq, r.expected)
+			*slot = nil
+			r.held--
 			n.deliverData(q)
 			r.expected++
 		}
 		n.sendAck(r)
 	default: // gap: an earlier packet is missing
-		if _, dup := r.reseq[pkt.Seq]; dup {
+		slot := &r.reseq[pkt.Seq%w]
+		if q := *slot; q != nil && q.Seq == pkt.Seq {
 			n.stats.DupDropped++
 			n.stats.DupBytes += uint64(len(pkt.Payload))
-		} else if len(r.reseq) >= n.rel.cfg.Window ||
-			pkt.Seq > r.expected+uint64(n.rel.cfg.Window) {
+		} else if r.held >= n.rel.cfg.Window || pkt.Seq > r.expected+w {
 			// No room (or hopelessly far ahead): the retransmit will
 			// carry it again.
 			n.stats.ReseqDropped++
 			n.stats.ReseqBytes += uint64(len(pkt.Payload))
 		} else {
-			r.reseq[pkt.Seq] = pkt
+			*slot = pkt
+			r.held++
 		}
 		n.sendAck(r) // dup-ACK: tells the sender where the hole is
 	}
@@ -508,7 +551,7 @@ func (n *Interface) recvData(pkt *interconnect.Packet) {
 
 // sendAck emits the receiver's cumulative ACK with remaining credits.
 func (n *Interface) sendAck(r *relReceiver) {
-	credits := n.rel.cfg.Window - len(r.reseq)
+	credits := n.rel.cfg.Window - r.held
 	if credits < 0 {
 		credits = 0
 	}
@@ -533,23 +576,14 @@ func (n *Interface) ReseqHeldBytes() uint64 {
 		return 0
 	}
 	var total uint64
-	for _, r := range n.rel.receivers {
-		for _, q := range r.reseq {
-			total += uint64(len(q.Payload))
+	for i := range n.rel.peers {
+		if r := n.rel.peers[i].r; r != nil {
+			for _, q := range r.reseq {
+				if q != nil {
+					total += uint64(len(q.Payload))
+				}
+			}
 		}
 	}
 	return total
-}
-
-// PendingUnsent returns data packets queued to a destination but not
-// yet transmitted (tests and diagnostics).
-func (n *Interface) PendingUnsent(dest int) int {
-	if n.rel == nil {
-		return 0
-	}
-	s, ok := n.rel.senders[dest]
-	if !ok {
-		return 0
-	}
-	return len(s.pending)
 }

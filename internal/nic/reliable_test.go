@@ -76,7 +76,7 @@ func TestReliableBasicDelivery(t *testing.T) {
 	if s1.PacketsReceived != 1 || s1.AcksSent != 1 {
 		t.Fatalf("receiver stats %+v", s1)
 	}
-	if s := p.nics[0].rel.senders[1]; len(s.unacked) != 0 || s.timer != sim.NoEvent {
+	if s := p.nics[0].rel.peers[1].s; len(s.unacked) != 0 || s.timer != sim.NoEvent {
 		t.Fatal("window not cleared after cumulative ACK")
 	}
 }
@@ -98,7 +98,7 @@ func TestAckLostRetransmitDedupe(t *testing.T) {
 	if p.nics[1].Stats().PacketsReceived != 1 {
 		t.Fatal("original not delivered")
 	}
-	s := p.nics[0].rel.senders[1]
+	s := p.nics[0].rel.peers[1].s
 	p.nics[0].onRetxTimeout(s)
 	if p.nics[0].Stats().Retransmits != 1 {
 		t.Fatal("timeout did not retransmit")
@@ -165,7 +165,7 @@ func TestRetransmitRacesLateOriginal(t *testing.T) {
 	if !bytes.Equal(got1, pay1) || !bytes.Equal(got2, pay2) {
 		t.Fatal("reordered delivery corrupted memory")
 	}
-	if r := rx.rel.receivers[0]; r.expected != 3 {
+	if r := rx.rel.peers[0].r; r.expected != 3 {
 		t.Fatalf("expected=%d, want 3", r.expected)
 	}
 }
@@ -193,7 +193,7 @@ func TestCorruptionNeverDelivered(t *testing.T) {
 	if !bytes.Equal(got, make([]byte, 64)) {
 		t.Fatal("corrupt payload written to memory")
 	}
-	if r := rx.rel.receivers[0]; r != nil && r.expected != 1 {
+	if r := rx.rel.peers[0].r; r != nil && r.expected != 1 {
 		t.Fatal("corrupt packet advanced the sequence window")
 	}
 }
@@ -214,7 +214,7 @@ func TestCreditExhaustionBlocksThenDrains(t *testing.T) {
 		}
 	}
 	// Window 2 transmitted, 2 pending: the buffer is at MaxPending.
-	if got := p.nics[0].PendingUnsent(1); got != 2 {
+	if got := len(p.nics[0].rel.peers[1].s.pending); got != 2 {
 		t.Fatalf("pending = %d, want 2", got)
 	}
 	if bits := p.nics[0].CheckTransfer(da, 64, true); bits&device.ErrQueueFull == 0 {
