@@ -451,7 +451,7 @@ func scenarioCluster(nodes, size, workers int, o *obs) error {
 
 func scenarioShare(senders, size int, o *obs) error {
 	fmt.Printf("# %d untrusting processes share one UDMA device (%d B messages)\n", senders, size)
-	n, buf, retries, err := shareDevice(senders, size, 16, o)
+	n, buf, retries, err := experiments.ShareDevice(senders, 16, size, o.reg)
 	if err != nil {
 		return err
 	}
@@ -462,41 +462,6 @@ func scenarioShare(senders, size int, o *obs) error {
 		fmt.Printf("process %d: %d retries, data intact: %v\n", i, r, intact)
 	}
 	return nil
-}
-
-// shareDevice runs senders time-sliced processes "p<i>" on one node,
-// each sending messages × size bytes to its own page of one buffer
-// device, and returns the node, the device and each process's initiation
-// retries. It drives both share (I1 protection) and contention.
-func shareDevice(senders, size, messages int, o *obs) (*machine.Node, *device.Buffer, []uint64, error) {
-	n := machine.New(0, machine.Config{
-		Kernel:  kernel.Config{Quantum: 2000},
-		Metrics: o.reg,
-	})
-	buf := device.NewBuffer("buf", uint32(senders+1), 4, 0)
-	n.AttachDevice(buf, 0)
-	defer n.Kernel.Shutdown()
-
-	errs := make([]error, senders)
-	retries := make([]uint64, senders)
-	for i := 0; i < senders; i++ {
-		s := workload.Sender{Dev: buf, Size: size, Seed: byte(i + 1), Messages: messages,
-			Offsets: []uint32{uint32(i) << addr.PageShift}}
-		n.Kernel.Spawn(fmt.Sprintf("p%d", i), func(p *kernel.Proc) {
-			var st udmalib.Stats
-			_, st, errs[i] = s.Run(p)
-			retries[i] = st.Retries
-		})
-	}
-	if err := n.Kernel.Run(sim.Forever); err != nil {
-		return nil, nil, nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("process %d: %w", i, err)
-		}
-	}
-	return n, buf, retries, nil
 }
 
 func scenarioAutoUpdate(o *obs) error {
@@ -816,7 +781,7 @@ func scenarioContention(senders, size int, o *obs) error {
 	const messages = 64
 	fmt.Printf("# %d time-sliced senders push %d × %d B messages through one UDMA controller\n",
 		senders, messages, size)
-	n, _, retries, err := shareDevice(senders, size, messages, o)
+	n, _, retries, err := experiments.ShareDevice(senders, messages, size, o.reg)
 	if err != nil {
 		return err
 	}

@@ -19,7 +19,6 @@ import (
 	"shrimp/internal/interconnect"
 	"shrimp/internal/loadgen"
 	"shrimp/internal/telemetry"
-	"shrimp/internal/udmalib"
 )
 
 // goldenCounters is every counter name the layers register. The golden
@@ -83,7 +82,6 @@ var goldenRuns = []struct {
 		tc := goldenServe()
 		tc.RetxTimeout = 6_000
 		tc.RelMaxRetries = 3
-		tc.Retry = udmalib.RetryPolicy{MaxAttempts: 3, Backoff: 2000}
 		tc.Crash = cluster.CrashPlan{Seed: 5, MTBF: 350_000, MTTR: 80_000,
 			FirstAt: 120_000, MaxCrashes: 2}
 		tc.Metrics = reg

@@ -95,9 +95,6 @@ func (b *Bus) PIOWord() {
 	b.busyCycles += b.costs.PIOWordCost
 }
 
-// BusyUntil returns the time the bus becomes free.
-func (b *Bus) BusyUntil() sim.Cycles { return b.busyUntil }
-
 // Idle reports whether the bus is free at the current time.
 func (b *Bus) Idle() bool { return b.busyUntil <= b.clock.Now() }
 

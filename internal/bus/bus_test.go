@@ -24,8 +24,8 @@ func TestBurstTiming(t *testing.T) {
 	if start != 0 || end != 60 {
 		t.Fatalf("burst = [%d,%d], want [0,60]", start, end)
 	}
-	if b.BusyUntil() != 60 {
-		t.Fatalf("BusyUntil = %d, want 60", b.BusyUntil())
+	if b.busyUntil != 60 {
+		t.Fatalf("busyUntil = %d, want 60", b.busyUntil)
 	}
 }
 
@@ -127,8 +127,8 @@ func TestPIODoesNotOverlapBurstReservedDuringWait(t *testing.T) {
 	if clock.Now() != 128 {
 		t.Fatalf("PIO word finished at %d, want 128 (after the burst reserved mid-wait)", clock.Now())
 	}
-	if b.BusyUntil() != 128 {
-		t.Fatalf("BusyUntil = %d, want 128", b.BusyUntil())
+	if b.busyUntil != 128 {
+		t.Fatalf("busyUntil = %d, want 128", b.busyUntil)
 	}
 }
 

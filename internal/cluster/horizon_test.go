@@ -20,7 +20,9 @@ import (
 // NIC state undercounted in-flight traffic. Run must flush (account)
 // the mail before returning at the limit.
 func TestRunFlushesMailAtLimit(t *testing.T) {
-	c := cluster.New(cluster.Config{Nodes: 2, NIC: nic.Config{NIPTPages: 8}})
+	// A send launches about every 8k cycles, so with 100k-cycle windows
+	// the final window launches some.
+	c := cluster.New(cluster.Config{Nodes: 2, NIC: nic.Config{NIPTPages: 8}, Window: 100_000})
 	defer c.Shutdown()
 
 	ready := make(chan []uint32, 1)
@@ -66,9 +68,19 @@ func TestRunFlushesMailAtLimit(t *testing.T) {
 	if pkts == 0 {
 		t.Fatal("no traffic generated; test rig is broken")
 	}
-	if c.Backplane.MailPending() {
-		t.Fatal("Run returned at limit with deferred mail still parked (unflushed, unaccounted)")
+	if got := arrivalsWithoutFlush(c, 0); got != pkts {
+		t.Fatalf("receiver got %d of %d launched packets: Run returned at limit with deferred mail still parked (unflushed, unaccounted)", got, pkts)
 	}
+}
+
+// arrivalsWithoutFlush fires receiver node rx's own clock far past
+// every other node, with no Flush, and returns the packets its NIC
+// then holds. A packet reaches rx's clock only through a Flush, so
+// after a limit-bounded Run this equals every packet launched to rx
+// only if Run flushed the final window's mail before it returned.
+func arrivalsWithoutFlush(c *cluster.Cluster, rx int) uint64 {
+	c.Nodes[rx].Clock.AdvanceTo(c.MaxNow() + 10_000_000)
+	return c.NICs[rx].Stats().PacketsReceived
 }
 
 // TestRunSkipsNoOpWindows pins the horizon skip-ahead: a process that

@@ -9,6 +9,7 @@ import (
 	"shrimp/internal/interconnect"
 	"shrimp/internal/kernel"
 	"shrimp/internal/nic"
+	"shrimp/internal/sim"
 	"shrimp/internal/udmalib"
 )
 
@@ -53,7 +54,7 @@ func TestClusterTopologyNodeMismatchPanics(t *testing.T) {
 // TestLimitBoundedRunFlushesMail drives a cluster into its Run limit
 // while a send from the final window is still parked in the deferred
 // mailboxes, and checks the limit path flushes it: after Run returns,
-// MailPending is false and the packet is visible in the backplane
+// the packet is on the receiver's clock and visible in the backplane
 // ledger even though no one ever went idle.
 func TestLimitBoundedRunFlushesMail(t *testing.T) {
 	c := cluster.New(cluster.Config{
@@ -104,18 +105,24 @@ func TestLimitBoundedRunFlushesMail(t *testing.T) {
 		}
 	})
 
-	// Low enough that the spinners are still going, high enough that the
-	// send has been issued (first windows cover setup + the send).
-	if err := c.Run(400_000); !errors.Is(err, cluster.ErrLimit) {
-		t.Fatalf("cluster run: %v, want ErrLimit", err)
+	// Raise the limit one window at a time, so that each Run covers
+	// about one window: the Run that first sees the send launched
+	// launched it in that window, and the packet is parked mail when
+	// the Run reaches its limit. The spinners keep going throughout.
+	var pkts uint64
+	for limit := sim.Cycles(2000); pkts == 0; limit += 2000 {
+		if limit > 400_000 {
+			t.Fatalf("backplane ledger still empty at cycle %d; test rig is broken", limit)
+		}
+		if err := c.Run(limit); !errors.Is(err, cluster.ErrLimit) {
+			t.Fatalf("cluster run: %v, want ErrLimit", err)
+		}
+		pkts, _, _, _ = c.Backplane.Stats()
 	}
 	if sendErr != nil || recvErr != nil {
 		t.Fatalf("procs: send=%v recv=%v", sendErr, recvErr)
 	}
-	if c.Backplane.MailPending() {
-		t.Fatalf("limit-bounded Run left deferred mail parked")
-	}
-	if pkts, _, _, _ := c.Backplane.Stats(); pkts == 0 {
-		t.Fatalf("backplane ledger empty after limit flush")
+	if got := arrivalsWithoutFlush(c, 0); got != pkts {
+		t.Fatalf("receiver got %d of %d launched packets: limit-bounded Run left deferred mail parked", got, pkts)
 	}
 }

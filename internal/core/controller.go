@@ -228,9 +228,6 @@ func (c *Controller) State() State {
 // Stats returns a copy of the event counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// QueueLen returns the current user-queue length.
-func (c *Controller) QueueLen() int { return len(c.userQ) }
-
 func (c *Controller) busy() bool {
 	return c.engine.Busy() || len(c.userQ) > 0 || len(c.sysQ) > 0
 }
@@ -666,13 +663,6 @@ func (c *Controller) Terminate() int {
 // remap a frame while this is true (invariant I4).
 func (c *Controller) PageInUse(pfn uint32) bool {
 	return c.refIndex(pfn) >= 0
-}
-
-// Registers returns the engine's SOURCE and DESTINATION registers and
-// whether a transfer is in flight — the register peek the basic (queue-
-// less) kernel check reads.
-func (c *Controller) Registers() (src, dst addr.PAddr, busy bool) {
-	return c.engine.Source(), c.engine.Destination(), c.engine.Busy()
 }
 
 // DestLoadedFrame returns the physical frame latched in the DESTINATION

@@ -292,7 +292,7 @@ func TestUndecodedDevicePageReported(t *testing.T) {
 func TestRegistersVisibleForI4(t *testing.T) {
 	r := newRig(t, Config{})
 	r.initiate(addr.DevProxy(0, 0), addr.Proxy(0x5000), 4096)
-	src, dst, busy := r.ctl.Registers()
+	src, dst, busy := r.ctl.engine.Source(), r.ctl.engine.Destination(), r.ctl.engine.Busy()
 	if !busy || src != 0x5000 || addr.RegionOf(dst) != addr.RegionDevProxy {
 		t.Fatalf("Registers = %#x,%#x,%v", uint32(src), uint32(dst), busy)
 	}
@@ -339,8 +339,8 @@ func TestQueueAcceptsWhileBusy(t *testing.T) {
 			t.Fatalf("initiation %d failed: %v", i, st)
 		}
 	}
-	if r.ctl.QueueLen() != 2 {
-		t.Fatalf("QueueLen = %d, want 2 (one in flight)", r.ctl.QueueLen())
+	if len(r.ctl.userQ) != 2 {
+		t.Fatalf("queue length = %d, want 2 (one in flight)", len(r.ctl.userQ))
 	}
 	r.clock.RunUntilIdle()
 	for i := 0; i < 3; i++ {

@@ -104,8 +104,8 @@ func TestQueueSurvivesMidstreamFailure(t *testing.T) {
 	if delivered != 2 {
 		t.Fatalf("delivered %d of 3 with one injected failure", delivered)
 	}
-	if r.ctl.State() != Idle || r.ctl.QueueLen() != 0 {
-		t.Fatalf("machine not drained: state=%v queue=%d", r.ctl.State(), r.ctl.QueueLen())
+	if r.ctl.State() != Idle || len(r.ctl.userQ) != 0 {
+		t.Fatalf("machine not drained: state=%v queue=%d", r.ctl.State(), len(r.ctl.userQ))
 	}
 	if !errors.Is(device.ErrInjected, device.ErrInjected) {
 		t.Fatal("sentinel comparison broken")

@@ -40,8 +40,8 @@ func TestDequeueRejectionFailsRequestAndStartsNext(t *testing.T) {
 	if st.DequeueRejects != 1 || st.Failures != 1 {
 		t.Fatalf("DequeueRejects=%d Failures=%d, want 1/1", st.DequeueRejects, st.Failures)
 	}
-	if r.ctl.State() != Idle || r.ctl.QueueLen() != 0 {
-		t.Fatalf("machine not drained: state=%v queue=%d", r.ctl.State(), r.ctl.QueueLen())
+	if r.ctl.State() != Idle || len(r.ctl.userQ) != 0 {
+		t.Fatalf("machine not drained: state=%v queue=%d", r.ctl.State(), len(r.ctl.userQ))
 	}
 	for i := 0; i < 3; i++ {
 		if r.ctl.PageInUse(addr.PFN(addr.PAddr(0x3000 + i*0x1000))) {

@@ -47,8 +47,8 @@ func TestTerminateDrainsQueue(t *testing.T) {
 	if n != 4 { // 1 in flight + 3 queued
 		t.Fatalf("Terminate discarded %d, want 4", n)
 	}
-	if r.ctl.QueueLen() != 0 {
-		t.Fatalf("queue length %d after Terminate", r.ctl.QueueLen())
+	if len(r.ctl.userQ) != 0 {
+		t.Fatalf("queue length %d after Terminate", len(r.ctl.userQ))
 	}
 	for i := 0; i < 4; i++ {
 		if r.ctl.PageInUse(addr.PFN(addr.PAddr(0x5000 + i*0x1000))) {

@@ -156,12 +156,3 @@ func (m *Map) PageRange(dev Device) (first, n uint32, ok bool) {
 	}
 	return 0, 0, false
 }
-
-// Devices returns the attached devices in attach order.
-func (m *Map) Devices() []Device {
-	out := make([]Device, len(m.entries))
-	for i, e := range m.entries {
-		out[i] = e.dev
-	}
-	return out
-}

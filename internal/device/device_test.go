@@ -83,8 +83,8 @@ func TestMapPageRange(t *testing.T) {
 	if _, _, ok := m.PageRange(NewBuffer("other", 1, 0, 0)); ok {
 		t.Fatal("PageRange found unattached device")
 	}
-	if len(m.Devices()) != 1 || m.Devices()[0] != d {
-		t.Fatal("Devices() wrong")
+	if len(m.entries) != 1 || m.entries[0].dev != d {
+		t.Fatal("attached devices wrong")
 	}
 }
 

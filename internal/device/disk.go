@@ -108,23 +108,10 @@ func (d *Disk) Preload(block uint32, data []byte) error {
 	return nil
 }
 
-// Peek reads a block directly (test hook).
-func (d *Disk) Peek(block uint32, n int) ([]byte, error) {
-	if err := d.bounds(DevAddr{Page: block}, n); err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	copy(out, d.block(block))
-	return out, nil
-}
-
 // Stats returns read/write/seek counters.
 func (d *Disk) Stats() (reads, writes, seekBlocks uint64) {
 	return d.reads, d.writes, d.seekBlocks
 }
-
-// Head returns the current head position.
-func (d *Disk) Head() uint32 { return d.head }
 
 func (d *Disk) bounds(da DevAddr, n int) error {
 	if da.Page >= uint32(len(d.blocks)) || int(da.Off)+n > pageSize {

@@ -55,8 +55,8 @@ func TestDiskSeekModel(t *testing.T) {
 		t.Fatalf("latency = %d, want 250", got)
 	}
 	d.Write(DevAddr{Page: 20}, make([]byte, 512), 0)
-	if d.Head() != 20 {
-		t.Fatalf("head = %d, want 20", d.Head())
+	if d.head != 20 {
+		t.Fatalf("head = %d, want 20", d.head)
 	}
 	// Sequential access is now cheap.
 	if got := d.TransferLatency(DevAddr{Page: 20}, 512); got != 50 {
@@ -77,12 +77,8 @@ func TestDiskPreloadPeek(t *testing.T) {
 	if err := d.Preload(2, []byte("boot sector")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Peek(2, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "boot sector" {
-		t.Fatalf("Peek = %q", got)
+	if got := d.block(2)[:11]; string(got) != "boot sector" {
+		t.Fatalf("block 2 = %q", got)
 	}
 	if err := d.Preload(9, nil); err == nil {
 		t.Fatal("out-of-range preload succeeded")

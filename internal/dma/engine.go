@@ -223,10 +223,6 @@ func (e *Engine) Remaining() int {
 	return int(float64(e.count) * left)
 }
 
-// DoneAt returns the completion time of the in-flight transfer (valid
-// while busy).
-func (e *Engine) DoneAt() sim.Cycles { return e.doneAt }
-
 // Stats returns the number of completed transfers and bytes moved.
 func (e *Engine) Stats() (transfers, bytes uint64) { return e.transfers, e.bytes }
 

@@ -95,8 +95,8 @@ func TestTransferTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 10 startup + 100/2 transfer = 60 cycles.
-	if r.eng.DoneAt() != 60 {
-		t.Fatalf("DoneAt = %d, want 60", r.eng.DoneAt())
+	if r.eng.doneAt != 60 {
+		t.Fatalf("doneAt = %d, want 60", r.eng.doneAt)
 	}
 	r.clock.Advance(59)
 	if !r.eng.Busy() {
@@ -111,8 +111,8 @@ func TestTransferTiming(t *testing.T) {
 func TestDeviceLatencyAdds(t *testing.T) {
 	r := newRig(t, 40)
 	r.eng.Start(0, addr.DevProxy(0, 0), 100)
-	if r.eng.DoneAt() != 100 { // 60 bus + 40 device
-		t.Fatalf("DoneAt = %d, want 100", r.eng.DoneAt())
+	if r.eng.doneAt != 100 { // 60 bus + 40 device
+		t.Fatalf("doneAt = %d, want 100", r.eng.doneAt)
 	}
 }
 

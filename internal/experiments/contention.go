@@ -110,39 +110,14 @@ func allInvalsMatch(rows []contentionRow) bool {
 }
 
 func contentionRun(senders, messages, size int) (contentionRow, error) {
-	var out contentionRow
-	out.n = senders
+	out := contentionRow{n: senders}
 
 	// Telemetry is a pure observer, so attaching a registry here cannot
 	// perturb the timing the experiment measures.
 	reg := telemetry.New()
-	n := machine.New(0, machine.Config{
-		RAMFrames: 64 + senders*2,
-		Kernel:    kernel.Config{Quantum: 2000},
-		Metrics:   reg,
-	})
-	buf := device.NewBuffer("buf", uint32(senders+1), 4, 0)
-	n.AttachDevice(buf, 0)
-	defer n.Kernel.Shutdown()
-
-	errs := make([]error, senders)
-	var totalRetries uint64
-	for i := 0; i < senders; i++ {
-		s := workload.Sender{Dev: buf, Size: size, Seed: byte(i + 1), Messages: messages,
-			Offsets: []uint32{uint32(i) << addr.PageShift}}
-		n.Kernel.Spawn(fmt.Sprintf("sender%d", i), func(p *kernel.Proc) {
-			var st udmalib.Stats
-			_, st, errs[i] = s.Run(p)
-			totalRetries += st.Retries
-		})
-	}
-	if err := n.Kernel.Run(sim.Forever); err != nil {
+	n, buf, retries, err := ShareDevice(senders, messages, size, reg)
+	if err != nil {
 		return out, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return out, fmt.Errorf("sender %d: %w", i, err)
-		}
 	}
 	// Verify protection: each sender's device page holds its own data.
 	for i := 0; i < senders; i++ {
@@ -157,7 +132,9 @@ func contentionRun(senders, messages, size int) (contentionRow, error) {
 
 	ks := n.Kernel.Stats()
 	out.us = n.Costs.Micros(n.Clock.Now())
-	out.retries = totalRetries
+	for _, r := range retries {
+		out.retries += r
+	}
 	out.invals = ks.Invals
 	out.switches = ks.ContextSwitches
 	out.perMsg = out.us / float64(senders*messages)
@@ -166,4 +143,42 @@ func contentionRun(senders, messages, size int) (contentionRow, error) {
 	out.p99us = n.Costs.Micros(sim.Cycles(lat.Quantile(0.99)))
 	out.p999us = n.Costs.Micros(sim.Cycles(lat.Quantile(0.999)))
 	return out, nil
+}
+
+// ShareDevice runs senders time-sliced processes "sender<i>" on one
+// node, each sending messages × size bytes to its own page of one
+// buffer device, and returns the node (its kernel shut down), the device
+// and each process's initiation retries. reg, when non-nil, receives
+// the node's telemetry. It drives e7 and shrimpsim's share and
+// contention scenarios.
+func ShareDevice(senders, messages, size int, reg *telemetry.Registry) (*machine.Node, *device.Buffer, []uint64, error) {
+	n := machine.New(0, machine.Config{
+		RAMFrames: 64 + senders*2,
+		Kernel:    kernel.Config{Quantum: 2000},
+		Metrics:   reg,
+	})
+	buf := device.NewBuffer("buf", uint32(senders+1), 4, 0)
+	n.AttachDevice(buf, 0)
+	defer n.Kernel.Shutdown()
+
+	errs := make([]error, senders)
+	retries := make([]uint64, senders)
+	for i := 0; i < senders; i++ {
+		s := workload.Sender{Dev: buf, Size: size, Seed: byte(i + 1), Messages: messages,
+			Offsets: []uint32{uint32(i) << addr.PageShift}}
+		n.Kernel.Spawn(fmt.Sprintf("sender%d", i), func(p *kernel.Proc) {
+			var st udmalib.Stats
+			_, st, errs[i] = s.Run(p)
+			retries[i] = st.Retries
+		})
+	}
+	if err := n.Kernel.Run(sim.Forever); err != nil {
+		return nil, nil, nil, err
+	}
+	for i, err := range errs {
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("sender %d: %w", i, err)
+		}
+	}
+	return n, buf, retries, nil
 }

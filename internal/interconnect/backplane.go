@@ -223,9 +223,6 @@ func (b *Backplane) SetFaultPlan(plan FaultPlan) {
 	}
 }
 
-// Plan returns the installed fault plan.
-func (b *Backplane) Plan() FaultPlan { return b.plan }
-
 // SetNodeDown marks a node crashed (or rebooted): while a node is down,
 // every packet launched to or from it is dropped deterministically —
 // its links are dead, not lossy. Call only at a lockstep barrier
@@ -477,17 +474,6 @@ func (b *Backplane) mergeMail(visit func(*mailEntry)) {
 		}
 	}
 	b.shards = shards[:0]
-}
-
-// MailPending reports whether any deferred delivery is waiting for a
-// Flush — in-flight traffic the cluster's idle/deadlock checks must see.
-func (b *Backplane) MailPending() bool {
-	for _, ob := range b.out {
-		if len(ob.mail) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Stats returns cumulative launch counts: every packet handed to Send

@@ -23,6 +23,17 @@ func costs() *sim.CostModel {
 	}
 }
 
+// mailPending reports whether any deferred delivery is waiting for a
+// Flush.
+func mailPending(b *Backplane) bool {
+	for _, ob := range b.out {
+		if len(ob.mail) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 func rig(n int) (*Backplane, []*fakeEP) {
 	b := New(costs(), Mesh(n))
 	eps := make([]*fakeEP, n)

@@ -196,7 +196,7 @@ func TestFaultPlanFlapWindows(t *testing.T) {
 // deliveries, no fault stats, no RNG state.
 func TestZeroPlanIsTransparent(t *testing.T) {
 	b, eps := rig(2)
-	if b.Plan().Enabled() {
+	if b.plan.Enabled() {
 		t.Fatal("fresh backplane has a fault plan")
 	}
 	sendBurst(b, eps, 50, 64)

@@ -79,7 +79,7 @@ func TestMergeMatchesReferenceSort(t *testing.T) {
 	if ties == 0 {
 		t.Fatal("workload produced no same-cycle ties; tie-break untested")
 	}
-	if b.MailPending() {
+	if mailPending(b) {
 		t.Fatal("mail still parked after merge")
 	}
 }

@@ -189,11 +189,11 @@ func TestLinkContentionSerializes(t *testing.T) {
 	b, eps := rig(4)
 	b.Send(&Packet{Src: 2, Dst: 0, Payload: make([]byte, 100)})
 	b.Send(&Packet{Src: 3, Dst: 0, Payload: make([]byte, 100)})
-	if !b.MailPending() {
+	if !mailPending(b) {
 		t.Fatal("cross-node sends did not park mail")
 	}
 	b.Flush()
-	if b.MailPending() {
+	if mailPending(b) {
 		t.Fatal("Flush left mail parked")
 	}
 	eps[0].clock.RunUntilIdle()
@@ -289,25 +289,25 @@ func TestMergeTieBreakAcrossShards(t *testing.T) {
 }
 
 // TestMailPendingAcrossFlush covers the parked-mail lifecycle the
-// cluster's limit-bounded Run return depends on (PR 6): mail parks on
-// Send, MailPending sees it, nothing reaches the receiver clock until
-// Flush, and Flush schedules it with the contention-adjusted arrival.
+// cluster's limit-bounded Run return depends on: mail parks on Send,
+// nothing reaches the receiver clock until Flush, and Flush schedules
+// it with the contention-adjusted arrival.
 func TestMailPendingAcrossFlush(t *testing.T) {
 	b, eps := rig(2)
-	if b.MailPending() {
-		t.Fatal("MailPending true on an idle backplane")
+	if mailPending(b) {
+		t.Fatal("mail parked on an idle backplane")
 	}
 	b.Send(&Packet{Src: 0, Dst: 1, Payload: make([]byte, 100)})
-	if !b.MailPending() {
-		t.Fatal("MailPending false with a parked delivery")
+	if !mailPending(b) {
+		t.Fatal("Send parked no delivery")
 	}
 	eps[1].clock.RunUntilIdle()
 	if len(eps[1].got) != 0 {
 		t.Fatal("parked delivery reached the receiver before Flush")
 	}
 	b.Flush()
-	if b.MailPending() {
-		t.Fatal("MailPending true after Flush")
+	if mailPending(b) {
+		t.Fatal("mail still parked after Flush")
 	}
 	eps[1].clock.RunUntilIdle()
 	if len(eps[1].got) != 1 || eps[1].got[0].ArrivedAt != 60 {
@@ -315,7 +315,7 @@ func TestMailPendingAcrossFlush(t *testing.T) {
 	}
 	// Loopback never parks: it stays on the sender's own clock.
 	b.Send(&Packet{Src: 0, Dst: 0, Payload: make([]byte, 4)})
-	if b.MailPending() {
+	if mailPending(b) {
 		t.Fatal("loopback send parked mail")
 	}
 }

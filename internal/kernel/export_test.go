@@ -16,3 +16,6 @@ func (p *Proc) AsKernel(fn func()) {
 // IdleRearms returns how many SleepWhile wakes Run re-armed without
 // resuming the process.
 func (k *Kernel) IdleRearms() uint64 { return k.idleRearms }
+
+// Blocked reports whether the process is blocked in the kernel.
+func (p *Proc) Blocked() bool { return p.state == procBlocked }

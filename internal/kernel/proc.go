@@ -358,7 +358,3 @@ func (p *Proc) segfault(va addr.VAddr, access mmu.Access, kind mmu.FaultKind) er
 	p.kernel.tracer.Record(trace.EvSegfault, uint64(va), uint64(p.pid), kind.String())
 	return &SegfaultError{VA: va, Access: access, Kind: kind}
 }
-
-// Blocked reports whether the process is blocked in the kernel
-// (diagnostic; simcheck's liveness reporting reads it).
-func (p *Proc) Blocked() bool { return p.state == procBlocked }

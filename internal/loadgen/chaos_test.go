@@ -5,7 +5,6 @@ import (
 
 	"shrimp/internal/cluster"
 	"shrimp/internal/sim"
-	"shrimp/internal/udmalib"
 )
 
 // chaosConfig is testConfig plus a crash schedule tuned so peers of a
@@ -16,7 +15,6 @@ func chaosConfig(rate float64) TrialConfig {
 	tc := testConfig(rate)
 	tc.RetxTimeout = 6_000
 	tc.RelMaxRetries = 3
-	tc.Retry = udmalib.RetryPolicy{MaxAttempts: 3, Backoff: 2000}
 	tc.Crash = cluster.CrashPlan{
 		Seed:       5,
 		MTBF:       350_000,

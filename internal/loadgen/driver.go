@@ -14,16 +14,9 @@ import (
 	"shrimp/internal/workload"
 )
 
-// DriverOptions tunes a Driver bound to an existing cluster.
-type DriverOptions struct {
-	// Retry is the send retry policy for UDMA classes (zero value takes
-	// a generous budget that rides out credit-window stalls).
-	Retry udmalib.RetryPolicy
-	// Metrics mirrors the driver's sojourn histograms, arrival/outcome
-	// counters and queue-depth gauges into a telemetry registry (nil =
-	// off; the driver keeps its own instruments either way).
-	Metrics *telemetry.Registry
-}
+// serverRetry is the servers' send retry policy for UDMA classes: a
+// generous budget that rides out credit-window stalls.
+var serverRetry = udmalib.RetryPolicy{MaxAttempts: 12, Backoff: 512}
 
 // fifo is one per-destination queue: pacer appends at the tail, the
 // destination's server pops at head. Both live on the same node, so the
@@ -78,8 +71,8 @@ func (ns *nodeState) fail(err error) {
 type Driver struct {
 	Plan *Plan
 
-	cl   *cluster.Cluster
-	opts DriverOptions
+	cl      *cluster.Cluster
+	metrics *telemetry.Registry
 
 	nodes []*nodeState
 	hist  [NumClasses]*telemetry.Histogram // sojourn cycles, atomic
@@ -119,29 +112,29 @@ type Driver struct {
 
 // NewDriver attaches a plan to a cluster and spawns the serving
 // processes. The cluster's NIC must be configured with PIOWindow and at
-// least Plan.NIPTEntries() NIPT pages.
-func NewDriver(plan *Plan, cl *cluster.Cluster, opts DriverOptions) *Driver {
+// least Plan.NIPTEntries() NIPT pages. metrics mirrors the driver's
+// sojourn histograms, arrival/outcome counters and queue-depth gauges
+// into a telemetry registry (nil = off; the driver keeps its own
+// instruments either way).
+func NewDriver(plan *Plan, cl *cluster.Cluster, metrics *telemetry.Registry) *Driver {
 	if len(cl.Nodes) != plan.Cfg.Nodes {
 		panic(fmt.Sprintf("loadgen: plan wants %d nodes, cluster has %d", plan.Cfg.Nodes, len(cl.Nodes)))
 	}
-	if opts.Retry.MaxAttempts == 0 {
-		opts.Retry = udmalib.RetryPolicy{MaxAttempts: 12, Backoff: 512}
-	}
-	dr := &Driver{Plan: plan, cl: cl, opts: opts, nextSeq: make([]int, len(plan.Flows))}
+	dr := &Driver{Plan: plan, cl: cl, metrics: metrics, nextSeq: make([]int, len(plan.Flows))}
 	dr.published = make([]bool, plan.Cfg.Nodes)
 	dr.windows = make([][]uint32, plan.Cfg.Nodes)
 	dr.down = make([]bool, plan.Cfg.Nodes)
 	for c := 0; c < NumClasses; c++ {
 		dr.hist[c] = &telemetry.Histogram{}
 		dr.histDown[c] = &telemetry.Histogram{}
-		dr.mhist[c] = opts.Metrics.Histogram("loadgen_sojourn_cycles",
+		dr.mhist[c] = metrics.Histogram("loadgen_sojourn_cycles",
 			telemetry.L("class", Class(c).String()))
 	}
 	for i := 0; i < plan.Cfg.Nodes; i++ {
 		ns := &nodeState{queues: make([]fifo, plan.Cfg.Nodes)}
 		dr.nodes = append(dr.nodes, ns)
-		if opts.Metrics != nil {
-			opts.Metrics.Scope(telemetry.L("node", fmt.Sprint(i))).CounterFunc("loadgen_arrivals",
+		if metrics != nil {
+			metrics.Scope(telemetry.L("node", fmt.Sprint(i))).CounterFunc("loadgen_arrivals",
 				func() uint64 { return uint64(ns.nextArr) })
 		}
 	}
@@ -320,7 +313,7 @@ func (dr *Driver) serverBody(node, dst int) func(p *kernel.Proc) {
 				off := uint32(ar.Seq%63) * 64
 				serr = pioSend(p, pioBase, entry, off, size/4, uint32(ar.Flow)<<8)
 			default:
-				serr = d.SendRetry(buf, udmalib.WindowOff(entry, 0), size, dr.opts.Retry)
+				serr = d.SendRetry(buf, udmalib.WindowOff(entry, 0), size, serverRetry)
 			}
 			inflight = -1
 			now := p.Now()
@@ -355,7 +348,7 @@ func (dr *Driver) serverBody(node, dst int) func(p *kernel.Proc) {
 func (dr *Driver) samplerBody(node int) func(p *kernel.Proc) {
 	return func(p *kernel.Proc) {
 		ns := dr.nodes[node]
-		gauge := dr.opts.Metrics.Gauge("loadgen_queue_depth", telemetry.L("node", fmt.Sprint(node)))
+		gauge := dr.metrics.Gauge("loadgen_queue_depth", telemetry.L("node", fmt.Sprint(node)))
 		for {
 			p.Sleep(sampleEvery)
 			st := dr.cl.NICs[node].Stats()

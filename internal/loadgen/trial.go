@@ -11,7 +11,6 @@ import (
 	"shrimp/internal/nic"
 	"shrimp/internal/sim"
 	"shrimp/internal/telemetry"
-	"shrimp/internal/udmalib"
 )
 
 // TrialConfig is a self-contained trial: the load shape plus the
@@ -32,8 +31,6 @@ type TrialConfig struct {
 	// (faulty regime); see cluster.InjectPlan.
 	Inject cluster.InjectPlan
 
-	// Retry overrides the server send retry policy.
-	Retry udmalib.RetryPolicy
 	// Metrics mirrors driver instruments into a registry (optional).
 	Metrics *telemetry.Registry
 
@@ -126,7 +123,7 @@ func RunTrial(tc TrialConfig) (*Result, error) {
 		Metrics: tc.Metrics,
 	})
 	defer cl.Shutdown()
-	dr := NewDriver(plan, cl, DriverOptions{Retry: tc.Retry, Metrics: tc.Metrics})
+	dr := NewDriver(plan, cl, tc.Metrics)
 
 	err := cl.RunHooks(tc.Limit, cluster.Hooks{
 		BeforeStep: func(uint64) { dr.PublishControl() },

@@ -16,7 +16,7 @@ func TestSHRIMP1996Valid(t *testing.T) {
 	if us := m.Micros(2 * m.UncachedRef); us < 1.5 || us > 2.5 {
 		t.Fatalf("two uncached refs = %.2f µs, want ~2 µs", us)
 	}
-	if bw := m.DMABandwidth() / 1e6; bw < 30 || bw > 36 {
+	if bw := m.DMABytesPerCyc * m.CPUHz / 1e6; bw < 30 || bw > 36 {
 		t.Fatalf("burst bandwidth = %.1f MB/s, want ~33 (EISA)", bw)
 	}
 	if bw := m.LinkBytesPerCyc * m.CPUHz / 1e6; bw < 150 || bw > 200 {

@@ -303,27 +303,27 @@ func TestFlushASIDAndAll(t *testing.T) {
 		t.Fatal("FlushASID(1) removed ASID 2 entry")
 	}
 
-	m.TLB().FlushAll()
+	flushEvery(m.TLB())
 	tr, _ = m.Translate(as2, addr.PageSize, Read)
 	if tr.TLBHit {
-		t.Fatal("FlushAll left an entry")
+		t.Fatal("flushing every ASID left an entry")
 	}
 }
 
 func TestAddressSpaceSetClearCounts(t *testing.T) {
 	as := NewAddressSpace(1)
-	if as.Mapped() != 0 {
+	if mapped(as) != 0 {
 		t.Fatal("fresh space has mappings")
 	}
 	mapPage(as, 7, 1, true)
 	mapPage(as, 7, 2, true) // overwrite, still one mapping
-	if as.Mapped() != 1 {
-		t.Fatalf("Mapped = %d, want 1", as.Mapped())
+	if mapped(as) != 1 {
+		t.Fatalf("Mapped = %d, want 1", mapped(as))
 	}
 	as.Clear(7)
 	as.Clear(7) // double clear: no-op
-	if as.Mapped() != 0 {
-		t.Fatalf("Mapped = %d, want 0", as.Mapped())
+	if mapped(as) != 0 {
+		t.Fatalf("Mapped = %d, want 0", mapped(as))
 	}
 	if as.Lookup(7) != nil {
 		t.Fatal("cleared entry still resolves")

@@ -79,13 +79,10 @@ const (
 // (4 GB / 4 KB pages = 2^20 pages = dirSize * tableSize).
 type AddressSpace struct {
 	// ASID tags TLB entries so the TLB need not be flushed wholesale on
-	// context switch (the simulated hardware supports ASIDs; a flushing
-	// configuration is available via TLB.FlushAll).
+	// context switch (the simulated hardware supports ASIDs).
 	ASID int
 
 	dir [dirSize]*[tableSize]PTE
-
-	mapped int // count of Valid entries, for introspection
 }
 
 // NewAddressSpace returns an empty address space with the given ASID.
@@ -116,13 +113,7 @@ func (as *AddressSpace) Set(vpn uint32, pte PTE) {
 		t = new([tableSize]PTE)
 		as.dir[di] = t
 	}
-	was := t[vpn&(tableSize-1)].Valid
 	t[vpn&(tableSize-1)] = pte
-	if pte.Valid && !was {
-		as.mapped++
-	} else if !pte.Valid && was {
-		as.mapped--
-	}
 }
 
 // Clear removes any mapping for vpn.
@@ -132,14 +123,8 @@ func (as *AddressSpace) Clear(vpn uint32) {
 	if t == nil {
 		return
 	}
-	if t[vpn&(tableSize-1)].Valid {
-		as.mapped--
-	}
 	t[vpn&(tableSize-1)] = PTE{}
 }
-
-// Mapped returns the number of valid entries.
-func (as *AddressSpace) Mapped() int { return as.mapped }
 
 // Walk calls fn for every valid entry, in ascending VPN order. fn may
 // mutate the entry; returning false stops the walk.

@@ -206,11 +206,3 @@ func (t *TLB) FlushASID(asid int) {
 		}
 	}
 }
-
-// FlushAll empties the TLB.
-func (t *TLB) FlushAll() {
-	for i := range t.entries {
-		t.entries[i].valid = false
-	}
-	clear(t.index)
-}

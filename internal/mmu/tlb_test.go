@@ -84,6 +84,15 @@ func (t *linearTLB) flushAll() {
 	}
 }
 
+// flushEvery empties t through FlushASID, one call per ASID it holds.
+func flushEvery(t *TLB) {
+	for i := range t.entries {
+		if e := &t.entries[i]; e.valid {
+			t.FlushASID(e.asid)
+		}
+	}
+}
+
 // slotOf returns e's slot in t, or -1 for nil.
 func slotOf(t *TLB, e *tlbEntry) int {
 	if e == nil {
@@ -173,7 +182,7 @@ func TestTLBMatchesLinearReference(t *testing.T) {
 					tlb.FlushASID(asid)
 					ref.flushASID(asid)
 				default:
-					tlb.FlushAll()
+					flushEvery(tlb)
 					ref.flushAll()
 				}
 				if tlb.tick != ref.tick || tlb.hits != ref.hits || tlb.misses != ref.misses {
@@ -211,7 +220,7 @@ func TestTLBIndexAllocs(t *testing.T) {
 		tlb.FlushPage(1, vpn%150)
 		tlb.FlushASID(2)
 		if vpn%1000 == 0 {
-			tlb.FlushAll()
+			flushEvery(tlb)
 		}
 	})
 	if allocs != 0 {

@@ -115,9 +115,3 @@ func (n *Interface) FlushAutoUpdate() {
 	}
 	n.stats.AutoPackets++
 }
-
-// AutoUpdatePending reports whether the combining buffer holds unsent
-// data (tests and the kernel's switch path).
-func (n *Interface) AutoUpdatePending() bool {
-	return n.auto.active && len(n.auto.data) > 0
-}

@@ -14,6 +14,12 @@ func auPair(t *testing.T) *pair {
 	return p
 }
 
+// autoUpdatePending reports whether n's combining buffer holds unsent
+// data.
+func autoUpdatePending(n *Interface) bool {
+	return n.auto.active && len(n.auto.data) > 0
+}
+
 func drain(p *pair) {
 	p.net.Flush()
 	p.clocks[0].RunUntilIdle()
@@ -88,7 +94,7 @@ func TestAutoUpdateFullBufferFlushes(t *testing.T) {
 	if st := p.nics[0].Stats(); st.AutoPackets != 1 {
 		t.Fatalf("AutoPackets = %d before drain", st.AutoPackets)
 	}
-	if !p.nics[0].AutoUpdatePending() {
+	if !autoUpdatePending(p.nics[0]) {
 		t.Fatal("leftover word not pending")
 	}
 	drain(p)
@@ -100,12 +106,12 @@ func TestAutoUpdateFullBufferFlushes(t *testing.T) {
 func TestAutoUpdateTimeoutFlush(t *testing.T) {
 	p := auPair(t)
 	p.nics[0].SnoopWrite(2, 0, 7)
-	if !p.nics[0].AutoUpdatePending() {
+	if !autoUpdatePending(p.nics[0]) {
 		t.Fatal("word not pending")
 	}
 	p.net.Flush()
 	p.clocks[0].Advance(autoUpdateFlushDelay + 1)
-	if p.nics[0].AutoUpdatePending() {
+	if autoUpdatePending(p.nics[0]) {
 		t.Fatal("timeout did not flush")
 	}
 }
@@ -114,7 +120,7 @@ func TestAutoUpdateExplicitFlush(t *testing.T) {
 	p := auPair(t)
 	p.nics[0].SnoopWrite(2, 0, 7)
 	p.nics[0].FlushAutoUpdate()
-	if p.nics[0].AutoUpdatePending() {
+	if autoUpdatePending(p.nics[0]) {
 		t.Fatal("explicit flush left data")
 	}
 	p.nics[0].FlushAutoUpdate() // idempotent

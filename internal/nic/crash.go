@@ -102,6 +102,3 @@ func (n *Interface) Crash() {
 func (n *Interface) Reboot() {
 	n.down = false
 }
-
-// Down reports whether the board is crashed.
-func (n *Interface) Down() bool { return n.down }

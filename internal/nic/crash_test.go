@@ -31,7 +31,7 @@ func TestPeerCrashRebootResequencesNextEpoch(t *testing.T) {
 	// The receiver crashes; the backplane marks its connector dead.
 	p.nics[1].Crash()
 	p.net.SetNodeDown(1, true)
-	if !p.nics[1].Down() {
+	if !p.nics[1].down {
 		t.Fatal("crashed board not down")
 	}
 	pay2 := patternBytesT(41, 64)
@@ -128,10 +128,10 @@ func TestCrashLedgersVolatileBytes(t *testing.T) {
 	if rx.ReseqHeldBytes() != 0 {
 		t.Fatal("reseq buffer survived the crash")
 	}
-	if _, r := rx.RelActive(); r != 0 {
+	if _, r := relActive(rx); r != 0 {
 		t.Fatal("receiver state survived the crash")
 	}
-	if rx.RelPoolFree() != 1 {
+	if relPoolFree(rx) != 1 {
 		t.Fatal("crashed receiver state did not return to the pool")
 	}
 	zero := make([]byte, 64)
@@ -148,7 +148,7 @@ func TestCrashLedgersVolatileBytes(t *testing.T) {
 		t.Fatalf("arrival while down not ledgered: %+v", s)
 	}
 	rx.Reboot()
-	if rx.Down() {
+	if rx.down {
 		t.Fatal("reboot left the board down")
 	}
 }
@@ -177,7 +177,7 @@ func TestSenderCrashAbandonsQueuedBytes(t *testing.T) {
 	if s.CrashAbandonedPkts != 3 || s.CrashAbandonedBytes != 192 {
 		t.Fatalf("queued packets not abandoned: %+v", s)
 	}
-	if sn, _ := p.nics[0].RelActive(); sn != 0 {
+	if sn, _ := relActive(p.nics[0]); sn != 0 {
 		t.Fatal("sender state survived the crash")
 	}
 	drainPair(p)
@@ -227,7 +227,7 @@ func TestReclaimedThenCrashedNoDoublePop(t *testing.T) {
 	if p.nics[0].ReclaimIdle() != 1 || p.nics[1].ReclaimIdle() != 1 {
 		t.Fatal("idle link not reclaimed on both sides")
 	}
-	if p.nics[0].RelPoolFree() != 1 || p.nics[1].RelPoolFree() != 1 {
+	if relPoolFree(p.nics[0]) != 1 || relPoolFree(p.nics[1]) != 1 {
 		t.Fatal("reclaim did not pool the state")
 	}
 
@@ -235,10 +235,10 @@ func TestReclaimedThenCrashedNoDoublePop(t *testing.T) {
 	// pools must be untouched — exactly one pooled struct each.
 	p.nics[0].Crash()
 	p.nics[1].Crash()
-	if got := p.nics[0].RelPoolFree(); got != 1 {
+	if got := relPoolFree(p.nics[0]); got != 1 {
 		t.Fatalf("sender pool = %d after crash of a reclaimed dest, want 1", got)
 	}
-	if got := p.nics[1].RelPoolFree(); got != 1 {
+	if got := relPoolFree(p.nics[1]); got != 1 {
 		t.Fatalf("receiver pool = %d after crash of a reclaimed src, want 1", got)
 	}
 	p.nics[0].Reboot()
@@ -255,7 +255,7 @@ func TestReclaimedThenCrashedNoDoublePop(t *testing.T) {
 	if s0.Resurrections != 1 || s1.Resurrections != 1 {
 		t.Fatalf("resurrections sender=%d receiver=%d, want 1/1", s0.Resurrections, s1.Resurrections)
 	}
-	if p.nics[0].RelPoolFree() != 0 || p.nics[1].RelPoolFree() != 0 {
+	if relPoolFree(p.nics[0]) != 0 || relPoolFree(p.nics[1]) != 0 {
 		t.Fatal("resurrection did not pop exactly one pooled struct per side")
 	}
 	if s1.PacketsReceived != 2 || s1.DupDropped != 0 {

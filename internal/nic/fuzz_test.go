@@ -118,7 +118,7 @@ func FuzzNIPTLookup(f *testing.F) {
 			sender.SetNIPT(pinIdx, NIPTEntry{Valid: true, DestNode: 1, DestPFN: pfn % 64})
 			pinDA := device.DevAddr{Page: pinIdx, Off: 0}
 			sender.TransferLatency(pinDA, 4) // engine lookup: pins pinIdx
-			if !sender.NIPTResident(pinIdx) {
+			if !niptResident(sender, pinIdx) {
 				t.Fatalf("pinned entry %d not resident after its lookup", pinIdx)
 			}
 			pinLive := true // until software itself tears the entry down
@@ -132,10 +132,10 @@ func FuzzNIPTLookup(f *testing.F) {
 				} else {
 					sender.SetNIPT(idx, NIPTEntry{Valid: true, DestNode: 1, DestPFN: (pfn + i) % 64})
 				}
-				if got := sender.NIPTResidentCount(); got > capacity {
+				if got := niptResidentCount(sender); got > capacity {
 					t.Fatalf("residency %d exceeds capacity %d", got, capacity)
 				}
-				if pinLive && !sender.NIPTResident(pinIdx) {
+				if pinLive && !niptResident(sender, pinIdx) {
 					t.Fatalf("entry %d evicted while its transfer is in flight", pinIdx)
 				}
 			}
@@ -144,7 +144,7 @@ func FuzzNIPTLookup(f *testing.F) {
 				if err := sender.Write(pinDA, []byte{1, 2, 3, 4}, 0); err != nil {
 					t.Fatalf("completion write through pinned entry: %v", err)
 				}
-				if _, pinned := sender.NIPTPinned(); pinned {
+				if _, pinned := niptPinned(sender); pinned {
 					t.Fatal("pin survived the completion write")
 				}
 			}

@@ -165,31 +165,3 @@ func (n *Interface) releasePin(idx uint32) {
 		c.hasPin = false
 	}
 }
-
-// --- diagnostics (tests, fuzzers) -------------------------------------------
-
-// NIPTResident reports whether entry idx is resident on the board.
-// Always true without a cache (the whole table is on-NIC).
-func (n *Interface) NIPTResident(idx uint32) bool {
-	if n.cache == nil {
-		return true
-	}
-	return int(idx) < len(n.cache.pos) && n.cache.pos[idx] != 0
-}
-
-// NIPTResidentCount returns the number of resident cache lines, or -1
-// when the cache is disabled.
-func (n *Interface) NIPTResidentCount() int {
-	if n.cache == nil {
-		return -1
-	}
-	return len(n.cache.resident)
-}
-
-// NIPTPinned returns the entry pinned by an in-flight transfer, if any.
-func (n *Interface) NIPTPinned() (uint32, bool) {
-	if n.cache == nil || !n.cache.hasPin {
-		return 0, false
-	}
-	return n.cache.pinned, true
-}

@@ -8,6 +8,32 @@ import (
 	"shrimp/internal/sim"
 )
 
+// niptResident reports whether entry idx is resident on n's board.
+// Always true without a cache (the whole table is on-NIC).
+func niptResident(n *Interface, idx uint32) bool {
+	if n.cache == nil {
+		return true
+	}
+	return int(idx) < len(n.cache.pos) && n.cache.pos[idx] != 0
+}
+
+// niptResidentCount returns the number of resident cache lines, or -1
+// when the cache is disabled.
+func niptResidentCount(n *Interface) int {
+	if n.cache == nil {
+		return -1
+	}
+	return len(n.cache.resident)
+}
+
+// niptPinned returns the entry pinned by an in-flight transfer, if any.
+func niptPinned(n *Interface) (uint32, bool) {
+	if n.cache == nil || !n.cache.hasPin {
+		return 0, false
+	}
+	return n.cache.pinned, true
+}
+
 // base TransferLatency without any cache effect (SHRIMP1996 costs).
 func baseXferLat(p *pair) int64 {
 	return int64(p.nics[0].TransferLatency(device.DevAddr{Page: 9999, Off: 0}, 64))
@@ -20,9 +46,9 @@ func TestNIPTCacheLRUEviction(t *testing.T) {
 		n.SetNIPT(idx, NIPTEntry{Valid: true, DestNode: 1, DestPFN: 7 + idx})
 	}
 	// Write-allocate at capacity 2: installing 0,1,2 evicts 0 (LRU).
-	if n.NIPTResident(0) || !n.NIPTResident(1) || !n.NIPTResident(2) {
+	if niptResident(n, 0) || !niptResident(n, 1) || !niptResident(n, 2) {
 		t.Fatalf("resident after installs: 0=%v 1=%v 2=%v",
-			n.NIPTResident(0), n.NIPTResident(1), n.NIPTResident(2))
+			niptResident(n, 0), niptResident(n, 1), niptResident(n, 2))
 	}
 	if s := n.Stats(); s.NIPTEvictions != 1 {
 		t.Fatalf("evictions = %d, want 1", s.NIPTEvictions)
@@ -37,7 +63,7 @@ func TestNIPTCacheLRUEviction(t *testing.T) {
 		t.Fatalf("miss latency = %d, want base+%d", missLat, niptRefill)
 	}
 	n.Write(device.DevAddr{Page: 0, Off: 0}, []byte{1, 2, 3, 4}, 0)
-	if n.NIPTResident(2) || !n.NIPTResident(0) || !n.NIPTResident(1) {
+	if niptResident(n, 2) || !niptResident(n, 0) || !niptResident(n, 1) {
 		t.Fatalf("LRU eviction picked the wrong victim")
 	}
 	s := n.Stats()
@@ -54,13 +80,13 @@ func TestNIPTCachePinBlocksEviction(t *testing.T) {
 	n := p.nics[0]
 	n.SetNIPT(4, NIPTEntry{Valid: true, DestNode: 1, DestPFN: 7})
 	n.TransferLatency(device.DevAddr{Page: 4, Off: 0}, 64) // pins entry 4
-	if idx, ok := n.NIPTPinned(); !ok || idx != 4 {
+	if idx, ok := niptPinned(n); !ok || idx != 4 {
 		t.Fatalf("pinned = (%d,%v), want (4,true)", idx, ok)
 	}
 	// Capacity pressure while the transfer is in flight: the install of
 	// entry 5 must bypass the cache rather than evict the pinned line.
 	n.SetNIPT(5, NIPTEntry{Valid: true, DestNode: 1, DestPFN: 8})
-	if !n.NIPTResident(4) || n.NIPTResident(5) {
+	if !niptResident(n, 4) || niptResident(n, 5) {
 		t.Fatalf("pinned entry evicted under capacity pressure")
 	}
 	if s := n.Stats(); s.NIPTEvictions != 0 {
@@ -68,11 +94,11 @@ func TestNIPTCachePinBlocksEviction(t *testing.T) {
 	}
 	// Transfer completion releases the pin; the next miss may evict.
 	n.Write(device.DevAddr{Page: 4, Off: 0}, []byte{1, 2, 3, 4}, 0)
-	if _, ok := n.NIPTPinned(); ok {
+	if _, ok := niptPinned(n); ok {
 		t.Fatalf("pin survived the completion Write")
 	}
 	n.TransferLatency(device.DevAddr{Page: 5, Off: 0}, 64)
-	if n.NIPTResident(4) || !n.NIPTResident(5) {
+	if niptResident(n, 4) || !niptResident(n, 5) {
 		t.Fatalf("post-release miss did not evict the stale line")
 	}
 }
@@ -86,10 +112,10 @@ func TestNIPTCacheInvalidateDropsResidencyAndPin(t *testing.T) {
 	// (the doomed Write will fail on the invalid backing entry anyway),
 	// and no eviction is counted — this is an invalidation.
 	n.SetNIPT(2, NIPTEntry{})
-	if n.NIPTResident(2) {
+	if niptResident(n, 2) {
 		t.Fatalf("invalidated entry still resident")
 	}
-	if _, ok := n.NIPTPinned(); ok {
+	if _, ok := niptPinned(n); ok {
 		t.Fatalf("pin survived invalidation")
 	}
 	if err := n.Write(device.DevAddr{Page: 2, Off: 0}, []byte{1, 2, 3, 4}, 0); err == nil {
@@ -134,7 +160,7 @@ func TestNIPTCapacityZeroIsUnbounded(t *testing.T) {
 	if s.NIPTLookups != 5 || s.NIPTHits != 5 || s.NIPTMisses != 0 {
 		t.Fatalf("unbounded stats %+v", s)
 	}
-	if n.NIPTResidentCount() != -1 || !n.NIPTResident(9) {
+	if niptResidentCount(n) != -1 || !niptResident(n, 9) {
 		t.Fatalf("unbounded board should report the whole table resident")
 	}
 }
@@ -252,15 +278,15 @@ func TestNIPTCacheMatchesMapReference(t *testing.T) {
 				if got := n.Stats(); got != ref.stats {
 					t.Fatalf("cap %d seed %d step %d %s: Stats %+v, want %+v", capacity, seed, step, op, got, ref.stats)
 				}
-				if got := n.NIPTResidentCount(); got != len(ref.lines) {
+				if got := niptResidentCount(n); got != len(ref.lines) {
 					t.Fatalf("cap %d seed %d step %d %s: %d resident, want %d", capacity, seed, step, op, got, len(ref.lines))
 				}
 				for i := uint32(0); i < pages; i++ {
-					if _, want := ref.lines[i]; n.NIPTResident(i) != want {
+					if _, want := ref.lines[i]; niptResident(n, i) != want {
 						t.Fatalf("cap %d seed %d step %d %s: entry %d resident %v, want %v", capacity, seed, step, op, i, !want, want)
 					}
 				}
-				pinIdx, pinned := n.NIPTPinned()
+				pinIdx, pinned := niptPinned(n)
 				if pinned != ref.hasPin || (pinned && pinIdx != ref.pinned) {
 					t.Fatalf("cap %d seed %d step %d %s: pin (%d, %v), want (%d, %v)", capacity, seed, step, op, pinIdx, pinned, ref.pinned, ref.hasPin)
 				}

@@ -95,21 +95,3 @@ func (n *Interface) publishReclaimGauges() {
 	n.m.relReceivers.Set(int64(n.rel.receivers))
 	n.m.relPoolFree.Set(int64(len(n.rel.senderPool) + len(n.rel.recvPool)))
 }
-
-// RelActive returns the live per-destination sender and per-source
-// receiver state counts (tests and diagnostics).
-func (n *Interface) RelActive() (senders, receivers int) {
-	if n.rel == nil {
-		return 0, 0
-	}
-	return n.rel.senders, n.rel.receivers
-}
-
-// RelPoolFree returns the number of reclaimed structs sitting in the
-// free pools (tests and diagnostics).
-func (n *Interface) RelPoolFree() int {
-	if n.rel == nil {
-		return 0
-	}
-	return len(n.rel.senderPool) + len(n.rel.recvPool)
-}

@@ -16,6 +16,23 @@ import (
 	"shrimp/internal/sim"
 )
 
+// relActive returns n's live per-destination sender and per-source
+// receiver state counts.
+func relActive(n *Interface) (senders, receivers int) {
+	if n.rel == nil {
+		return 0, 0
+	}
+	return n.rel.senders, n.rel.receivers
+}
+
+// relPoolFree returns the number of reclaimed structs in n's free pools.
+func relPoolFree(n *Interface) int {
+	if n.rel == nil {
+		return 0
+	}
+	return len(n.rel.senderPool) + len(n.rel.recvPool)
+}
+
 // TestIdleReclaimAndResurrection: a quiescent link ages out into the
 // free pools, and the next traffic to the destination resurrects the
 // state — on a bumped epoch, so the receiver resynchronizes and the new
@@ -27,10 +44,10 @@ func TestIdleReclaimAndResurrection(t *testing.T) {
 		t.Fatal(err)
 	}
 	drainPair(p)
-	if s, _ := p.nics[0].RelActive(); s != 1 {
+	if s, _ := relActive(p.nics[0]); s != 1 {
 		t.Fatalf("sender state not established")
 	}
-	if _, r := p.nics[1].RelActive(); r != 1 {
+	if _, r := relActive(p.nics[1]); r != 1 {
 		t.Fatalf("receiver state not established")
 	}
 
@@ -48,10 +65,10 @@ func TestIdleReclaimAndResurrection(t *testing.T) {
 	if got := p.nics[1].ReclaimIdle(); got != 1 {
 		t.Fatalf("receiver reclaim = %d, want 1", got)
 	}
-	if s, _ := p.nics[0].RelActive(); s != 0 {
+	if s, _ := relActive(p.nics[0]); s != 0 {
 		t.Fatalf("sender state survived reclaim")
 	}
-	if p.nics[0].RelPoolFree() != 1 || p.nics[1].RelPoolFree() != 1 {
+	if relPoolFree(p.nics[0]) != 1 || relPoolFree(p.nics[1]) != 1 {
 		t.Fatalf("reclaimed state did not land in the free pools")
 	}
 	if s := p.nics[0].Stats(); s.SenderReclaims != 1 {
@@ -72,7 +89,7 @@ func TestIdleReclaimAndResurrection(t *testing.T) {
 	if s := p.nics[1].Stats(); s.Resurrections != 1 {
 		t.Fatalf("receiver resurrections = %d, want 1", s.Resurrections)
 	}
-	if p.nics[0].RelPoolFree() != 0 {
+	if relPoolFree(p.nics[0]) != 0 {
 		t.Fatalf("resurrection did not pop the free pool")
 	}
 	s1 := p.nics[1].Stats()
@@ -109,7 +126,7 @@ func TestReclaimRefusedWhileRetransmitPending(t *testing.T) {
 	if got := p.nics[0].ReclaimIdle(); got != 0 {
 		t.Fatalf("reclaimed a link with a retransmit pending")
 	}
-	if s, _ := p.nics[0].RelActive(); s != 1 {
+	if s, _ := relActive(p.nics[0]); s != 1 {
 		t.Fatalf("pending sender state vanished")
 	}
 }
@@ -169,7 +186,7 @@ func TestReceiverReclaimRefusedWithReseqHeld(t *testing.T) {
 	if got := rx.ReclaimIdle(); got != 0 {
 		t.Fatalf("reclaimed a receiver holding reseq bytes")
 	}
-	if _, r := rx.RelActive(); r != 1 {
+	if _, r := relActive(rx); r != 1 {
 		t.Fatalf("receiver state vanished")
 	}
 }
@@ -216,10 +233,10 @@ func TestReclaimIdleNothingDueAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	drainPair(p)
-	if s, _ := p.nics[0].RelActive(); s != 1 {
+	if s, _ := relActive(p.nics[0]); s != 1 {
 		t.Fatal("sender state not established")
 	}
-	if _, r := p.nics[1].RelActive(); r != 1 {
+	if _, r := relActive(p.nics[1]); r != 1 {
 		t.Fatal("receiver state not established")
 	}
 	for _, n := range p.nics {

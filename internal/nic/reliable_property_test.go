@@ -28,14 +28,15 @@ func TestReliableBytePartition(t *testing.T) {
 
 func runBytePartition(t *testing.T, seed uint64) {
 	p := newPair(t, relConfig(ReliabilityConfig{RetxTimeout: 2048}))
-	p.net.SetFaultPlan(interconnect.FaultPlan{
+	plan := interconnect.FaultPlan{
 		Seed:        seed,
 		DropRate:    0.15,
 		DupRate:     0.05,
 		CorruptRate: 0.05,
 		DelayRate:   0.10,
 		DelayMax:    3000,
-	})
+	}
+	p.net.SetFaultPlan(plan)
 	rng := sim.NewRNG(seed ^ 0xB17E5)
 	type msg struct {
 		page int
@@ -102,7 +103,7 @@ func runBytePartition(t *testing.T, seed uint64) {
 	// Determinism: the same seed replays to identical counters.
 	if seed%8 == 0 {
 		q := newPair(t, relConfig(ReliabilityConfig{RetxTimeout: 2048}))
-		q.net.SetFaultPlan(p.net.Plan())
+		q.net.SetFaultPlan(plan)
 		rng2 := sim.NewRNG(seed ^ 0xB17E5)
 		n2 := 4 + rng2.Intn(5)
 		for i := 0; i < n2; i++ {

@@ -206,9 +206,6 @@ func (c *Clock) NextEventAt() (Cycles, bool) {
 	return c.heap[0].at, true
 }
 
-// Pending returns the number of scheduled, unfired events.
-func (c *Clock) Pending() int { return len(c.heap) }
-
 func (c *Clock) String() string {
 	return fmt.Sprintf("clock(now=%d, pending=%d)", c.now, len(c.heap))
 }

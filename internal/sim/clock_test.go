@@ -12,8 +12,8 @@ func TestClockStartsAtZero(t *testing.T) {
 	if c.Now() != 0 {
 		t.Fatalf("new clock Now() = %d, want 0", c.Now())
 	}
-	if c.Pending() != 0 {
-		t.Fatalf("new clock Pending() = %d, want 0", c.Pending())
+	if len(c.heap) != 0 {
+		t.Fatalf("new clock holds %d events, want 0", len(c.heap))
 	}
 }
 
@@ -280,8 +280,8 @@ func TestCancelStaleHandleIsNoOp(t *testing.T) {
 	c.Cancel(fired)
 	c.Cancel(cancelled)
 	c.Cancel(cancelled)
-	if c.Pending() != 2 {
-		t.Fatalf("Pending() = %d after stale cancels, want 2", c.Pending())
+	if len(c.heap) != 2 {
+		t.Fatalf("%d events after stale cancels, want 2", len(c.heap))
 	}
 	c.Advance(100)
 	if len(got) != 2 || got[0] != "x" || got[1] != "y" {
@@ -407,9 +407,9 @@ func TestEventSlabMatchesReferenceQueue(t *testing.T) {
 				c.Advance(d)
 				refAdvance(refNow + d)
 			}
-			if c.Pending() != len(ref) || c.Now() != refNow {
+			if len(c.heap) != len(ref) || c.Now() != refNow {
 				t.Fatalf("seed %d op %d: clock at %d with %d pending, reference at %d with %d",
-					seed, op, c.Now(), c.Pending(), refNow, len(ref))
+					seed, op, c.Now(), len(c.heap), refNow, len(ref))
 			}
 		}
 		c.RunUntilIdle()

@@ -111,8 +111,3 @@ func (m *CostModel) LinkCyclesAt(n int, bytesPerCyc float64) Cycles {
 	}
 	return Cycles(float64(n)/bytesPerCyc + 0.999999)
 }
-
-// DMABandwidth returns the raw burst bandwidth in bytes/second.
-func (m *CostModel) DMABandwidth() float64 {
-	return m.DMABytesPerCyc * m.CPUHz
-}

@@ -86,7 +86,7 @@ func TestLinkCycles(t *testing.T) {
 func TestDMABandwidth(t *testing.T) {
 	m := testModel()
 	want := 0.5 * 60e6 // 30 MB/s
-	if got := m.DMABandwidth(); math.Abs(got-want) > 1 {
-		t.Fatalf("DMABandwidth() = %g, want %g", got, want)
+	if got := m.DMABytesPerCyc * m.CPUHz; math.Abs(got-want) > 1 {
+		t.Fatalf("DMA bandwidth = %g, want %g", got, want)
 	}
 }

@@ -372,7 +372,7 @@ func buildScenario(seed uint64, opts Options) *scenario {
 		// publishControl, exactly like the randomized scenario's receiver
 		// does. No kill plan: killing a pacer or server would strand its
 		// queues and turn the liveness bound into a false failure.
-		s.serve = loadgen.NewDriver(plan, s.cl, loadgen.DriverOptions{Metrics: opts.Metrics})
+		s.serve = loadgen.NewDriver(plan, s.cl, opts.Metrics)
 		return s
 	}
 
