@@ -50,16 +50,16 @@ golden:
 # metrics (bandwidth, latency percentiles, delivery counts) in
 # BENCH_udma.json at the repo root for regression tracking.
 bench:
-	$(GO) run ./cmd/udmabench -json BENCH_udma.json
+	$(GO) run ./cmd/shrimpsim -exp all -json BENCH_udma.json
 
 experiments:
-	$(GO) run ./cmd/udmabench
+	$(GO) run ./cmd/shrimpsim -exp all
 
 # profile captures pprof artifacts from the parallel-core experiment
 # (e14): the hot window loop, barrier merge and worker fan-out.
 # Inspect with `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`.
 profile:
-	$(GO) run ./cmd/udmabench -exp e14 -cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) run ./cmd/shrimpsim -exp e14 -cpuprofile cpu.pprof -memprofile mem.pprof
 
 faults:
 	$(GO) run ./cmd/shrimpsim -scenario faults

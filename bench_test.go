@@ -3,7 +3,7 @@ package shrimp_test
 // One benchmark per reproduced table/figure of the paper (E1–E10 of the
 // E1–E18 index in DESIGN.md), plus E11's transfer-strategy comparison.
 // Each benchmark runs the experiment's full driver per iteration — the
-// same machines `udmabench -exp eN` builds — and fails if any of its
+// same machines `shrimpsim -exp eN` builds — and fails if any of its
 // shape checks does not hold; Go's ns/op is the host cost of one
 // regeneration.
 

@@ -1,6 +1,7 @@
 // Command shrimpsim runs interactive scenarios on the simulated SHRIMP
 // machine — a quick way to watch the UDMA mechanism work without
-// writing a program against the library.
+// writing a program against the library — and, with -exp, regenerates
+// the paper's evaluation: every table and figure, with shape checks.
 //
 // Usage:
 //
@@ -20,11 +21,15 @@
 //	shrimpsim -scenario chaos       # node crash–restart schedule vs availability
 //	shrimpsim -scenario fuzz        # randomized run under the invariant auditor
 //	shrimpsim -scenario fuzz -seed 7 -count 100
-//	shrimpsim -list                 # scenario index with one-line descriptions
+//	shrimpsim -list                 # scenario and experiment index with one-line descriptions
 //	shrimpsim -nodes 8 -size 16384  # scenario parameters
 //	shrimpsim -workers 8            # host goroutines for cluster windows and
 //	                                # seed/rate sweeps (results are identical
 //	                                # at any worker count)
+//	shrimpsim -exp all              # the paper's evaluation: every experiment (e1..e18)
+//	shrimpsim -exp e1 -plot         # one experiment, with ASCII plots of its series
+//	shrimpsim -exp all -csv DIR -json FILE  # series/tables as CSV, checks and metrics as JSON
+//	shrimpsim -exp e14 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Observation flags (work with every scenario; telemetry is a pure
 // observer, so they never change simulated results):
@@ -38,13 +43,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"shrimp/internal/addr"
@@ -95,7 +103,15 @@ type options struct {
 	rate                        float64
 	metricsOut, traceOut        string
 	cpuprofile, memprofile      string
+	exp, csv, jsonOut           string
+	plot                        bool
+	set                         []*flag.Flag // the flags given explicitly
 }
+
+// expFlags is every flag -exp reads: the experiment registry takes no
+// scenario parameter, so any other flag given with it is refused.
+var expFlags = map[string]bool{"exp": true, "csv": true, "json": true, "plot": true,
+	"workers": true, "cpuprofile": true, "memprofile": true}
 
 // parseArgs defines the flags on fs and parses args. Without -seed, the
 // scenario's own default seed from scenarioIndex applies; an explicit
@@ -119,12 +135,15 @@ func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
 	fs.IntVar(&o.workers, "workers", 1, "host goroutines: cluster node windows, fuzz seeds and experiment sweeps (results identical at any value)")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the scenario to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write an allocation profile to this file at exit")
+	fs.StringVar(&o.exp, "exp", "", "run an experiment (e1..e18, or all) instead of a scenario")
+	fs.StringVar(&o.csv, "csv", "", "-exp: directory to write each experiment's series and tables into as CSV")
+	fs.StringVar(&o.jsonOut, "json", "", "-exp: write per-experiment checks and headline metrics as JSON to this file")
+	fs.BoolVar(&o.plot, "plot", false, "-exp: render ASCII plots of each experiment's series")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
-	seedSet := false
-	fs.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
-	if !seedSet {
+	fs.Visit(func(f *flag.Flag) { o.set = append(o.set, f) })
+	if !slices.ContainsFunc(o.set, func(f *flag.Flag) bool { return f.Name == "seed" }) {
 		for _, sc := range scenarioIndex {
 			if sc.name == o.scenario {
 				o.seed = sc.seed
@@ -135,9 +154,25 @@ func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
 }
 
 // checkRanges refuses a flag value outside what the scenarios accept,
-// naming the flag and its bound, instead of a late panic or a quietly
-// different run.
+// and a flag the run would not read, naming the flag and its bound,
+// instead of a late panic or a quietly different run.
 func (o options) checkRanges() error {
+	type check struct {
+		flag  string
+		value any
+		ok    bool
+		bound string
+	}
+	var checks []check
+	for _, f := range o.set {
+		if o.exp != "" && !expFlags[f.Name] {
+			checks = append(checks, check{f.Name, f.Value, false, "unset with -exp"})
+		}
+		if o.exp == "" && (f.Name == "csv" || f.Name == "json" || f.Name == "plot") {
+			checks = append(checks, check{f.Name, f.Value, false, "unset without -exp"})
+		}
+	}
+	_, known := experiments.Title(o.exp)
 	minNodes := 1
 	switch o.scenario {
 	case "incast", "serve", "churn", "chaos":
@@ -155,12 +190,8 @@ func (o options) checkRanges() error {
 		sizeOK = sizeOK && o.size <= maxSize
 		sizeBound = fmt.Sprintf("a multiple of 4 in [4, %d] for -scenario %s", maxSize, o.scenario)
 	}
-	for _, c := range []struct {
-		flag  string
-		value any
-		ok    bool
-		bound string
-	}{
+	checks = append(checks, []check{
+		{"exp", o.exp, known || o.exp == "" || o.exp == "all", "an experiment id (e1..e18) or all"},
 		{"nodes", o.nodes, o.nodes >= minNodes, fmt.Sprintf(">= %d for -scenario %s", minNodes, o.scenario)},
 		{"size", o.size, sizeOK, sizeBound},
 		{"senders", o.senders, o.senders >= 1, ">= 1"},
@@ -168,7 +199,8 @@ func (o options) checkRanges() error {
 		{"workers", o.workers, o.workers >= 1, ">= 1"},
 		{"rate", o.rate, o.rate > 0, "> 0"},
 		{"capacity", o.capacity, o.capacity >= 0, ">= 0"},
-	} {
+	}...)
+	for _, c := range checks {
 		if !c.ok {
 			return fmt.Errorf("-%s %v: must be %s", c.flag, c.value, c.bound)
 		}
@@ -178,7 +210,7 @@ func (o options) checkRanges() error {
 
 func main() {
 	// flag.CommandLine exits on a bad flag itself; parseArgs fails here
-	// only on a value out of range.
+	// only on a value out of range or a flag the run would not read.
 	a, err := parseArgs(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "shrimpsim: %v\n", err)
@@ -189,48 +221,63 @@ func main() {
 		for _, sc := range scenarioIndex {
 			fmt.Printf("  %-12s %s\n", sc.name, sc.desc)
 		}
+		fmt.Println("experiments (-exp ID, or -exp all):")
+		for _, id := range experiments.IDs() {
+			title, _ := experiments.Title(id)
+			fmt.Printf("  %-12s %s\n", id, title)
+		}
 		return
 	}
+	// os.Exit skips deferred calls, so the profiles are stopped and
+	// written inside runProfiled, before the process exits.
+	os.Exit(runProfiled(a))
+}
 
+// runProfiled runs what a names under the profiles it asks for and
+// returns the exit status. A failing run still leaves whole profiles.
+func runProfiled(a options) int {
 	if a.cpuprofile != "" {
-		f, perr := os.Create(a.cpuprofile)
-		if perr == nil {
-			perr = pprof.StartCPUProfile(f)
+		f, err := os.Create(a.cpuprofile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
 		}
-		if perr != nil {
-			fmt.Fprintf(os.Stderr, "shrimpsim: cpuprofile: %v\n", perr)
-			os.Exit(1)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "shrimpsim: cpuprofile: %v\n", err)
+			return 1
 		}
 		defer func() {
 			pprof.StopCPUProfile()
-			f.Close()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "shrimpsim: cpuprofile: %v\n", err)
+			}
 		}()
 	}
 	if a.memprofile != "" {
 		defer func() {
-			f, perr := os.Create(a.memprofile)
-			if perr != nil {
-				fmt.Fprintf(os.Stderr, "shrimpsim: memprofile: %v\n", perr)
-				return
-			}
-			defer f.Close()
 			runtime.GC() // materialize the final live set
-			if perr := pprof.Lookup("allocs").WriteTo(f, 0); perr != nil {
-				fmt.Fprintf(os.Stderr, "shrimpsim: memprofile: %v\n", perr)
+			err := writeFile(a.memprofile, func(w io.Writer) error {
+				return pprof.Lookup("allocs").WriteTo(w, 0)
+			})
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "shrimpsim: memprofile: %v\n", err)
 			}
 		}()
 	}
-
 	if err := run(a); err != nil {
 		fmt.Fprintf(os.Stderr, "shrimpsim: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-// run runs the scenario the options name on a.workers host goroutines
-// and then prints or writes what the observation flags asked for.
+// run runs the experiments or the scenario the options name on
+// a.workers host goroutines and then prints or writes what the output
+// flags asked for.
 func run(a options) error {
 	experiments.SetSweepWorkers(a.workers)
+	if a.exp != "" {
+		return runExperiments(a)
+	}
 	o := newObs(a.metrics, a.withTrace, a.metricsOut, a.traceOut)
 	if err := runScenario(a, o); err != nil {
 		return err
@@ -338,30 +385,17 @@ func (o *obs) finish(w io.Writer) error {
 		snap.WriteText(w)
 	}
 	if o.metricsOut != "" {
-		f, err := os.Create(o.metricsOut)
-		if err != nil {
-			return err
-		}
-		if err := snap.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(o.metricsOut, snap.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "telemetry snapshot written to %s\n", o.metricsOut)
 	}
 	if o.traceOut != "" {
-		f, err := os.Create(o.traceOut)
-		if err != nil {
-			return err
-		}
 		// Every scenario machine runs on the SHRIMP1996 cost model.
-		if err := telemetry.WriteChromeTrace(f, machine.SHRIMP1996(), o.reg); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		err := writeFile(o.traceOut, func(w io.Writer) error {
+			return telemetry.WriteChromeTrace(w, machine.SHRIMP1996(), o.reg)
+		})
+		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "trace written to %s (open at https://ui.perfetto.dev)\n", o.traceOut)
@@ -511,6 +545,129 @@ func scenarioAutoUpdate(o *obs) error {
 	return nil
 }
 
+// runExperiments runs the experiment -exp names, or every one for
+// "all": each prints its header, tables, plots under -plot, checks and
+// notes, and writes its series and tables under -csv. -json gets every
+// record at the end; only then does a failed shape check fail the run.
+func runExperiments(a options) error {
+	ids := []string{a.exp}
+	if a.exp == "all" {
+		ids = experiments.IDs()
+	}
+	var records []expRecord
+	failed := 0
+	for _, id := range ids {
+		res, err := experiments.Run(id)
+		if err != nil {
+			return fmt.Errorf("%s: %w", id, err)
+		}
+		printResult(res, a.plot)
+		if a.csv != "" {
+			if err := writeCSV(a.csv, res); err != nil {
+				return fmt.Errorf("csv: %w", err)
+			}
+		}
+		records = append(records, expRecord{res.ID, res.Title, res.Passed(), res.Checks, res.Metrics})
+		if !res.Passed() {
+			failed++
+		}
+	}
+	if a.jsonOut != "" {
+		err := writeFile(a.jsonOut, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(records)
+		})
+		if err != nil {
+			return fmt.Errorf("json: %w", err)
+		}
+	}
+	if failed > 0 {
+		return fmt.Errorf("%d experiment(s) failed their shape checks", failed)
+	}
+	return nil
+}
+
+// expRecord is the -json record of one experiment: pass/fail, its
+// checks and its headline metrics, for regression tracking.
+type expRecord struct {
+	ID      string              `json:"id"`
+	Title   string              `json:"title"`
+	Passed  bool                `json:"passed"`
+	Checks  []experiments.Check `json:"checks"`
+	Metrics map[string]float64  `json:"metrics,omitempty"`
+}
+
+func printResult(res *experiments.Result, plot bool) {
+	rule := strings.Repeat("=", 72)
+	fmt.Println(rule)
+	fmt.Printf("%s — %s\n", strings.ToUpper(res.ID), res.Title)
+	fmt.Printf("paper: %s\n", res.Paper)
+	fmt.Println(rule)
+	for _, t := range res.Tables {
+		fmt.Println()
+		t.Render(os.Stdout)
+	}
+	if plot {
+		for _, s := range res.Series {
+			fmt.Println()
+			s.PlotASCII(os.Stdout, 64, 16)
+		}
+	}
+	fmt.Println()
+	printChecks(res)
+	fmt.Println()
+}
+
+// printChecks prints an experiment's check lines, each with its detail
+// when it has one, then its note lines.
+func printChecks(res *experiments.Result) {
+	for _, c := range res.Checks {
+		mark, detail := "PASS", ""
+		if !c.Pass {
+			mark = "FAIL"
+		}
+		if c.Detail != "" {
+			detail = " — " + c.Detail
+		}
+		fmt.Printf("  [%s] %s%s\n", mark, c.Name, detail)
+	}
+	for _, n := range res.Notes {
+		fmt.Printf("  note: %s\n", n)
+	}
+}
+
+func writeCSV(dir string, res *experiments.Result) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for i, s := range res.Series {
+		path := filepath.Join(dir, fmt.Sprintf("%s_series%d.csv", res.ID, i))
+		if err := writeFile(path, s.WriteCSV); err != nil {
+			return err
+		}
+	}
+	for i, t := range res.Tables {
+		path := filepath.Join(dir, fmt.Sprintf("%s_table%d.csv", res.ID, i))
+		if err := writeFile(path, t.WriteCSV); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func writeFile(path string, write func(w io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // scenarioSweep runs a seeded experiment sweep — e12's fault injection
 // or e13's lossy wire — under prove, with the rendered tables as the
 // fingerprint: the whole sweep, fault pattern included, must be a pure
@@ -531,20 +688,7 @@ func scenarioSweep(name string, sweep func(seed uint64) (*experiments.Result, er
 			res = r
 			fmt.Print(sb.String())
 			fmt.Println()
-			for _, c := range r.Checks {
-				mark := "PASS"
-				if !c.Pass {
-					mark = "FAIL"
-				}
-				fmt.Printf("  [%s] %s", mark, c.Name)
-				if c.Detail != "" {
-					fmt.Printf(" — %s", c.Detail)
-				}
-				fmt.Println()
-			}
-			for _, note := range r.Notes {
-				fmt.Printf("  note: %s\n", note)
-			}
+			printChecks(r)
 		}
 		return sb.String(), nil
 	}, workers)

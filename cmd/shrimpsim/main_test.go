@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"io"
@@ -44,8 +45,10 @@ func TestExplicitSeedReachesScenario(t *testing.T) {
 
 // TestFlagRanges pins parse-time range checks: each line below used to
 // panic, run a silently clamped or defaulted machine, or print one value
-// and run another. parseArgs must refuse it with an error naming the
-// flag, and every golden scenario line must still parse.
+// and run another — or, for a flag the run does not read (a scenario
+// flag with -exp, an -exp output flag without it), ignore the flag and
+// exit 0. parseArgs must refuse it with an error naming the flag (the
+// third word of the line), and every golden line must still parse.
 func TestFlagRanges(t *testing.T) {
 	for _, line := range []string{
 		"-scenario cluster -nodes 0",
@@ -70,6 +73,16 @@ func TestFlagRanges(t *testing.T) {
 		"-scenario paging -size 6",
 		"-scenario paging -size 32772",
 		"-scenario cluster -size 266240",
+		"-exp e1 -nodes 8",
+		"-exp e1 -metrics",
+		"-exp all -scenario serve",
+		"-exp e14 -seed 3",
+		"-exp e1 -list",
+		"-scenario send -json f",
+		"-scenario send -csv d",
+		"-scenario send -plot",
+		"-workers 2 -exp e99",
+		"-workers 2 -exp E1",
 	} {
 		args := strings.Fields(line)
 		fs := flag.NewFlagSet("shrimpsim", flag.ContinueOnError)
@@ -87,6 +100,7 @@ func TestFlagRanges(t *testing.T) {
 	parse(t, "-scenario", "share", "-size", "4096")
 	parse(t, "-scenario", "paging", "-size", "32768")
 	parse(t, "-scenario", "cluster", "-size", "262144")
+	parse(t, strings.Fields("-exp all -csv d -json f -plot -workers 2 -cpuprofile c -memprofile m")...)
 }
 
 // unseededFlags is the second flag set the unseeded scenarios run
@@ -101,7 +115,8 @@ const (
 // scenarioLines is the golden table of shrimpsim runs: the unseeded
 // scenarios at their default flags and at unseededFlags, then the
 // seeded ones, each of which also proves itself in-process (a rerun
-// plus another worker count). Each line's stdout must match
+// plus another worker count), then one experiment with its header,
+// plot, checks and notes. Each line's stdout must match
 // testdata/golden/shrimpsim/<name>.txt byte for byte.
 var scenarioLines = []struct{ name, args string }{
 	{"send-trace", "-scenario send -trace"},
@@ -124,6 +139,7 @@ var scenarioLines = []struct{ name, args string }{
 	{"incast-mesh64", "-scenario incast -nodes 64 -topology mesh"},
 	{"incast-torus16-w4", "-scenario incast -nodes 16 -topology torus -workers 4"},
 	{"fuzz-25", "-scenario fuzz -seed 1 -count 25"},
+	{"exp-e1-plot", "-exp e1 -plot"},
 }
 
 // runLine runs one shrimpsim command line in-process, as main does, and
@@ -181,4 +197,99 @@ func TestScenarioGolden(t *testing.T) {
 			t.Errorf("interval events from %d node processes, want >= 2", len(pids))
 		}
 	})
+}
+
+// TestExpJSON runs -exp e14 -json and decodes the record: CI's e14
+// floor reads its id and the host_cpus and speedup_workers_4/_8
+// metrics, and each check must be one of the e14 golden check lines.
+func TestExpJSON(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	runLine(t, "-exp", "e14", "-json", path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The record's keys in their order, matched case-sensitively as the
+	// JSON's readers match them (json.Unmarshal would not).
+	at := 0
+	for _, key := range []string{`"id":`, `"title":`, `"passed":`, `"checks":`, `"name":`, `"pass":`, `"detail":`, `"metrics":`} {
+		i := bytes.Index(raw[at:], []byte(key))
+		if i < 0 {
+			t.Fatalf("no %s key after byte %d of the record:\n%s", key, at, raw)
+		}
+		at += i
+	}
+	var records []struct {
+		ID      string              `json:"id"`
+		Passed  bool                `json:"passed"`
+		Checks  []experiments.Check `json:"checks"`
+		Metrics map[string]float64  `json:"metrics"`
+	}
+	if err := json.Unmarshal(raw, &records); err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 1 || records[0].ID != "e14" || !records[0].Passed {
+		t.Fatalf("records = %+v, want one passing e14", records)
+	}
+	e14, err := os.ReadFile("../../testdata/golden/experiments/e14.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := records[0]
+	if len(rec.Checks) != 3 {
+		t.Errorf("%d checks, want e14's 3", len(rec.Checks))
+	}
+	for _, c := range rec.Checks {
+		if line := "[PASS] " + c.Name + " — " + c.Detail + "\n"; !c.Pass || !strings.Contains(string(e14), line) {
+			t.Errorf("check %+v is not a passing e14 golden check line", c)
+		}
+	}
+	for _, key := range []string{"host_cpus", "speedup_workers_4", "speedup_workers_8"} {
+		if _, ok := rec.Metrics[key]; !ok {
+			t.Errorf("metrics lack %q: %v", key, rec.Metrics)
+		}
+	}
+}
+
+// TestExpCSV runs -exp e1 -csv: Figure 8's series and table land in
+// the directory as e1_series<i>.csv and e1_table<i>.csv.
+func TestExpCSV(t *testing.T) {
+	dir := t.TempDir()
+	runLine(t, "-exp", "e1", "-csv", dir)
+	for _, pattern := range []string{"e1_series*.csv", "e1_table*.csv"} {
+		files, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no %s in %s (err %v)", pattern, dir, err)
+		}
+		for _, f := range files {
+			if raw, err := os.ReadFile(f); err != nil || !bytes.Contains(raw, []byte(",")) {
+				t.Errorf("%s: not CSV (err %v): %q", f, err, raw)
+			}
+		}
+	}
+}
+
+// TestProfilesSurviveAFailingRun runs a chaos line whose crash schedule
+// never fires, so the run fails, under both profile flags: runProfiled
+// must still stop the CPU profile and write the allocation profile
+// (both gzip-compressed pprof files) before main would exit.
+func TestProfilesSurviveAFailingRun(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	a := parse(t, "-scenario", "chaos", "-seed", "2", "-nodes", "2", "-cpuprofile", cpu, "-memprofile", mem)
+	defer experiments.SetSweepWorkers(1)
+	status := 0
+	golden.Stdout(t, func() { status = runProfiled(a) })
+	if status != 1 {
+		t.Fatalf("exit status %d, want 1 (the crash schedule never fires at seed 2 on 2 nodes)", status)
+	}
+	for _, path := range []string{cpu, mem} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(raw, []byte{0x1f, 0x8b}) {
+			t.Errorf("%s: %d bytes without the gzip magic", filepath.Base(path), len(raw))
+		}
+	}
 }

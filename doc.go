@@ -25,8 +25,8 @@
 //	                     the SHRIMP network interface and multicomputer
 //	internal/udmalib     the user-level library (send/recv/gather)
 //	internal/experiments one driver per reproduced table/figure
-//	cmd/udmabench        regenerates the paper's evaluation
-//	cmd/shrimpsim        interactive scenarios
+//	cmd/shrimpsim        interactive scenarios; -exp regenerates the
+//	                     paper's evaluation
 //	examples/            quickstart, messaging, framebuffer, diskio
 //
 // The benchmarks in bench_test.go wrap the experiment drivers so

@@ -83,11 +83,7 @@ func chaosTrial(seed uint64, pt chaosPoint, workers int) (*loadgen.Result, error
 // downtime, and the per-crash availability signature — dip depth and
 // time-to-recover out of the delivery time series.
 func RunChaos() (*Result, error) {
-	return RunChaosSeeded(ChaosSeed)
-}
-
-// RunChaosSeeded is RunChaos under a caller-chosen seed.
-func RunChaosSeeded(seed uint64) (*Result, error) {
+	const seed = ChaosSeed
 	res := &Result{
 		ID:    "e17",
 		Title: "Extension: crash–restart chaos — availability dips and time-to-recover",

@@ -64,11 +64,7 @@ func churnTrial(seed uint64, capacity, workers int) (*loadgen.Result, error) {
 // ample to unbounded, reading back goodput, sojourn percentiles, cache
 // hit/miss/eviction counts and reliability-state reclamation.
 func RunChurn() (*Result, error) {
-	return RunChurnSeeded(ChurnSeed)
-}
-
-// RunChurnSeeded is RunChurn under a caller-chosen seed.
-func RunChurnSeeded(seed uint64) (*Result, error) {
+	const seed = ChurnSeed
 	res := &Result{
 		ID:    "e16",
 		Title: "Extension: connection churn — goodput and tails vs NIPT cache capacity",

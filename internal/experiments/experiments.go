@@ -1,8 +1,8 @@
 // Package experiments contains one driver per table/figure reproduced
 // from the paper and per extension (E1–E18; see DESIGN.md). Each driver
 // builds the machines it needs, runs the workload, and returns a Result
-// whose tables and series are what cmd/udmabench prints and whose Checks
-// assert the paper's qualitative shape (who wins, where the knees are).
+// whose tables and series are what `shrimpsim -exp` prints and whose
+// Checks assert the paper's shape (who wins, where the knees are).
 package experiments
 
 import (
@@ -22,9 +22,9 @@ import (
 
 // Check is one shape assertion against the paper.
 type Check struct {
-	Name   string
-	Pass   bool
-	Detail string
+	Name   string `json:"name"`
+	Pass   bool   `json:"pass"`
+	Detail string `json:"detail,omitempty"`
 }
 
 // Result is an experiment's output.
@@ -38,7 +38,7 @@ type Result struct {
 	Notes  []string
 	// Metrics holds machine-readable headline numbers (bandwidth,
 	// latency percentiles, delivery counts) keyed by a short name —
-	// what `udmabench -json` emits for regression tracking.
+	// what `shrimpsim -exp … -json` emits for regression tracking.
 	Metrics map[string]float64
 }
 
@@ -115,9 +115,9 @@ var registry = map[string]struct {
 // sweepWorkers is how many host goroutines the sweeps inside experiments
 // may use: e12's fault-rate and e13's loss-rate curves, e15's
 // regime × rate grid, e16's capacity sweep and e17's crash schedules.
-// Default 1 keeps the historical serial behavior; cmd/udmabench's
-// -workers flag raises it. Results are identical at any value — each
-// trial builds its own simulator and the sweep returns results in input
+// Default 1 keeps the historical serial behavior; shrimpsim's -workers
+// flag raises it. Results are identical at any value — each trial
+// builds its own simulator and the sweep returns results in input
 // order — only wall-clock time changes.
 var sweepWorkers = 1
 

@@ -81,11 +81,7 @@ func metricKey(parts ...string) string {
 // achieved rate, goodput, and per-class p50/p99/p999 sojourn latency
 // where queueing behind a saturated NIC is charged to the message.
 func RunServe() (*Result, error) {
-	return RunServeSeeded(ServeSeed)
-}
-
-// RunServeSeeded is RunServe under a caller-chosen seed.
-func RunServeSeeded(seed uint64) (*Result, error) {
+	const seed = ServeSeed
 	res := &Result{
 		ID:    "e15",
 		Title: "Extension: open-loop serving — offered-rate sweep and SLO readout",

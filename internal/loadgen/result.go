@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"strconv"
 
 	"shrimp/internal/sim"
 )
@@ -114,28 +115,53 @@ func (r *Result) Goodput() float64 {
 // state — into one value two bit-exact runs must share. Two runs of the
 // same TrialConfig must produce the same fingerprint at any worker
 // count.
+//
+// The digest is FNV-64a over the decimal text below, appended with
+// strconv into one buffer that is hashed and reused as it fills: a
+// trial has tens of thousands of samples, and fmt cost several percent
+// of a trial's host time.
 func (r *Result) Fingerprint() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "span=%d el=%d msgs=%d del=%d fail=%d bytes=%d ord=%d depth=%d retry=%d",
-		r.Span, r.Elapsed, r.Messages, r.Delivered, r.Failed,
-		r.DeliveredBytes, r.OrderViolations, r.MaxQueueDepth, r.Retries)
-	fmt.Fprintf(h, " stall=%d rtx=%d dfail=%d", r.CreditStalls, r.Retransmits, r.DeliveryFailures)
-	fmt.Fprintf(h, " nipt=%d/%d/%d/%d/%d rec=%d res=%d deaths=%d",
-		r.NIPTLookups, r.NIPTHits, r.NIPTMisses, r.NIPTEvictions, r.NIPTRefillCycles,
-		r.Reclaims, r.Resurrections, r.FlowDeaths)
-	fmt.Fprintf(h, " crash=%d dt=%d lag=%d resp=%d ab=%d cd=%d",
-		r.Crashes, r.DowntimeCycles, r.RecoveryLagCycles, r.Respawns,
-		r.CrashAbandonedBytes, r.CrashDroppedBytes)
-	for c := range r.Classes {
-		s := &r.Classes[c]
-		fmt.Fprintf(h, " c%d=%d/%d/%d/%d max=%d", c, s.Offered, s.Delivered, s.Failed, s.Bytes, s.MaxSojourn)
-	}
-	for node, series := range r.Samples {
-		fmt.Fprintf(h, " n%d:", node)
-		for _, sm := range series {
-			fmt.Fprintf(h, "(%d,%d,%d,%d,%d)", sm.At, sm.Depth, sm.CreditStalls, sm.Retransmits, sm.Done)
+	b := make([]byte, 0, 1024)
+	put := func(parts ...any) {
+		for _, p := range parts {
+			switch v := p.(type) {
+			case string:
+				b = append(b, v...)
+			case int:
+				b = strconv.AppendInt(b, int64(v), 10)
+			case uint64:
+				b = strconv.AppendUint(b, v, 10)
+			}
 		}
 	}
+	put("span=", uint64(r.Span), " el=", uint64(r.Elapsed), " msgs=", r.Messages, " del=", r.Delivered,
+		" fail=", r.Failed, " bytes=", r.DeliveredBytes, " ord=", r.OrderViolations, " depth=", r.MaxQueueDepth,
+		" retry=", r.Retries, " stall=", r.CreditStalls, " rtx=", r.Retransmits, " dfail=", r.DeliveryFailures)
+	put(" nipt=", r.NIPTLookups, "/", r.NIPTHits, "/", r.NIPTMisses, "/", r.NIPTEvictions, "/", r.NIPTRefillCycles,
+		" rec=", r.Reclaims, " res=", r.Resurrections, " deaths=", r.FlowDeaths)
+	put(" crash=", r.Crashes, " dt=", uint64(r.DowntimeCycles), " lag=", uint64(r.RecoveryLagCycles),
+		" resp=", r.Respawns, " ab=", r.CrashAbandonedBytes, " cd=", r.CrashDroppedBytes)
+	for c := range r.Classes {
+		s := &r.Classes[c]
+		put(" c", c, "=", s.Offered, "/", s.Delivered, "/", s.Failed, "/", s.Bytes, " max=", s.MaxSojourn)
+	}
+	for node, series := range r.Samples {
+		put(" n", node, ":")
+		// The hot loop: strconv straight into b, no boxing through put.
+		for _, sm := range series {
+			b = strconv.AppendUint(append(b, '('), uint64(sm.At), 10)
+			b = strconv.AppendInt(append(b, ','), int64(sm.Depth), 10)
+			b = strconv.AppendUint(append(b, ','), sm.CreditStalls, 10)
+			b = strconv.AppendUint(append(b, ','), sm.Retransmits, 10)
+			b = append(strconv.AppendInt(append(b, ','), int64(sm.Done), 10), ')')
+			if len(b) > cap(b)/2 {
+				h.Write(b)
+				b = b[:0]
+			}
+		}
+	}
+	h.Write(b)
 	return h.Sum64()
 }
 

@@ -284,14 +284,6 @@ func (n *Interface) SetNIPT(index uint32, e NIPTEntry) error {
 	return nil
 }
 
-// NIPT returns the entry at index (tests and diagnostics).
-func (n *Interface) NIPT(index uint32) (NIPTEntry, error) {
-	if index >= uint32(len(n.nipt)) {
-		return NIPTEntry{}, fmt.Errorf("nic: NIPT index %d out of range", index)
-	}
-	return n.nipt[index], nil
-}
-
 // NIPTSize returns the number of NIPT entries.
 func (n *Interface) NIPTSize() uint32 { return uint32(len(n.nipt)) }
 

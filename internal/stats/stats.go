@@ -1,10 +1,11 @@
 // Package stats collects and renders experiment results: named series
 // (for figures), aligned text tables (for tables), CSV export, and a
-// small ASCII plotter used by cmd/udmabench to redraw Figure 8 in the
-// terminal.
+// small ASCII plotter used by `shrimpsim -exp e1 -plot` to redraw
+// Figure 8 in the terminal.
 package stats
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
@@ -57,15 +58,11 @@ func (s *Series) MaxY() float64 {
 
 // WriteCSV emits "x,y" lines with a header.
 func (s *Series) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "%s,%s\n", csvEscape(s.XLabel), csvEscape(s.YLabel)); err != nil {
-		return err
-	}
+	rows := [][]string{{s.XLabel, s.YLabel}}
 	for _, p := range s.Points {
-		if _, err := fmt.Fprintf(w, "%g,%g\n", p.X, p.Y); err != nil {
-			return err
-		}
+		rows = append(rows, []string{fmt.Sprintf("%g", p.X), fmt.Sprintf("%g", p.Y)})
 	}
-	return nil
+	return csv.NewWriter(w).WriteAll(rows)
 }
 
 // PlotASCII renders the series as a crude scatter plot, log-x if the x
@@ -176,32 +173,9 @@ func (t *Table) Render(w io.Writer) {
 	}
 }
 
-// WriteCSV emits the table as CSV.
+// WriteCSV emits the table as CSV: the column names, then the rows.
 func (t *Table) WriteCSV(w io.Writer) error {
-	writeRow := func(cells []string) error {
-		esc := make([]string, len(cells))
-		for i, c := range cells {
-			esc[i] = csvEscape(c)
-		}
-		_, err := fmt.Fprintln(w, strings.Join(esc, ","))
-		return err
-	}
-	if err := writeRow(t.Columns); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := writeRow(row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func csvEscape(s string) string {
-	if strings.ContainsAny(s, ",\"\n") {
-		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-	}
-	return s
+	return csv.NewWriter(w).WriteAll(append([][]string{t.Columns}, t.Rows...))
 }
 
 // Bytes formats a byte count compactly (512, 4K, 64K).
