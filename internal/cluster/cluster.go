@@ -248,11 +248,12 @@ type Hooks struct {
 
 // Run drives all nodes until every process on every node has exited,
 // then drains the hardware and returns nil. If the clocks reach limit
-// first, Run flushes the parked mail and returns ErrLimit. Per-node
-// deadlocks are expected while a node waits for a packet another node
-// has not sent yet; the run ends with kernel.ErrDeadlock only when no
-// node has anything left that could ever run (NextRunnable finds
-// nothing).
+// first, Run flushes the parked mail and returns ErrLimit; so does a
+// drain that still has events past limit (DrainHardware fires none of
+// them). Per-node deadlocks are expected while a node waits for a
+// packet another node has not sent yet; the run ends with
+// kernel.ErrDeadlock only when no node has anything left that could
+// ever run (NextRunnable finds nothing).
 func (c *Cluster) Run(limit sim.Cycles) error { return c.RunHooks(limit, Hooks{}) }
 
 // RunHooks is Run with a driver's barrier hooks; it is the one loop that
@@ -293,8 +294,7 @@ func (c *Cluster) RunHooks(limit sim.Cycles, h Hooks) error {
 			return err
 		}
 		if c.AllIdle() {
-			c.DrainHardware()
-			return nil
+			return c.DrainHardware(limit)
 		}
 		if horizon >= limit {
 			// The final window's sends are still parked in the outbox
@@ -502,36 +502,107 @@ func (c *Cluster) Window() sim.Cycles { return c.window }
 
 // DrainHardware fires every remaining scheduled event on every node
 // (in-flight transfers, packets, receive DMAs, flush timers) once all
-// software has exited. The nodes drain as one merged event loop: each
-// round advances every clock to the globally-earliest pending event, so
-// cross-node causality holds — a retransmit timer on one node cannot
-// fire ahead of the ACK another node sends earlier in simulated time
-// (a per-node RunUntilIdle sweep would run one node arbitrarily far
-// ahead and make the reliability layer retransmit spuriously at drain).
-// Each round first flushes the deferred mailboxes (an event fired
-// during the drain may launch new packets, which park as mail until
-// the next round). The drain itself is serial, because the strict
-// earliest-event-first order is what the reliability layer's timing
-// proofs lean on. It can dominate a run: in the seed-11 incast on an
-// 8x8 mesh the lockstep windows end at cycle 1.72 M and the drain runs
-// on to 458.8 M, 812 of the 2,268 ms spent in Run on a 2-vCPU host.
-// ROADMAP.md item 10 would drain in rounds bounded by link lookahead.
-func (c *Cluster) DrainHardware() {
+// software has exited. It fires no event past limit: when events remain
+// beyond it, every clock that is behind limit is brought up to it and
+// DrainHardware returns ErrLimit (a clock already past limit is left
+// alone, with its events unfired).
+//
+// The nodes drain as one merged event loop in time order, so cross-node
+// causality holds — a retransmit timer on one node cannot fire ahead of
+// the ACK another node sends earlier in simulated time. Each iteration:
+//
+//  1. Flush the mailboxes (an event fired earlier may have launched
+//     packets), then find next, the earliest pending event on any clock.
+//  2. A node is due when its earliest event is ≤ max(its clock, next).
+//     Advance the due nodes to next; leave the rest untouched.
+//  3. When exactly one node k was due and it parked no mail, let others
+//     be the earliest event on any other clock. While k parks no mail
+//     and its next event e is < others, advance k alone to e: no flush,
+//     no scan.
+//
+// When no event is left anywhere, every clock behind the last fired
+// instant is advanced to it.
+//
+// This is exactly the loop that advances every clock to next on every
+// iteration (kept as the reference in drain_test.go). Nodes interact
+// only through mail, and mail launched at an instant is still flushed
+// before any later instant fires; same-instant firing on different
+// nodes cannot interact, because the mail is deferred. A clock that is
+// left behind is observed only by the backplane's clamp, max(arrival,
+// receiver now), and an arrival is later than its launch, which is at
+// or after every instant already fired, so a lagging clock gives the
+// same clamp. The final alignment leaves each clock where the reference
+// does: at max(its own time, the last instant).
+//
+// The drain is serial: the strict earliest-event-first order is what
+// the reliability layer's timing proofs lean on. On a fabric-bound run
+// it is most of the simulated time — e18's limited mesh incast has its
+// last sender return at cycle 51,302, and 99.6% of the elapsed cycles
+// come after it (e18's software_end_cycles and drain_share metrics) —
+// and nearly all of it is on the receiver: the seed-1 incast-mesh64
+// bench trial (63 senders × 200 × 4 KB into node 0 of an 8×8 mesh at
+// 0.1 B/cyc) drains in 1 general iteration plus 25,035 single-node
+// events on node 0, where the reference loop pays a 64-mailbox flush
+// and 64 NextEventAt and AdvanceTo calls for each of those 25,036
+// instants.
+func (c *Cluster) DrainHardware(limit sim.Cycles) error {
+	var last sim.Cycles // the latest instant fired
 	for {
 		c.Backplane.Flush()
-		next := sim.Forever
+		next, held := sim.Forever, false
 		for _, n := range c.Nodes {
-			if at, ok := n.Clock.NextEventAt(); ok && at < next {
+			at, ok := n.Clock.NextEventAt()
+			if !ok || at == sim.Forever {
+				continue
+			}
+			if at > limit || n.Clock.Now() > limit {
+				held = true
+			} else if at < next {
 				next = at
 			}
 		}
 		if next == sim.Forever {
-			// No scheduled events anywhere and Flush just emptied the
-			// mailboxes: nothing can ever fire again.
-			return
+			if held {
+				c.alignClocks(limit)
+				return ErrLimit
+			}
+			c.alignClocks(last)
+			return nil
 		}
-		for _, n := range c.Nodes {
-			n.Clock.AdvanceTo(next)
+		due, k, others := 0, 0, sim.Forever
+		for i, n := range c.Nodes {
+			at, ok := n.Clock.NextEventAt()
+			now := n.Clock.Now()
+			switch {
+			case !ok || now > limit: // nothing to fire, or held past the limit
+			case at <= max(now, next):
+				n.Clock.AdvanceTo(next)
+				due, k = due+1, i
+			case at < others:
+				others = at
+			}
+		}
+		last = next
+		if due != 1 {
+			continue
+		}
+		clk := c.Nodes[k].Clock
+		for !c.Backplane.HasMail(k) {
+			e, ok := clk.NextEventAt()
+			if !ok || e >= others || e > limit {
+				break
+			}
+			clk.AdvanceTo(e)
+			last = e
+		}
+	}
+}
+
+// alignClocks advances every clock that is behind t to t.
+func (c *Cluster) alignClocks(t sim.Cycles) {
+	for _, n := range c.Nodes {
+		if n.Clock.Now() < t {
+			n.Clock.AdvanceTo(t)
 		}
 	}
 }

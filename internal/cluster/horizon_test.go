@@ -6,11 +6,13 @@ import (
 
 	"shrimp/internal/addr"
 	"shrimp/internal/cluster"
+	"shrimp/internal/interconnect"
 	"shrimp/internal/kernel"
 	"shrimp/internal/nic"
 	"shrimp/internal/raceflag"
 	"shrimp/internal/sim"
 	"shrimp/internal/udmalib"
+	"shrimp/internal/workload"
 )
 
 // TestRunFlushesMailAtLimit is the regression test for the parked-mail
@@ -70,6 +72,47 @@ func TestRunFlushesMailAtLimit(t *testing.T) {
 	}
 	if got := arrivalsWithoutFlush(c, 0); got != pkts {
 		t.Fatalf("receiver got %d of %d launched packets: Run returned at limit with deferred mail still parked (unflushed, unaccounted)", got, pkts)
+	}
+}
+
+// TestDrainStopsAtLimit: Run's limit bounds the drain as well as the
+// lockstep windows. On a fabric far slower than the sender, the sender
+// exits long before its messages are delivered, so the limit falls in
+// the drain. The drain must fire no event past the limit, bring both
+// clocks to it and return ErrLimit; it used to run on to the last
+// delivery (cycle 2,065,454, every byte received) and return nil.
+func TestDrainStopsAtLimit(t *testing.T) {
+	const limit = 500_000
+	c := cluster.New(cluster.Config{
+		Nodes:    2,
+		Topology: interconnect.Topology{LinkBytesPerCyc: 0.1},
+		NIC:      nic.Config{NIPTPages: 8},
+	})
+	defer c.Shutdown()
+	if err := udmalib.MapSendWindow(c.NICs[1], 0, 0, []uint32{40}); err != nil {
+		t.Fatal(err)
+	}
+	var sendErr error
+	c.Nodes[1].Kernel.Spawn("send", func(p *kernel.Proc) {
+		_, _, sendErr = workload.Sender{Dev: c.NICs[1], Size: addr.PageSize, Seed: 1, Messages: 50}.Run(p)
+	})
+
+	if err := c.Run(limit); !errors.Is(err, cluster.ErrLimit) {
+		t.Fatalf("run: %v, want ErrLimit", err)
+	}
+	if sendErr != nil {
+		t.Fatalf("sender: %v", sendErr)
+	}
+	for i, n := range c.Nodes {
+		if now := n.Clock.Now(); now != limit {
+			t.Errorf("node %d clock %d, want the limit %d", i, now, limit)
+		}
+	}
+	if _, sent, _, _ := c.Backplane.Stats(); sent != 50*addr.PageSize {
+		t.Fatalf("wire carried %d bytes, want all %d launched before the limit", sent, 50*addr.PageSize)
+	}
+	if got := c.NICs[0].Stats().BytesReceived; got != 45_056 {
+		t.Fatalf("receiver holds %d bytes, want the 45,056 delivered by cycle %d", got, limit)
 	}
 }
 

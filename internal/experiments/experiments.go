@@ -217,9 +217,12 @@ var errStopSender = errors.New("experiments: sender stopped")
 // runSenders spawns senders[i] (nil: node i only receives) as process
 // "sender<i>" on node i, then calls after(i) when after is set, runs the
 // cluster for up to limit cycles and returns the first sender error in
-// node order.
-func runSenders(c *cluster.Cluster, limit sim.Cycles, senders []*workload.Sender, after func(node int)) error {
+// node order. end is the cycle at which the last sender returned, read
+// from its own node's clock: where the software ends and the hardware's
+// delivery tail begins.
+func runSenders(c *cluster.Cluster, limit sim.Cycles, senders []*workload.Sender, after func(node int)) (end sim.Cycles, err error) {
 	errs := make([]error, len(senders))
+	ends := make([]sim.Cycles, len(senders))
 	for i, s := range senders {
 		if s == nil {
 			continue
@@ -228,20 +231,22 @@ func runSenders(c *cluster.Cluster, limit sim.Cycles, senders []*workload.Sender
 			if _, _, err := s.Run(p); !errors.Is(err, errStopSender) {
 				errs[i] = err
 			}
+			ends[i] = p.Now()
 		})
 		if after != nil {
 			after(i)
 		}
 	}
 	if err := c.Run(limit); err != nil {
-		return err
+		return 0, err
 	}
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("sender %d: %w", i, err)
+			return 0, fmt.Errorf("sender %d: %w", i, err)
 		}
+		end = max(end, ends[i])
 	}
-	return nil
+	return end, nil
 }
 
 // mbps converts (bytes, cycles) into MB/s under the given cost model.

@@ -192,7 +192,7 @@ func parallelSpeedupRun(sc speedupCase, workers int) (string, time.Duration, uin
 		senders[i] = s
 	}
 	start := time.Now()
-	if err := runSenders(c, 5_000_000_000, senders, func(i int) {
+	if _, err := runSenders(c, 5_000_000_000, senders, func(i int) {
 		c.Nodes[i].Kernel.Spawn(fmt.Sprintf("burner%d", i), workload.Burner(900, 400_000))
 	}); err != nil {
 		return "", 0, 0, err

@@ -79,7 +79,7 @@ func prototypeRun(pairs [][2]int) (float64, error) {
 		}
 		senders[s] = &workload.Sender{Dev: c.NICs[s], Size: size, Seed: byte(s + 1), Messages: messages}
 	}
-	if err := runSenders(c, 5_000_000_000, senders, nil); err != nil {
+	if _, err := runSenders(c, 5_000_000_000, senders, nil); err != nil {
 		return 0, err
 	}
 	var slowest float64

@@ -59,6 +59,11 @@ type IncastRun struct {
 	Fingerprint string
 	Bytes       uint64
 	Elapsed     sim.Cycles
+	// SoftwareEnd is the cycle at which the last sender process
+	// returned; DrainShare is the share of Elapsed after it, the tail
+	// in which only hardware (receive DMA, the fabric) was still busy.
+	SoftwareEnd sim.Cycles
+	DrainShare  float64
 	GoodputBPC  float64 // aggregate payload bytes per simulated cycle
 	HotBusy     uint64  // busiest link's busy cycles
 	HotFrac     float64 // busiest link's busy fraction of elapsed
@@ -130,6 +135,8 @@ func RunScaleOut() (*Result, error) {
 		res.metric(sc.name+"_goodput_bpc", r.GoodputBPC)
 		res.metric(sc.name+"_elapsed_cycles", float64(r.Elapsed))
 		res.metric(sc.name+"_peak_queue", float64(r.PeakQueue))
+		res.metric(sc.name+"_software_end_cycles", float64(r.SoftwareEnd))
+		res.metric(sc.name+"_drain_share", r.DrainShare)
 	}
 	res.Tables = append(res.Tables, tbl)
 
@@ -171,6 +178,8 @@ func RunScaleOut() (*Result, error) {
 		series.Add(float64(k), r.GoodputBPC)
 		sweepGoodputs = append(sweepGoodputs, r.GoodputBPC)
 		res.metric(fmt.Sprintf("incast_flat_senders_%d_goodput_bpc", k), r.GoodputBPC)
+		res.metric(fmt.Sprintf("incast_flat_senders_%d_software_end_cycles", k), float64(r.SoftwareEnd))
+		res.metric(fmt.Sprintf("incast_flat_senders_%d_drain_share", k), r.DrainShare)
 	}
 	res.Tables = append(res.Tables, sweepTbl)
 	res.Series = append(res.Series, series)
@@ -359,7 +368,8 @@ func runScaleCase(sc scaleCase) (*IncastRun, error) {
 		senders[i] = &workload.Sender{Dev: c.NICs[i], Size: scaleMsgSize, Seed: byte(i + 1),
 			Messages: sc.messages, Offsets: offsets}
 	}
-	if err := runSenders(c, 5_000_000_000, senders, nil); err != nil {
+	softwareEnd, err := runSenders(c, 5_000_000_000, senders, nil)
+	if err != nil {
 		return nil, err
 	}
 
@@ -370,9 +380,10 @@ func runScaleCase(sc scaleCase) (*IncastRun, error) {
 	if bytes != wantBytes {
 		return nil, fmt.Errorf("wire carried %d bytes, want %d", bytes, wantBytes)
 	}
-	r := &IncastRun{Bytes: bytes, Elapsed: c.MaxNow()}
+	r := &IncastRun{Bytes: bytes, Elapsed: c.MaxNow(), SoftwareEnd: softwareEnd}
 	if r.Elapsed > 0 {
 		r.GoodputBPC = float64(bytes) / float64(r.Elapsed)
+		r.DrainShare = float64(r.Elapsed-softwareEnd) / float64(r.Elapsed)
 	}
 
 	h := fnv.New64a()

@@ -158,6 +158,7 @@ type Backplane struct {
 	costs *sim.CostModel
 	topo  Topology   // normalized: width resolved
 	links []link     // directed fabric links, indexed router*4+direction
+	hops  []int32    // routed links src→dst at [src*Nodes+dst]; 1 on the diagonal (loopback)
 	eps   []Endpoint // indexed by node id; nil when unattached
 	out   []*outbox  // per-sender shard, one per declared node; same indexing
 	n     int        // attached endpoint count
@@ -195,6 +196,19 @@ func New(costs *sim.CostModel, topo Topology) *Backplane {
 	}
 	for i := range b.out {
 		b.out[i] = &outbox{}
+	}
+	// The topology never changes, so every pair's path length is
+	// computed once here: the barrier's per-link lookahead reads N·(N−1)
+	// of them per round, and every Send reads one.
+	b.hops = make([]int32, topo.Nodes*topo.Nodes)
+	for src := 0; src < topo.Nodes; src++ {
+		for dst := 0; dst < topo.Nodes; dst++ {
+			h := topo.PathLen(src, dst)
+			if src == dst {
+				h = 1 // through the local router
+			}
+			b.hops[src*topo.Nodes+dst] = int32(h)
+		}
 	}
 	// The Flush visit callback charges link contention in merged order
 	// — the (arrive, src, seq) merge is the one deterministic total
@@ -271,12 +285,10 @@ func (b *Backplane) Attach(ep Endpoint) {
 
 // Hops returns the routed path length between two nodes: the number of
 // directed links a packet crosses under XY dimension-order routing
-// (torus routes take the shorter ring direction per dimension).
+// (torus routes take the shorter ring direction per dimension), or 1
+// for loopback, which crosses the local router once.
 func (b *Backplane) Hops(src, dst int) sim.Cycles {
-	if src == dst {
-		return 1 // through the local router
-	}
-	return sim.Cycles(b.topo.PathLen(src, dst))
+	return sim.Cycles(b.hops[src*b.topo.Nodes+dst])
 }
 
 // LinkLookahead is the per-directed-(src,dst) conservative bound: the
@@ -440,6 +452,11 @@ func (b *Backplane) schedule(dst Endpoint, pkt *Packet, arriveSender sim.Cycles)
 // and how many worker goroutines ran the windows that produced the
 // mail. Call only at a barrier: no node may be mid-window.
 func (b *Backplane) Flush() { b.mergeMail(b.schedFn) }
+
+// HasMail reports whether node src has deliveries parked in its outbox,
+// waiting for the next Flush. It reads one shard, so the cluster's
+// drain can ask it after every event it fires.
+func (b *Backplane) HasMail(src int) bool { return len(b.out[src].mail) > 0 }
 
 // mergeMail visits every parked delivery in (arrival, sender, sequence)
 // order and empties the mailboxes. Each mailbox is already sorted by

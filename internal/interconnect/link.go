@@ -49,14 +49,10 @@ func (b *Backplane) fabricCycles(n int) sim.Cycles {
 
 // zeroLoadFlight is the uncontended fabric traversal time from src to
 // dst: one LinkLatency per routed link plus the trailing wire time.
-// Loopback (src == dst) still crosses the local router once, matching
-// the historical Hops(src,src) == 1.
+// Loopback (src == dst) still crosses the local router once
+// (Hops(src, src) == 1).
 func (b *Backplane) zeroLoadFlight(src, dst int, payload int) sim.Cycles {
-	hops := b.topo.PathLen(src, dst)
-	if hops == 0 {
-		hops = 1
-	}
-	return sim.Cycles(hops)*b.costs.LinkLatency + b.fabricCycles(payload)
+	return b.Hops(src, dst)*b.costs.LinkLatency + b.fabricCycles(payload)
 }
 
 // chargeArrival walks pkt's routed path, charging busy-until occupancy

@@ -55,6 +55,36 @@ func walkPath(t *testing.T, topo Topology, src, dst int) []int {
 	return path
 }
 
+// TestHopTableMatchesPathLen: the path lengths New tabulates once are
+// PathLen for every node pair (1 for loopback), on meshes and tori of
+// several sizes, including non-square widths and ragged last rows, and
+// LinkLookahead reads them.
+func TestHopTableMatchesPathLen(t *testing.T) {
+	for _, kind := range []Kind{KindMesh, KindTorus} {
+		for _, shape := range []struct{ nodes, width int }{
+			{1, 0}, {2, 0}, {5, 1}, {6, 3}, {7, 0}, {12, 5}, {16, 0}, {61, 8}, {64, 0},
+		} {
+			b := New(costs(), Topology{Kind: kind, Nodes: shape.nodes, Width: shape.width})
+			for src := 0; src < shape.nodes; src++ {
+				for dst := 0; dst < shape.nodes; dst++ {
+					want := sim.Cycles(b.topo.PathLen(src, dst))
+					if src == dst {
+						want = 1
+					}
+					if got := b.Hops(src, dst); got != want {
+						t.Fatalf("%s %d nodes width %d: Hops(%d, %d) = %d, want %d",
+							kind, shape.nodes, b.topo.Width, src, dst, got, want)
+					}
+					if got := b.LinkLookahead(src, dst); got != want*costs().LinkLatency {
+						t.Fatalf("%s %d nodes width %d: LinkLookahead(%d, %d) = %d, want %d hops",
+							kind, shape.nodes, b.topo.Width, src, dst, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRoutingWalkMatchesPathLen: for every router pair in meshes and
 // tori of widths 1, 2, 3, 4 and 8 and heights 2 to 8, most with a
 // ragged last row, the hop walk terminates in exactly PathLen links,

@@ -21,7 +21,9 @@ func relConfig(rc ReliabilityConfig) Config {
 // flushes the backplane mailboxes, then advances every clock to the
 // globally-earliest pending event, so cross-node ordering (data arrival
 // vs. retransmit timer vs. ACK arrival) is honored exactly as a shared
-// clock would. It is cluster.DrainHardware's loop over a bare pair.
+// clock would. These are the semantics cluster.DrainHardware reproduces
+// exactly (its reference loop is this one); it skips the flush and the
+// scan while a single node fires alone.
 func drainPair(p *pair) {
 	for {
 		p.net.Flush()
