@@ -2,7 +2,7 @@ GO ?= go
 GOFMT ?= gofmt
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt test race check benchcheck golden bench experiments faults lossy serve mesh churn chaos fuzz simcheck cover profile
+.PHONY: all build vet fmt test race check benchcheck golden bench experiments fuzz simcheck cover profile
 
 all: check
 
@@ -60,42 +60,6 @@ experiments:
 # Inspect with `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`.
 profile:
 	$(GO) run ./cmd/shrimpsim -exp e14 -cpuprofile cpu.pprof -memprofile mem.pprof
-
-faults:
-	$(GO) run ./cmd/shrimpsim -scenario faults
-
-# lossy runs the lossy-wire sweep (E13): seeded drop/corrupt/dup/
-# reorder against the NIC's reliable delivery protocol, plus a rerun and
-# a 4-worker run whose rendered tables must match bit-exactly.
-lossy:
-	$(GO) run ./cmd/shrimpsim -scenario lossy
-
-# serve runs the open-loop serving trial: seeded Poisson arrivals at a
-# fixed offered rate, SLO readout, and a bit-exactness proof (same-seed
-# rerun plus a 4-worker run must reproduce the fingerprint).
-serve:
-	$(GO) run ./cmd/shrimpsim -scenario serve
-
-# mesh runs the routed-fabric incast scenario on the 64-node mesh:
-# throttled links vs ample links, hot-link occupancy, and the
-# bit-exactness proof (rerun plus a different worker count must
-# reproduce the fingerprint). Try -topology torus via shrimpsim directly.
-mesh:
-	$(GO) run ./cmd/shrimpsim -scenario incast -nodes 64 -topology mesh
-
-# churn runs the connection-churn trial: short-lived flows (one NIPT
-# entry each) against a bounded on-board NIPT cache, with idle
-# reliability state reclaimed at barriers, plus the same bit-exactness
-# proof as serve.
-churn:
-	$(GO) run ./cmd/shrimpsim -scenario churn
-
-# chaos runs the crash–restart trial: a seeded node crash schedule
-# against the open-loop serving workload, with the availability readout
-# (downtime, dip depth, time-to-recover) and the same bit-exactness
-# proof as serve.
-chaos:
-	$(GO) run ./cmd/shrimpsim -scenario chaos
 
 # fuzz gives each native fuzz target a short budget (override with
 # FUZZTIME=5m for a longer soak). Each target must be fuzzed alone:

@@ -5,40 +5,25 @@
 //
 // Usage:
 //
-//	shrimpsim -scenario send        # two-instruction UDMA send on one node
-//	shrimpsim -scenario cluster     # 4-node deliberate-update exchange
-//	shrimpsim -scenario share       # untrusting processes share the device
-//	shrimpsim -scenario paging      # UDMA under memory pressure (I2/I4)
-//	shrimpsim -scenario faults      # injected faults, per-transfer recovery
-//	shrimpsim -scenario lossy       # lossy wire vs the reliable delivery protocol
-//	shrimpsim -scenario contention  # queued senders: latency under load
-//	shrimpsim -scenario incast      # routed-fabric incast: goodput vs link capacity
+//	shrimpsim -list                 # every scenario and experiment, with the flags each reads
+//	shrimpsim -scenario send        # two-instruction UDMA send on one node (the default)
+//	shrimpsim -scenario cluster -nodes 8 -size 16384
 //	shrimpsim -scenario incast -nodes 64 -topology torus
-//	shrimpsim -scenario serve       # open-loop load at a fixed offered rate
-//	shrimpsim -scenario serve -rate 1000 -nodes 4
-//	shrimpsim -scenario churn       # short-lived flows vs a bounded NIPT cache
+//	shrimpsim -scenario serve -rate 1000 -workers 8  # host goroutines; results
+//	                                # are identical at any worker count
 //	shrimpsim -scenario churn -capacity 16
-//	shrimpsim -scenario chaos       # node crash–restart schedule vs availability
-//	shrimpsim -scenario fuzz        # randomized run under the invariant auditor
 //	shrimpsim -scenario fuzz -seed 7 -count 100
-//	shrimpsim -list                 # scenario and experiment index with one-line descriptions
-//	shrimpsim -nodes 8 -size 16384  # scenario parameters
-//	shrimpsim -workers 8            # host goroutines for cluster windows and
-//	                                # seed/rate sweeps (results are identical
-//	                                # at any worker count)
 //	shrimpsim -exp all              # the paper's evaluation: every experiment (e1..e18)
 //	shrimpsim -exp e1 -plot         # one experiment, with ASCII plots of its series
 //	shrimpsim -exp all -csv DIR -json FILE  # series/tables as CSV, checks and metrics as JSON
 //	shrimpsim -exp e14 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// Observation flags (work with every scenario; telemetry is a pure
-// observer, so they never change simulated results):
-//
-//	-metrics              print a telemetry snapshot (counters, gauges,
-//	                      latency histograms with p50/p90/p99)
-//	-metrics-out FILE     write the snapshot as JSON
-//	-trace-out FILE       write a Chrome trace_event JSON file; open it
-//	                      at https://ui.perfetto.dev
+// Each run reads only the flags -list names for it, plus -cpuprofile and
+// -memprofile; any other flag given is refused with exit status 2. The
+// observation flags — -metrics (a telemetry snapshot: counters, gauges,
+// latency histograms), -metrics-out (the same as JSON) and -trace-out (a
+// Chrome trace_event file for https://ui.perfetto.dev) — never change
+// simulated results: telemetry is a pure observer.
 package main
 
 import (
@@ -71,27 +56,76 @@ import (
 	"shrimp/internal/workload"
 )
 
-// scenarioIndex is the -list readout: every scenario in presentation
-// order with the one-liner a new user needs to pick one, plus the seed a
-// seeded scenario runs with when -seed is not given.
-var scenarioIndex = []struct {
-	name, desc string
-	seed       uint64
-}{
-	{"send", "two-instruction UDMA send on one node", 0},
-	{"cluster", "N-node deliberate-update ring exchange", 0},
-	{"share", "untrusting processes share one device (I1 protection)", 0},
-	{"paging", "UDMA under memory pressure (I2/I4 guards)", 0},
-	{"autoupdate", "plain stores propagate to a remote page, no initiation", 0},
-	{"faults", "injected device faults vs per-transfer recovery", experiments.FaultSeed},
-	{"lossy", "lossy wire vs the reliable delivery sublayer", experiments.LossySeed},
-	{"contention", "queued senders: latency distributions under load", 0},
-	{"incast", "routed-fabric incast: goodput flattens at per-link capacity", 0},
-	{"serve", "open-loop load at a fixed offered rate, SLO readout", experiments.ServeSeed},
-	{"churn", "short-lived flows vs a bounded NIPT cache", experiments.ChurnSeed},
-	{"chaos", "seeded node crash–restart schedule vs availability SLOs", experiments.ChaosSeed},
-	{"fuzz", "randomized runs under the simcheck invariant auditor", 1},
+// scenario is one row of the scenario table: the name -scenario
+// selects it by, its -list line, the seed a seeded scenario runs with
+// when -seed is not given, the flags it reads besides -scenario and the
+// profile flags, the -nodes floor and -size ceiling where it reads them
+// (a 0 ceiling: none), and its body.
+type scenario struct {
+	name, desc        string
+	seed              uint64
+	reads             []string
+	minNodes, maxSize int
+	run               func(a options, o *obs) error
 }
+
+// observed returns flags plus the observation flags, which every
+// scenario that builds an observed machine reads.
+func observed(flags ...string) []string {
+	return append(flags, "metrics", "metrics-out", "trace-out")
+}
+
+// scenarios is every scenario in presentation order. faults, lossy and
+// fuzz build no observed machine, so they refuse the observation flags.
+var scenarios = []scenario{
+	{name: "send", desc: "two-instruction UDMA send on one node",
+		reads: observed("size", "trace"), run: func(a options, o *obs) error { return scenarioSend(a.size, a.withTrace, o) }},
+	{name: "cluster", desc: "N-node deliberate-update ring exchange",
+		reads: observed("nodes", "size", "workers"), minNodes: 1, maxSize: clusterWindowPages * addr.PageSize,
+		run: func(a options, o *obs) error { return scenarioCluster(a.nodes, a.size, a.workers, o) }},
+	{name: "share", desc: "untrusting processes share one device (I1 protection)",
+		reads: observed("senders", "size"), maxSize: addr.PageSize, // one page per process
+		run: func(a options, o *obs) error { return scenarioShare(a.senders, a.size, o) }},
+	{name: "paging", desc: "UDMA under memory pressure (I2/I4 guards)",
+		reads: observed("size"), maxSize: pagingDevPages * addr.PageSize,
+		run: func(a options, o *obs) error { return scenarioPaging(a.size, o) }},
+	{name: "autoupdate", desc: "plain stores propagate to a remote page, no initiation",
+		reads: observed(), run: func(_ options, o *obs) error { return scenarioAutoUpdate(o) }},
+	{name: "faults", desc: "injected device faults vs per-transfer recovery",
+		seed: experiments.FaultSeed, reads: []string{"seed", "workers"},
+		run: func(a options, _ *obs) error {
+			return scenarioSweep("fault injection", "rejections and completion failures vs bounded retry",
+				experiments.RunFaultInjectionSeeded, a.seed, a.workers)
+		}},
+	{name: "lossy", desc: "lossy wire vs the reliable delivery sublayer",
+		seed: experiments.LossySeed, reads: []string{"seed", "workers"},
+		run: func(a options, _ *obs) error {
+			return scenarioSweep("lossy wire", "drop/corrupt/dup/reorder vs seq/ACK/retransmit/CRC",
+				experiments.RunLossyWireSeeded, a.seed, a.workers)
+		}},
+	{name: "contention", desc: "queued senders: latency distributions under load",
+		reads: observed("senders", "size"), maxSize: addr.PageSize, // one page per process
+		run: func(a options, o *obs) error { return scenarioContention(a.senders, a.size, o) }},
+	{name: "incast", desc: "routed-fabric incast: goodput flattens at per-link capacity",
+		reads: observed("nodes", "topology", "workers"), minNodes: 2,
+		run: func(a options, o *obs) error { return scenarioIncast(a.nodes, a.topology, a.workers, o) }},
+	{name: "serve", desc: "open-loop load at a fixed offered rate, SLO readout",
+		seed: experiments.ServeSeed, reads: observed("seed", "nodes", "rate", "workers"), minNodes: 2,
+		run: func(a options, o *obs) error { return scenarioServe(a.seed, a.nodes, a.rate, a.workers, o) }},
+	{name: "churn", desc: "short-lived flows vs a bounded NIPT cache",
+		seed: experiments.ChurnSeed, reads: observed("seed", "nodes", "rate", "capacity", "workers"), minNodes: 2,
+		run: func(a options, o *obs) error { return scenarioChurn(a.seed, a.nodes, a.rate, a.capacity, a.workers, o) }},
+	{name: "chaos", desc: "seeded node crash–restart schedule vs availability SLOs",
+		seed: experiments.ChaosSeed, reads: observed("seed", "nodes", "rate", "workers"), minNodes: 2,
+		run: func(a options, o *obs) error { return scenarioChaos(a.seed, a.nodes, a.rate, a.workers, o) }},
+	{name: "fuzz", desc: "randomized runs under the simcheck invariant auditor",
+		seed: 1, reads: []string{"seed", "count", "workers"},
+		run: func(a options, _ *obs) error { return scenarioFuzz(a.seed, a.count, a.workers) }},
+}
+
+// expFlags is every flag -exp reads besides itself: the experiment
+// registry takes no scenario parameter.
+var expFlags = []string{"csv", "json", "plot", "workers"}
 
 // options is the parsed command line.
 type options struct {
@@ -106,34 +140,29 @@ type options struct {
 	exp, csv, jsonOut           string
 	plot                        bool
 	set                         []*flag.Flag // the flags given explicitly
+	sc                          scenario     // the -scenario row (zero for -exp and -list)
 }
 
-// expFlags is every flag -exp reads: the experiment registry takes no
-// scenario parameter, so any other flag given with it is refused.
-var expFlags = map[string]bool{"exp": true, "csv": true, "json": true, "plot": true,
-	"workers": true, "cpuprofile": true, "memprofile": true}
-
-// parseArgs defines the flags on fs and parses args. Without -seed, the
-// scenario's own default seed from scenarioIndex applies; an explicit
-// -seed always reaches the scenario as given.
+// parseArgs defines the flags on fs, parses args and checks them against
+// the run they select.
 func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
 	var o options
-	fs.StringVar(&o.scenario, "scenario", "send", "send | cluster | share | paging | autoupdate | faults | lossy | contention | incast | serve | churn | chaos | fuzz")
-	fs.BoolVar(&o.list, "list", false, "list the scenarios with one-line descriptions and exit")
-	fs.IntVar(&o.nodes, "nodes", 4, "cluster scenario: node count")
+	fs.StringVar(&o.scenario, "scenario", "send", "the scenario to run (-list names each with the flags it reads)")
+	fs.BoolVar(&o.list, "list", false, "list the scenarios and experiments with the flags each reads, and exit")
+	fs.IntVar(&o.nodes, "nodes", 4, "node count")
 	fs.IntVar(&o.size, "size", 4096, "message size in bytes")
-	fs.IntVar(&o.senders, "senders", 4, "share/contention scenarios: processes")
-	fs.Uint64Var(&o.seed, "seed", 0, "seeded scenarios: RNG seed (fuzz: first seed; default: the scenario's own)")
-	fs.IntVar(&o.count, "count", 1, "fuzz scenario: number of consecutive seeds to run")
-	fs.Float64Var(&o.rate, "rate", 300, "serve/churn scenarios: offered load in messages per million cycles")
-	fs.StringVar(&o.topology, "topology", "mesh", "incast scenario: routed fabric kind (mesh | torus)")
-	fs.IntVar(&o.capacity, "capacity", 8, "churn scenario: NIPT cache capacity in entries (0 = unbounded)")
-	fs.BoolVar(&o.withTrace, "trace", false, "send scenario: dump the hardware event trace")
-	fs.BoolVar(&o.metrics, "metrics", false, "print a telemetry snapshot after the scenario")
+	fs.IntVar(&o.senders, "senders", 4, "processes sharing one device")
+	fs.Uint64Var(&o.seed, "seed", 0, "RNG seed, or the first of -count seeds (default: the scenario's own)")
+	fs.IntVar(&o.count, "count", 1, "number of consecutive seeds to run")
+	fs.Float64Var(&o.rate, "rate", 300, "offered load in messages per million cycles")
+	fs.StringVar(&o.topology, "topology", "mesh", "routed fabric kind (mesh | torus)")
+	fs.IntVar(&o.capacity, "capacity", 8, "NIPT cache capacity in entries (0 = unbounded)")
+	fs.BoolVar(&o.withTrace, "trace", false, "dump the hardware event trace")
+	fs.BoolVar(&o.metrics, "metrics", false, "print a telemetry snapshot after the run")
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the telemetry snapshot as JSON to this file")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace_event JSON file (Perfetto) to this file")
-	fs.IntVar(&o.workers, "workers", 1, "host goroutines: cluster node windows, fuzz seeds and experiment sweeps (results identical at any value)")
-	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the scenario to this file")
+	fs.IntVar(&o.workers, "workers", 1, "host goroutines for node windows and seed/rate sweeps (results identical at any value)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write an allocation profile to this file at exit")
 	fs.StringVar(&o.exp, "exp", "", "run an experiment (e1..e18, or all) instead of a scenario")
 	fs.StringVar(&o.csv, "csv", "", "-exp: directory to write each experiment's series and tables into as CSV")
@@ -142,65 +171,66 @@ func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
-	fs.Visit(func(f *flag.Flag) { o.set = append(o.set, f) })
-	if !slices.ContainsFunc(o.set, func(f *flag.Flag) bool { return f.Name == "seed" }) {
-		for _, sc := range scenarioIndex {
-			if sc.name == o.scenario {
-				o.seed = sc.seed
-			}
-		}
+	if fs.NArg() > 0 {
+		return o, fmt.Errorf("%s: not a flag; flags after it would be ignored", fs.Arg(0))
 	}
-	return o, o.checkRanges()
+	fs.Visit(func(f *flag.Flag) { o.set = append(o.set, f) })
+	err := o.resolve()
+	return o, err
 }
 
-// checkRanges refuses a flag value outside what the scenarios accept,
-// and a flag the run would not read, naming the flag and its bound,
-// instead of a late panic or a quietly different run.
-func (o options) checkRanges() error {
-	type check struct {
+// resolve finds the run the flags select — -exp, else -list, else the
+// -scenario row — and refuses, naming the flag, an unknown scenario, a
+// flag given explicitly that the run does not read, and a value outside
+// what the run accepts, instead of a late panic or a quietly different
+// run. Every run reads -cpuprofile and -memprofile. Without -seed a
+// seeded scenario runs with its row's seed; an explicit -seed always
+// reaches it as given.
+func (o *options) resolve() error {
+	run, reads := "-exp", append([]string{"exp"}, expFlags...)
+	switch {
+	case o.exp != "":
+	case o.list:
+		run, reads = "-list", []string{"list"}
+	default:
+		i := slices.IndexFunc(scenarios, func(sc scenario) bool { return sc.name == o.scenario })
+		if i < 0 {
+			return fmt.Errorf("-scenario %s: must be a scenario -list names", o.scenario)
+		}
+		o.sc = scenarios[i]
+		run, reads = "-scenario "+o.scenario, append([]string{"scenario"}, o.sc.reads...)
+		if !slices.ContainsFunc(o.set, func(f *flag.Flag) bool { return f.Name == "seed" }) {
+			o.seed = o.sc.seed
+		}
+	}
+	for _, f := range o.set {
+		if !slices.Contains(reads, f.Name) && f.Name != "cpuprofile" && f.Name != "memprofile" {
+			return fmt.Errorf("-%s %v: must be unset with %s", f.Name, f.Value, run)
+		}
+	}
+	_, known := experiments.Title(o.exp)
+	// The buffer device is 4-byte aligned, and a message must fit the
+	// device pages its scenario gives it.
+	sizeOK, sizeBound := o.size >= 4 && o.size%4 == 0, "a multiple of 4, >= 4"
+	if o.sc.maxSize > 0 {
+		sizeOK = sizeOK && o.size <= o.sc.maxSize
+		sizeBound = fmt.Sprintf("a multiple of 4 in [4, %d] for %s", o.sc.maxSize, run)
+	}
+	for _, c := range []struct {
 		flag  string
 		value any
 		ok    bool
 		bound string
-	}
-	var checks []check
-	for _, f := range o.set {
-		if o.exp != "" && !expFlags[f.Name] {
-			checks = append(checks, check{f.Name, f.Value, false, "unset with -exp"})
-		}
-		if o.exp == "" && (f.Name == "csv" || f.Name == "json" || f.Name == "plot") {
-			checks = append(checks, check{f.Name, f.Value, false, "unset without -exp"})
-		}
-	}
-	_, known := experiments.Title(o.exp)
-	minNodes := 1
-	switch o.scenario {
-	case "incast", "serve", "churn", "chaos":
-		minNodes = 2
-	}
-	// The buffer device is 4-byte aligned, and a message must fit the
-	// device pages its scenario gives it.
-	maxSize := map[string]int{
-		"share": addr.PageSize, "contention": addr.PageSize, // one page per process
-		"paging":  pagingDevPages * addr.PageSize,
-		"cluster": clusterWindowPages * addr.PageSize,
-	}[o.scenario]
-	sizeOK, sizeBound := o.size >= 4 && o.size%4 == 0, "a multiple of 4, >= 4"
-	if maxSize > 0 {
-		sizeOK = sizeOK && o.size <= maxSize
-		sizeBound = fmt.Sprintf("a multiple of 4 in [4, %d] for -scenario %s", maxSize, o.scenario)
-	}
-	checks = append(checks, []check{
+	}{
 		{"exp", o.exp, known || o.exp == "" || o.exp == "all", "an experiment id (e1..e18) or all"},
-		{"nodes", o.nodes, o.nodes >= minNodes, fmt.Sprintf(">= %d for -scenario %s", minNodes, o.scenario)},
+		{"nodes", o.nodes, o.nodes >= o.sc.minNodes, fmt.Sprintf(">= %d for %s", o.sc.minNodes, run)},
 		{"size", o.size, sizeOK, sizeBound},
 		{"senders", o.senders, o.senders >= 1, ">= 1"},
 		{"count", o.count, o.count >= 1, ">= 1"},
 		{"workers", o.workers, o.workers >= 1, ">= 1"},
 		{"rate", o.rate, o.rate > 0, "> 0"},
 		{"capacity", o.capacity, o.capacity >= 0, ">= 0"},
-	}...)
-	for _, c := range checks {
+	} {
 		if !c.ok {
 			return fmt.Errorf("-%s %v: must be %s", c.flag, c.value, c.bound)
 		}
@@ -215,18 +245,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "shrimpsim: %v\n", err)
 		os.Exit(2)
-	}
-	if a.list {
-		fmt.Println("scenarios:")
-		for _, sc := range scenarioIndex {
-			fmt.Printf("  %-12s %s\n", sc.name, sc.desc)
-		}
-		fmt.Println("experiments (-exp ID, or -exp all):")
-		for _, id := range experiments.IDs() {
-			title, _ := experiments.Title(id)
-			fmt.Printf("  %-12s %s\n", id, title)
-		}
-		return
 	}
 	// os.Exit skips deferred calls, so the profiles are stopped and
 	// written inside runProfiled, before the process exits.
@@ -270,74 +288,60 @@ func runProfiled(a options) int {
 	return 0
 }
 
-// run runs the experiments or the scenario the options name on
-// a.workers host goroutines and then prints or writes what the output
-// flags asked for.
+// run runs what the options select — the experiments, the -list
+// readout or the scenario — on a.workers host goroutines and then
+// prints or writes what the output flags asked for.
 func run(a options) error {
 	experiments.SetSweepWorkers(a.workers)
-	if a.exp != "" {
+	switch {
+	case a.exp != "":
 		return runExperiments(a)
+	case a.list:
+		printList()
+		return nil
 	}
-	o := newObs(a.metrics, a.withTrace, a.metricsOut, a.traceOut)
-	if err := runScenario(a, o); err != nil {
+	o := newObs(a)
+	if err := a.sc.run(a, o); err != nil {
 		return err
 	}
 	return o.finish(os.Stdout)
 }
 
-// runScenario runs the scenario the options name, observed by o.
-func runScenario(a options, o *obs) error {
-	switch a.scenario {
-	case "send":
-		return scenarioSend(a.size, a.withTrace, o)
-	case "cluster":
-		return scenarioCluster(a.nodes, a.size, a.workers, o)
-	case "share":
-		return scenarioShare(a.senders, a.size, o)
-	case "paging":
-		return scenarioPaging(a.size, o)
-	case "autoupdate":
-		return scenarioAutoUpdate(o)
-	case "faults":
-		fmt.Printf("# fault injection (seed %#x): rejections and completion failures vs bounded retry\n", a.seed)
-		return scenarioSweep("fault-recovery", experiments.RunFaultInjectionSeeded, a.seed, a.workers)
-	case "lossy":
-		fmt.Printf("# lossy wire (seed %#x): drop/corrupt/dup/reorder vs seq/ACK/retransmit/CRC\n", a.seed)
-		return scenarioSweep("lossy-wire", experiments.RunLossyWireSeeded, a.seed, a.workers)
-	case "contention":
-		return scenarioContention(a.senders, a.size, o)
-	case "incast":
-		return scenarioIncast(a.nodes, a.topology, a.workers, o)
-	case "serve":
-		return scenarioServe(a.seed, a.nodes, a.rate, a.workers, o)
-	case "churn":
-		return scenarioChurn(a.seed, a.nodes, a.rate, a.capacity, a.workers, o)
-	case "chaos":
-		return scenarioChaos(a.seed, a.nodes, a.rate, a.workers, o)
-	case "fuzz":
-		return scenarioFuzz(a.seed, a.count, a.workers)
-	default:
-		return fmt.Errorf("unknown scenario %q", a.scenario)
+// printList is the -list readout: each scenario with its one-liner and
+// the flags it reads, then each experiment.
+func printList() {
+	flags := func(names []string) string { return "-" + strings.Join(names, " -") }
+	fmt.Println("every run reads -cpuprofile -memprofile and the flags listed for it; any other flag is refused")
+	fmt.Println("scenarios (-scenario NAME):")
+	for _, sc := range scenarios {
+		fmt.Printf("  %-12s %s\n  %-12s flags: %s\n", sc.name, sc.desc, "", flags(sc.reads))
+	}
+	fmt.Printf("experiments (-exp ID, or -exp all; flags: %s):\n", flags(expFlags))
+	for _, id := range experiments.IDs() {
+		title, _ := experiments.Title(id)
+		fmt.Printf("  %-12s %s\n", id, title)
 	}
 }
 
 // prove is the reproducibility proof every seeded scenario ends with.
 // run executes the scenario at a worker count and returns its
-// fingerprint; the reference run is repeated at the same worker count
-// and once more at another one, and all three fingerprints must match —
-// the simulation is a pure function of its inputs, not of host
-// scheduling. Long fingerprints (rendered tables) print as their digest.
-func prove(run func(workers int) (fingerprint string, err error), workers int) error {
+// fingerprint; first is set on the reference run only, the one that
+// prints the readout and that the observation flags see. The reference
+// run is repeated at the same worker count and once more at another
+// one, and all three fingerprints must match — the simulation is a pure
+// function of its inputs, not of host scheduling. Long fingerprints
+// (rendered tables) print as their digest.
+func prove(run func(workers int, first bool) (fingerprint string, err error), workers int) error {
 	other := 4
 	if workers == other {
 		other = 1
 	}
-	ref, err := run(workers)
+	ref, err := run(workers, true)
 	if err != nil {
 		return err
 	}
 	for _, w := range []int{workers, other} {
-		fp, err := run(w)
+		fp, err := run(w, false)
 		if err != nil {
 			return err
 		}
@@ -360,15 +364,13 @@ func prove(run func(workers int) (fingerprint string, err error), workers int) e
 // registry stays nil when no observation flag is set, so scenarios pay
 // nothing.
 type obs struct {
-	metrics    bool
-	metricsOut string
-	traceOut   string
-	reg        *telemetry.Registry
+	options
+	reg *telemetry.Registry
 }
 
-func newObs(metrics, withTrace bool, metricsOut, traceOut string) *obs {
-	o := &obs{metrics: metrics, metricsOut: metricsOut, traceOut: traceOut}
-	if metrics || withTrace || metricsOut != "" || traceOut != "" {
+func newObs(a options) *obs {
+	o := &obs{options: a}
+	if a.metrics || a.withTrace || a.metricsOut != "" || a.traceOut != "" {
 		o.reg = telemetry.New()
 	}
 	return o
@@ -671,10 +673,12 @@ func writeFile(path string, write func(w io.Writer) error) error {
 // scenarioSweep runs a seeded experiment sweep — e12's fault injection
 // or e13's lossy wire — under prove, with the rendered tables as the
 // fingerprint: the whole sweep, fault pattern included, must be a pure
-// function of the seed. The first run's tables, checks and notes print.
-func scenarioSweep(name string, sweep func(seed uint64) (*experiments.Result, error), seed uint64, workers int) error {
-	var res *experiments.Result
-	err := prove(func(w int) (string, error) {
+// function of the seed. The title line and the first run's tables,
+// checks and notes print.
+func scenarioSweep(name, what string, sweep func(seed uint64) (*experiments.Result, error), seed uint64, workers int) error {
+	fmt.Printf("# %s (seed %#x): %s\n", name, seed, what)
+	passed := false
+	err := prove(func(w int, first bool) (string, error) {
 		experiments.SetSweepWorkers(w)
 		r, err := sweep(seed)
 		if err != nil {
@@ -684,10 +688,9 @@ func scenarioSweep(name string, sweep func(seed uint64) (*experiments.Result, er
 		for _, t := range r.Tables {
 			t.Render(&sb)
 		}
-		if res == nil {
-			res = r
-			fmt.Print(sb.String())
-			fmt.Println()
+		if first {
+			passed = r.Passed()
+			fmt.Println(sb.String())
 			printChecks(r)
 		}
 		return sb.String(), nil
@@ -695,7 +698,7 @@ func scenarioSweep(name string, sweep func(seed uint64) (*experiments.Result, er
 	if err != nil {
 		return err
 	}
-	if !res.Passed() {
+	if !passed {
 		return fmt.Errorf("%s checks failed", name)
 	}
 	return nil
@@ -718,20 +721,18 @@ func scenarioIncast(nodes int, topology string, workers int, o *obs) error {
 	fmt.Printf("# incast on a routed %d-node %s: %d senders × %d × 4096 B into node 0\n",
 		nodes, kind, nodes-1, messages)
 
-	shown := false
-	return prove(func(w int) (string, error) {
+	return prove(func(w int, first bool) (string, error) {
 		var reg *telemetry.Registry
-		if !shown {
+		if first {
 			reg = o.reg
 		}
 		limited, err := experiments.RunIncast(nodes, kind, experiments.ScaleLimitedBPC, messages, w, reg)
 		if err != nil {
 			return "", err
 		}
-		if shown {
+		if !first {
 			return limited.Fingerprint, nil
 		}
-		shown = true
 		ample, err := experiments.RunIncast(nodes, kind, 0, messages, w, nil)
 		if err != nil {
 			return "", err
@@ -760,19 +761,17 @@ func scenarioIncast(nodes int, topology string, workers int, o *obs) error {
 func scenarioTrial(tc loadgen.TrialConfig, workers int, o *obs,
 	title func(*loadgen.Result) string, extras func(*loadgen.Result) error) error {
 	costs := machine.SHRIMP1996()
-	shown := false
-	return prove(func(w int) (string, error) {
+	return prove(func(w int, first bool) (string, error) {
 		tc := tc
 		tc.Workers = w
-		if !shown {
+		if first {
 			tc.Metrics = o.reg
 		}
 		res, err := loadgen.RunTrial(tc)
 		if err != nil {
 			return "", err
 		}
-		if !shown {
-			shown = true
+		if first {
 			fmt.Print(title(res))
 			res.WriteTable(os.Stdout, costs)
 			if err := extras(res); err != nil {

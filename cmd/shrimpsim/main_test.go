@@ -30,7 +30,7 @@ func parse(t *testing.T, args ...string) options {
 // explicit -seed reaches it unchanged — even when it equals another
 // scenario's default.
 func TestExplicitSeedReachesScenario(t *testing.T) {
-	for _, sc := range scenarioIndex {
+	for _, sc := range scenarios {
 		if sc.seed == 0 {
 			continue
 		}
@@ -45,10 +45,11 @@ func TestExplicitSeedReachesScenario(t *testing.T) {
 
 // TestFlagRanges pins parse-time range checks: each line below used to
 // panic, run a silently clamped or defaulted machine, or print one value
-// and run another — or, for a flag the run does not read (a scenario
-// flag with -exp, an -exp output flag without it), ignore the flag and
-// exit 0. parseArgs must refuse it with an error naming the flag (the
-// third word of the line), and every golden line must still parse.
+// and run another — or, for a flag the run does not read (a flag the
+// scenario's table row does not list, a scenario flag with -exp, an -exp
+// output flag without it), ignore the flag and exit 0. parseArgs must
+// refuse it with an error naming the flag (the third word of the line),
+// and every golden line must still parse.
 func TestFlagRanges(t *testing.T) {
 	for _, line := range []string{
 		"-scenario cluster -nodes 0",
@@ -83,6 +84,14 @@ func TestFlagRanges(t *testing.T) {
 		"-scenario send -plot",
 		"-workers 2 -exp e99",
 		"-workers 2 -exp E1",
+		"-scenario send -nodes 8",
+		"-scenario send -workers 2",
+		"-scenario autoupdate -seed 9",
+		"-scenario incast -size 8192",
+		"-scenario chaos -capacity 3",
+		"-scenario fuzz -metrics",
+		"-scenario faults -trace-out t.json",
+		"-scenario lossy -metrics-out m.json",
 	} {
 		args := strings.Fields(line)
 		fs := flag.NewFlagSet("shrimpsim", flag.ContinueOnError)
@@ -103,21 +112,35 @@ func TestFlagRanges(t *testing.T) {
 	parse(t, strings.Fields("-exp all -csv d -json f -plot -workers 2 -cpuprofile c -memprofile m")...)
 }
 
-// unseededFlags is the second flag set the unseeded scenarios run
-// under: a wider cluster, two-page messages and more senders. share and
-// contention give each sender one device page, so their wide runs send
-// half-page messages (sharedFlags).
-const (
-	unseededFlags = " -nodes 8 -size 8192 -senders 6"
-	sharedFlags   = " -nodes 8 -size 2048 -senders 6"
-)
+// TestRefusedAtParse pins refusals TestFlagRanges' line shape cannot
+// state: a -scenario the table does not name, a flag given with -list
+// (which reads no other), and a word that is not a flag (flag parsing
+// stops there, so the flags after it would be dropped). Each fails at
+// parse (main's exit 2), not when the run starts.
+func TestRefusedAtParse(t *testing.T) {
+	for _, tc := range []struct{ line, want string }{
+		{"-scenario bogus", "-scenario bogus: "},
+		{"-list -scenario serve", "-scenario serve: "},
+		{"-list -workers 2", "-workers 2: "},
+		{"-scenario cluster 8 -nodes 8", "8: "},
+	} {
+		fs := flag.NewFlagSet("shrimpsim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		if _, err := parseArgs(fs, strings.Fields(tc.line)); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("parse %q: err = %v, want one starting %q", tc.line, err, tc.want)
+		}
+	}
+}
 
 // scenarioLines is the golden table of shrimpsim runs: the unseeded
-// scenarios at their default flags and at unseededFlags, then the
-// seeded ones, each of which also proves itself in-process (a rerun
-// plus another worker count), then one experiment with its header,
-// plot, checks and notes. Each line's stdout must match
-// testdata/golden/shrimpsim/<name>.txt byte for byte.
+// scenarios at their default flags and again with the flags they read
+// widened (a wider cluster, two-page messages, more senders; share and
+// contention give each sender one device page, so they send half-page
+// messages), then the seeded ones, each of which also proves itself
+// in-process (a rerun plus another worker count), then one experiment
+// with its header, plot, checks and notes, then the -list readout. Each
+// line's stdout must match testdata/golden/shrimpsim/<name>.txt byte for
+// byte.
 var scenarioLines = []struct{ name, args string }{
 	{"send-trace", "-scenario send -trace"},
 	{"cluster", "-scenario cluster"},
@@ -125,12 +148,11 @@ var scenarioLines = []struct{ name, args string }{
 	{"paging", "-scenario paging"},
 	{"autoupdate", "-scenario autoupdate"},
 	{"contention", "-scenario contention"},
-	{"send-trace-wide", "-scenario send -trace" + unseededFlags},
-	{"cluster-wide", "-scenario cluster" + unseededFlags},
-	{"share-wide", "-scenario share" + sharedFlags},
-	{"paging-wide", "-scenario paging" + unseededFlags},
-	{"autoupdate-wide", "-scenario autoupdate" + unseededFlags},
-	{"contention-wide", "-scenario contention" + sharedFlags},
+	{"send-trace-wide", "-scenario send -trace -size 8192"},
+	{"cluster-wide", "-scenario cluster -nodes 8 -size 8192"},
+	{"share-wide", "-scenario share -size 2048 -senders 6"},
+	{"paging-wide", "-scenario paging -size 8192"},
+	{"contention-wide", "-scenario contention -size 2048 -senders 6"},
 	{"faults", "-scenario faults"},
 	{"lossy", "-scenario lossy"},
 	{"serve", "-scenario serve"},
@@ -140,6 +162,7 @@ var scenarioLines = []struct{ name, args string }{
 	{"incast-torus16-w4", "-scenario incast -nodes 16 -topology torus -workers 4"},
 	{"fuzz-25", "-scenario fuzz -seed 1 -count 25"},
 	{"exp-e1-plot", "-exp e1 -plot"},
+	{"list", "-list"},
 }
 
 // runLine runs one shrimpsim command line in-process, as main does, and

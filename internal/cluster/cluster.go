@@ -105,11 +105,10 @@ type Cluster struct {
 	Nodes     []*machine.Node
 	NICs      []*nic.Interface
 	Backplane *interconnect.Backplane
-	// Faulty holds each node's injection wrapper when Config.Inject is
+	// faulty holds each node's injection wrapper when Config.Inject is
 	// enabled (nil entries otherwise). The wrapper, not the raw NIC, is
-	// what the node's device map decodes — use Dev to address the NIC
-	// from udmalib.
-	Faulty []*device.Faulty
+	// what the node's device map decodes; Dev returns it.
+	faulty []*device.Faulty
 
 	window  sim.Cycles
 	workers int
@@ -149,8 +148,8 @@ type stepResult struct {
 // MapDevice resolve devices by identity, so callers must use this
 // handle rather than NICs[i] when Config.Inject is enabled.
 func (c *Cluster) Dev(i int) device.Device {
-	if c.Faulty[i] != nil {
-		return c.Faulty[i]
+	if c.faulty[i] != nil {
+		return c.faulty[i]
 	}
 	return c.NICs[i]
 }
@@ -214,7 +213,7 @@ func New(cfg Config) *Cluster {
 		node.AttachDevice(dev, 0)
 		c.Nodes = append(c.Nodes, node)
 		c.NICs = append(c.NICs, iface)
-		c.Faulty = append(c.Faulty, faulty)
+		c.faulty = append(c.faulty, faulty)
 	}
 	c.pool = sweep.NewPool(workers)
 	c.nows = make([]sim.Cycles, cfg.Nodes)
@@ -239,11 +238,10 @@ type Hooks struct {
 	// publication, process kills). round is the 0-based Rounds() index
 	// of the Step about to run.
 	BeforeStep func(round uint64)
-	// AfterStep runs right after Step with its result and owns the step
-	// error: Run does not end on stepErr by itself when AfterStep is set.
-	// A non-nil err ends the run with err; stop ends it with nil and
-	// without draining.
-	AfterStep func(round uint64, progress bool, stepErr error) (stop bool, err error)
+	// AfterStep runs right after Step and owns the step error: Run does
+	// not end on stepErr by itself when AfterStep is set. A non-nil err
+	// ends the run with err; stop ends it with nil and without draining.
+	AfterStep func(stepErr error) (stop bool, err error)
 }
 
 // Run drives all nodes until every process on every node has exited,
@@ -253,14 +251,14 @@ type Hooks struct {
 // them). Per-node deadlocks are expected while a node waits for a
 // packet another node has not sent yet; the run ends with
 // kernel.ErrDeadlock only when no node has anything left that could
-// ever run (NextRunnable finds nothing).
+// ever run (nextRunnable finds nothing).
 func (c *Cluster) Run(limit sim.Cycles) error { return c.RunHooks(limit, Hooks{}) }
 
 // RunHooks is Run with a driver's barrier hooks; it is the one loop that
 // calls Step.
 //
 // Each round re-bases the horizon on the furthest-behind clock —
-// max(horizon, MinNow()) + window — instead of marching by fixed
+// max(horizon, minNow()) + window — instead of marching by fixed
 // +window increments, so a processor that overshot its window (charge()
 // yields only after the clock moves) is caught in one round rather than
 // ceil(overshoot/window) empty barrier rounds. A round that still makes
@@ -273,7 +271,7 @@ func (c *Cluster) RunHooks(limit sim.Cycles, h Hooks) error {
 	defer func() { c.stepCap = sim.Forever }()
 	var horizon sim.Cycles
 	for {
-		base := c.MinNow()
+		base := c.minNow()
 		if horizon > base {
 			base = horizon
 		}
@@ -281,13 +279,12 @@ func (c *Cluster) RunHooks(limit sim.Cycles, h Hooks) error {
 		if horizon < base || horizon > limit {
 			horizon = limit
 		}
-		round := c.rounds
 		if h.BeforeStep != nil {
-			h.BeforeStep(round)
+			h.BeforeStep(c.rounds)
 		}
 		progress, err := c.Step(horizon)
 		if h.AfterStep != nil {
-			if stop, err := h.AfterStep(round, progress, err); stop || err != nil {
+			if stop, err := h.AfterStep(err); stop || err != nil {
 				return err
 			}
 		} else if err != nil {
@@ -306,7 +303,7 @@ func (c *Cluster) RunHooks(limit sim.Cycles, h Hooks) error {
 			return ErrLimit
 		}
 		if !progress {
-			next := c.NextRunnable(horizon)
+			next := c.nextRunnable(horizon)
 			if next == sim.Forever {
 				return kernel.ErrDeadlock
 			}
@@ -317,13 +314,13 @@ func (c *Cluster) RunHooks(limit sim.Cycles, h Hooks) error {
 	}
 }
 
-// NextRunnable returns the earliest simulated time after `after` at
+// nextRunnable returns the earliest simulated time after `after` at
 // which any node could do something: the earliest scheduled event on
 // any clock, or the clock of a live (non-exited) node that has overshot
 // `after` and is waiting for the horizon to catch up. sim.Forever means
 // nothing can ever run again — the cluster is deadlocked (deferred mail
 // does not count: callers flush before asking).
-func (c *Cluster) NextRunnable(after sim.Cycles) sim.Cycles {
+func (c *Cluster) nextRunnable(after sim.Cycles) sim.Cycles {
 	next := sim.Forever
 	for _, n := range c.Nodes {
 		if at, ok := n.Clock.NextEventAt(); ok && at < next {
@@ -341,7 +338,7 @@ func (c *Cluster) NextRunnable(after sim.Cycles) sim.Cycles {
 	// the reboot barrier would never be reached. Exited kernels coast
 	// their clocks to the horizon, so skipping the horizon to downUntil
 	// is enough to carry simulated time across a whole-cluster outage.
-	if at := c.NextReboot(); at < next {
+	if at := c.nextReboot(); at < next {
 		next = at
 	}
 	// A reboot fired at the last barrier but not yet observed by any
@@ -356,9 +353,9 @@ func (c *Cluster) NextRunnable(after sim.Cycles) sim.Cycles {
 	return next
 }
 
-// NextReboot returns the earliest pending reboot time across crashed
+// nextReboot returns the earliest pending reboot time across crashed
 // nodes, or sim.Forever when no node is down (or no plan is armed).
-func (c *Cluster) NextReboot() sim.Cycles {
+func (c *Cluster) nextReboot() sim.Cycles {
 	next := sim.Forever
 	if c.crash == nil {
 		return next
@@ -629,9 +626,9 @@ func (c *Cluster) MaxNow() sim.Cycles {
 	return m
 }
 
-// MinNow returns the furthest-behind node clock — the base the next
+// minNow returns the furthest-behind node clock — the base the next
 // lockstep horizon is computed from.
-func (c *Cluster) MinNow() sim.Cycles {
+func (c *Cluster) minNow() sim.Cycles {
 	m := sim.Forever
 	for _, n := range c.Nodes {
 		if now := n.Clock.Now(); now < m {
@@ -649,7 +646,7 @@ func (c *Cluster) MinNow() sim.Cycles {
 // driver observes down→up at its next publish round, which must happen
 // before the run is allowed to drain.
 func (c *Cluster) AllIdle() bool {
-	if c.NextReboot() != sim.Forever {
+	if c.nextReboot() != sim.Forever {
 		return false
 	}
 	if c.crash != nil && c.crash.freshBoot > 0 {

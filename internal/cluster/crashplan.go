@@ -133,7 +133,7 @@ func (c *Cluster) applyCrashReboot() {
 	if cs == nil {
 		return
 	}
-	now := c.MinNow()
+	now := c.minNow()
 	cs.freshBoot = 0 // last barrier's reboots have had their publish round
 	for i := range cs.downUntil {
 		if cs.downUntil[i] != 0 && now >= cs.downUntil[i] {

@@ -112,7 +112,7 @@ func drainRegime(t *testing.T, seed uint64) (*cluster.Cluster, string) {
 func runToDrain(t *testing.T, c *cluster.Cluster) {
 	t.Helper()
 	err := c.RunHooks(sim.Forever, cluster.Hooks{
-		AfterStep: func(_ uint64, _ bool, err error) (bool, error) { return c.AllIdle(), err },
+		AfterStep: func(err error) (bool, error) { return c.AllIdle(), err },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -74,7 +74,7 @@ func runFaultedScenario(t *testing.T) (fp string, injected uint64) {
 			t.Fatalf("node %d: %d delivered + %d exhausted of 12 (a send hung or escaped)",
 				i, delivered[i], exhausted[i])
 		}
-		rej, fail := c.Faulty[i].Injected()
+		rej, fail := c.Faulty(i).Injected()
 		injected += rej + fail
 		ks := c.Nodes[i].Kernel.Stats()
 		fp += fmt.Sprintf("n%d clock=%d ok=%d x=%d rej=%d fail=%d dmafail=%d sent=%d|",

@@ -215,7 +215,7 @@ func TestRunHooksAllocs(t *testing.T) {
 	var before, after int
 	hooks := cluster.Hooks{
 		BeforeStep: func(uint64) { before++ },
-		AfterStep: func(_ uint64, _ bool, err error) (bool, error) {
+		AfterStep: func(err error) (bool, error) {
 			after++
 			return false, err
 		},

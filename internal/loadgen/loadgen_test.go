@@ -9,6 +9,8 @@ import (
 
 	"shrimp/internal/cluster"
 	"shrimp/internal/interconnect"
+	"shrimp/internal/machine"
+	"shrimp/internal/nic"
 	"shrimp/internal/telemetry"
 )
 
@@ -176,6 +178,42 @@ func TestTrialRefusesBadConfig(t *testing.T) {
 				t.Fatalf("RunTrial = %v, %v; want a config error before any run", res, err)
 			}
 		})
+	}
+}
+
+// TestDriverSurfacesHardError runs the driver on nodes too small to
+// serve: with 4 RAM frames a server cannot allocate its send buffer, so
+// nodeState.fail must record that first hard error, Err must return it,
+// and the run loop's AfterStep must end the run with it.
+func TestDriverSurfacesHardError(t *testing.T) {
+	plan := BuildPlan(Config{Nodes: 2, Seed: 1, Rate: 100, Messages: 20, Flows: 8, WindowPages: 4})
+	cl := cluster.New(cluster.Config{
+		Nodes:   2,
+		Machine: machine.Config{RAMFrames: 4},
+		NIC: nic.Config{
+			NIPTPages:   plan.NIPTEntries(),
+			PIOWindow:   true,
+			Reliability: nic.ReliabilityConfig{Enabled: true, RetxTimeout: 100_000},
+		},
+		Window: 2000,
+	})
+	defer cl.Shutdown()
+	dr := NewDriver(plan, cl, nil)
+	err := cl.RunHooks(2_000_000_000, cluster.Hooks{
+		BeforeStep: func(uint64) { dr.PublishControl() },
+		AfterStep: func(stepErr error) (bool, error) {
+			if stepErr != nil {
+				return false, stepErr
+			}
+			return false, dr.Err()
+		},
+	})
+	const want = "loadgen: node 0 server buffer: kernel: memory exhausted"
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("run error %v, want one starting %q", err, want)
+	}
+	if got := dr.Err(); got != err {
+		t.Fatalf("Driver.Err() = %v, want the run's error %v", got, err)
 	}
 }
 

@@ -127,7 +127,7 @@ func RunTrial(tc TrialConfig) (*Result, error) {
 
 	err := cl.RunHooks(tc.Limit, cluster.Hooks{
 		BeforeStep: func(uint64) { dr.PublishControl() },
-		AfterStep: func(_ uint64, _ bool, stepErr error) (bool, error) {
+		AfterStep: func(stepErr error) (bool, error) {
 			if stepErr != nil {
 				return false, fmt.Errorf("loadgen: %w", stepErr)
 			}

@@ -128,7 +128,7 @@ func Run(seed uint64, opts Options) *Report {
 	var stopped bool
 	err := s.cl.RunHooks(sim.Forever, cluster.Hooks{
 		BeforeStep: s.beforeStep,
-		AfterStep: func(_ uint64, _ bool, stepErr error) (bool, error) {
+		AfterStep: func(stepErr error) (bool, error) {
 			stopped = s.afterStep(stepErr)
 			return stopped, nil
 		},

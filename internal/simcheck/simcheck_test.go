@@ -141,21 +141,44 @@ func TestSimCheckWorkerEquivalence(t *testing.T) {
 		seeds = 16
 	}
 	for seed := uint64(1); seed <= seeds; seed++ {
-		serial := Run(seed, Options{})
-		par := Run(seed, Options{Workers: 8})
-		if serial.Fingerprint != par.Fingerprint {
-			t.Fatalf("seed %d: workers=8 fingerprint %016x != workers=1 %016x",
-				seed, par.Fingerprint, serial.Fingerprint)
-		}
-		if len(serial.Violations) != len(par.Violations) {
-			t.Fatalf("seed %d: violation counts differ across workers: %d vs %d",
-				seed, len(serial.Violations), len(par.Violations))
-		}
-		if fmt.Sprint(serial.TraceSummaries) != fmt.Sprint(par.TraceSummaries) {
-			t.Fatalf("seed %d: trace summaries differ across workers:\n%v\nvs\n%v",
-				seed, serial.TraceSummaries, par.TraceSummaries)
-		}
+		checkWorkerEquivalence(t, seed, Options{}, false)
 	}
+}
+
+// checkWorkerEquivalence runs seed under opts serially and on eight
+// workers and fails unless both runs agree on the scenario fingerprint,
+// the violation count and every node's trace summary, and with snapshot
+// on the full telemetry snapshot. It returns the serial report.
+func checkWorkerEquivalence(t *testing.T, seed uint64, opts Options, snapshot bool) *Report {
+	t.Helper()
+	run := func(workers int) (*Report, string) {
+		opts := opts
+		opts.Workers = workers
+		if !snapshot {
+			return Run(seed, opts), ""
+		}
+		opts.Metrics = telemetry.New()
+		rep := Run(seed, opts)
+		return rep, fmt.Sprintf("%+v", *opts.Metrics.Snapshot())
+	}
+	serial, serialSnap := run(1)
+	par, parSnap := run(8)
+	if serial.Fingerprint != par.Fingerprint {
+		t.Fatalf("seed %d: workers=8 fingerprint %016x != workers=1 %016x",
+			seed, par.Fingerprint, serial.Fingerprint)
+	}
+	if len(serial.Violations) != len(par.Violations) {
+		t.Fatalf("seed %d: violation counts differ across workers: %d vs %d",
+			seed, len(serial.Violations), len(par.Violations))
+	}
+	if parSnap != serialSnap {
+		t.Fatalf("seed %d: metric snapshots differ across workers:\n%s\nvs\n%s", seed, parSnap, serialSnap)
+	}
+	if fmt.Sprint(serial.TraceSummaries) != fmt.Sprint(par.TraceSummaries) {
+		t.Fatalf("seed %d: trace summaries differ across workers:\n%v\nvs\n%v",
+			seed, serial.TraceSummaries, par.TraceSummaries)
+	}
+	return serial
 }
 
 // TestSimCheckLossyWorkerEquivalence is satellite coverage for the same
@@ -164,25 +187,8 @@ func TestSimCheckWorkerEquivalence(t *testing.T) {
 // workers=1 and workers=8 must agree on the scenario fingerprint, the
 // full telemetry snapshot and every node's trace summary.
 func TestSimCheckLossyWorkerEquivalence(t *testing.T) {
-	run := func(workers int) (*Report, string) {
-		reg := telemetry.New()
-		rep := Run(3, Options{Override: lossyOverride, Workers: workers, Metrics: reg})
-		return rep, fmt.Sprintf("%+v", *reg.Snapshot())
-	}
-	serial, serialSnap := run(1)
-	if serial.Failed() {
+	if serial := checkWorkerEquivalence(t, 3, Options{Override: lossyOverride}, true); serial.Failed() {
 		t.Fatalf("lossy scenario failed serially:\n%s", serial.String())
-	}
-	par, parSnap := run(8)
-	if par.Fingerprint != serial.Fingerprint {
-		t.Fatalf("workers=8 fingerprint %016x != workers=1 %016x", par.Fingerprint, serial.Fingerprint)
-	}
-	if parSnap != serialSnap {
-		t.Fatalf("metric snapshots differ across workers:\n%s\nvs\n%s", parSnap, serialSnap)
-	}
-	if fmt.Sprint(par.TraceSummaries) != fmt.Sprint(serial.TraceSummaries) {
-		t.Fatalf("trace summaries differ across workers:\n%v\nvs\n%v",
-			par.TraceSummaries, serial.TraceSummaries)
 	}
 }
 
@@ -228,22 +234,8 @@ func TestSimCheckServeWorkerEquivalence(t *testing.T) {
 		seeds = 4
 	}
 	for seed := uint64(1); seed <= seeds; seed++ {
-		serial := Run(seed, Options{Override: serveOverride})
-		if serial.Failed() {
+		if serial := checkWorkerEquivalence(t, seed, Options{Override: serveOverride}, false); serial.Failed() {
 			t.Fatalf("seed %d failed serially:\n%s", seed, serial.String())
-		}
-		par := Run(seed, Options{Override: serveOverride, Workers: 8})
-		if serial.Fingerprint != par.Fingerprint {
-			t.Fatalf("seed %d: workers=8 fingerprint %016x != workers=1 %016x",
-				seed, par.Fingerprint, serial.Fingerprint)
-		}
-		if len(serial.Violations) != len(par.Violations) {
-			t.Fatalf("seed %d: violation counts differ across workers: %d vs %d",
-				seed, len(serial.Violations), len(par.Violations))
-		}
-		if fmt.Sprint(serial.TraceSummaries) != fmt.Sprint(par.TraceSummaries) {
-			t.Fatalf("seed %d: trace summaries differ across workers:\n%v\nvs\n%v",
-				seed, serial.TraceSummaries, par.TraceSummaries)
 		}
 	}
 }
@@ -253,29 +245,9 @@ func TestSimCheckServeWorkerEquivalence(t *testing.T) {
 // serial vs eight workers, comparing fingerprint, telemetry snapshot
 // (including the loadgen sojourn mirrors) and trace summaries.
 func TestSimCheckServeLossyWorkerEquivalence(t *testing.T) {
-	run := func(workers int) (*Report, string) {
-		reg := telemetry.New()
-		rep := Run(5, Options{
-			Override: func(cfg *ScenarioConfig) { lossyOverride(cfg); serveOverride(cfg) },
-			Workers:  workers,
-			Metrics:  reg,
-		})
-		return rep, fmt.Sprintf("%+v", *reg.Snapshot())
-	}
-	serial, serialSnap := run(1)
-	if serial.Failed() {
+	override := func(cfg *ScenarioConfig) { lossyOverride(cfg); serveOverride(cfg) }
+	if serial := checkWorkerEquivalence(t, 5, Options{Override: override}, true); serial.Failed() {
 		t.Fatalf("lossy serve scenario failed serially:\n%s", serial.String())
-	}
-	par, parSnap := run(8)
-	if par.Fingerprint != serial.Fingerprint {
-		t.Fatalf("workers=8 fingerprint %016x != workers=1 %016x", par.Fingerprint, serial.Fingerprint)
-	}
-	if parSnap != serialSnap {
-		t.Fatalf("metric snapshots differ across workers:\n%s\nvs\n%s", parSnap, serialSnap)
-	}
-	if fmt.Sprint(par.TraceSummaries) != fmt.Sprint(serial.TraceSummaries) {
-		t.Fatalf("trace summaries differ across workers:\n%v\nvs\n%v",
-			par.TraceSummaries, serial.TraceSummaries)
 	}
 }
 
@@ -326,22 +298,8 @@ func TestSimCheckChurnWorkerEquivalence(t *testing.T) {
 		seeds = 4
 	}
 	for seed := uint64(1); seed <= seeds; seed++ {
-		serial := Run(seed, Options{Override: churnOverride})
-		if serial.Failed() {
+		if serial := checkWorkerEquivalence(t, seed, Options{Override: churnOverride}, false); serial.Failed() {
 			t.Fatalf("seed %d failed serially:\n%s", seed, serial.String())
-		}
-		par := Run(seed, Options{Override: churnOverride, Workers: 8})
-		if serial.Fingerprint != par.Fingerprint {
-			t.Fatalf("seed %d: workers=8 fingerprint %016x != workers=1 %016x",
-				seed, par.Fingerprint, serial.Fingerprint)
-		}
-		if len(serial.Violations) != len(par.Violations) {
-			t.Fatalf("seed %d: violation counts differ across workers: %d vs %d",
-				seed, len(serial.Violations), len(par.Violations))
-		}
-		if fmt.Sprint(serial.TraceSummaries) != fmt.Sprint(par.TraceSummaries) {
-			t.Fatalf("seed %d: trace summaries differ across workers:\n%v\nvs\n%v",
-				seed, serial.TraceSummaries, par.TraceSummaries)
 		}
 	}
 }
@@ -393,22 +351,8 @@ func TestSimCheckChaosWorkerEquivalence(t *testing.T) {
 		seeds = 4
 	}
 	for seed := uint64(1); seed <= seeds; seed++ {
-		serial := Run(seed, Options{Override: chaosOverride})
-		if serial.Failed() {
+		if serial := checkWorkerEquivalence(t, seed, Options{Override: chaosOverride}, false); serial.Failed() {
 			t.Fatalf("seed %d failed serially:\n%s", seed, serial.String())
-		}
-		par := Run(seed, Options{Override: chaosOverride, Workers: 8})
-		if serial.Fingerprint != par.Fingerprint {
-			t.Fatalf("seed %d: workers=8 fingerprint %016x != workers=1 %016x",
-				seed, par.Fingerprint, serial.Fingerprint)
-		}
-		if len(serial.Violations) != len(par.Violations) {
-			t.Fatalf("seed %d: violation counts differ across workers: %d vs %d",
-				seed, len(serial.Violations), len(par.Violations))
-		}
-		if fmt.Sprint(serial.TraceSummaries) != fmt.Sprint(par.TraceSummaries) {
-			t.Fatalf("seed %d: trace summaries differ across workers:\n%v\nvs\n%v",
-				seed, serial.TraceSummaries, par.TraceSummaries)
 		}
 	}
 }
@@ -419,33 +363,13 @@ func TestSimCheckChaosWorkerEquivalence(t *testing.T) {
 // byte ledgers all active — serial vs eight workers, comparing
 // fingerprint, telemetry snapshot and trace summaries.
 func TestSimCheckChaosServeLossyWorkerEquivalence(t *testing.T) {
-	run := func(workers int) (*Report, string) {
-		reg := telemetry.New()
-		rep := Run(5, Options{
-			Override: func(cfg *ScenarioConfig) {
-				lossyOverride(cfg)
-				serveOverride(cfg)
-				chaosOverride(cfg)
-			},
-			Workers: workers,
-			Metrics: reg,
-		})
-		return rep, fmt.Sprintf("%+v", *reg.Snapshot())
+	override := func(cfg *ScenarioConfig) {
+		lossyOverride(cfg)
+		serveOverride(cfg)
+		chaosOverride(cfg)
 	}
-	serial, serialSnap := run(1)
-	if serial.Failed() {
+	if serial := checkWorkerEquivalence(t, 5, Options{Override: override}, true); serial.Failed() {
 		t.Fatalf("chaos serve scenario failed serially:\n%s", serial.String())
-	}
-	par, parSnap := run(8)
-	if par.Fingerprint != serial.Fingerprint {
-		t.Fatalf("workers=8 fingerprint %016x != workers=1 %016x", par.Fingerprint, serial.Fingerprint)
-	}
-	if parSnap != serialSnap {
-		t.Fatalf("metric snapshots differ across workers:\n%s\nvs\n%s", parSnap, serialSnap)
-	}
-	if fmt.Sprint(par.TraceSummaries) != fmt.Sprint(serial.TraceSummaries) {
-		t.Fatalf("trace summaries differ across workers:\n%v\nvs\n%v",
-			par.TraceSummaries, serial.TraceSummaries)
 	}
 }
 
